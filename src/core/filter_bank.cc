@@ -114,56 +114,28 @@ FilterBank::flushDeferred()
     // one filter's arrays stay hot across every bus queue of the flush
     // (filters are independent, so this ordering is result-identical to
     // flushing queue by queue).
-    if (!prepareFlush())
-        return;
-    for (std::size_t i = 0; i < filters_.size(); ++i)
-        replayOne(i);
-    completeFlush();
-}
-
-bool
-FilterBank::prepareFlush()
-{
     bool any = false;
-    for (const auto &queue : busQueues_) {
-        if (!queue.empty()) {
-            any = true;
-            break;
-        }
-    }
+    for (const auto &queue : busQueues_)
+        any = any || !queue.empty();
     if (!any)
-        return false;
-    violationsBefore_.resize(stats_.size());
-    for (std::size_t i = 0; i < stats_.size(); ++i)
-        violationsBefore_[i] = stats_[i].safetyViolations;
-    return true;
-}
-
-void
-FilterBank::replayOne(std::size_t filterIdx)
-{
-    FilterStats &st = stats_[filterIdx];
-    SnoopFilter *const f = filters_[filterIdx].get();
-    for (const auto &queue : busQueues_) {
-        queue.forEachRun([&](const BankEvent *evs, std::size_t n) {
-            // Pull the run's tail toward the cache while the head
-            // replays; each 64 B line holds four 16 B events.
-            for (std::size_t off = 0; off < n; off += 64 / sizeof(BankEvent))
-                simd::prefetchRead(evs + off);
-            f->applyBatch(evs, n, st);
-        });
-    }
-}
-
-void
-FilterBank::completeFlush()
-{
-    if (checkSafety_) {
-        for (std::size_t i = 0; i < filters_.size(); ++i) {
-            if (stats_[i].safetyViolations != violationsBefore_[i]) {
-                panic("JETTY safety violation: " + filters_[i]->name() +
-                      " filtered a snoop to a cached unit");
-            }
+        return;
+    for (std::size_t i = 0; i < filters_.size(); ++i) {
+        FilterStats &st = stats_[i];
+        SnoopFilter *const f = filters_[i].get();
+        const std::uint64_t violations_before = st.safetyViolations;
+        for (const auto &queue : busQueues_) {
+            queue.forEachRun([&](const BankEvent *evs, std::size_t n) {
+                // Pull the run's tail toward the cache while the head
+                // replays; each 64 B line holds four 16 B events.
+                for (std::size_t off = 0; off < n;
+                     off += 64 / sizeof(BankEvent))
+                    simd::prefetchRead(evs + off);
+                f->applyBatch(evs, n, st);
+            });
+        }
+        if (checkSafety_ && st.safetyViolations != violations_before) {
+            panic("JETTY safety violation: " + f->name() +
+                  " filtered a snoop to a cached unit");
         }
     }
     for (auto &queue : busQueues_)

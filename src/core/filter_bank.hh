@@ -103,28 +103,6 @@ class FilterBank : public mem::CacheEventListener
      *  safety violation when the bank checks safety. */
     void flushDeferred();
 
-    // ---- The split flush, for parallel replay -----------------------
-    //
-    // flushDeferred() is prepareFlush() + replayOne(i) for every filter
-    // + completeFlush(). The filters of a bank are independent (each
-    // replayOne touches only filters_[i], stats_[i] and the read-only
-    // queues), so a dispatcher may run the replayOne calls concurrently;
-    // the safety-panic decision is taken in completeFlush() in filter
-    // order, keeping the failure report deterministic regardless of the
-    // replay schedule. Results are bit-identical to flushDeferred() for
-    // any schedule because no replayed state is shared between tasks.
-
-    /** Snapshot per-filter violation counters and report whether any
-     *  queue holds events (false: nothing to replay, skip the rest). */
-    bool prepareFlush();
-
-    /** Replay every bus queue (bus-major) through filter @p filterIdx.
-     *  Thread-safe across distinct @p filterIdx values. */
-    void replayOne(std::size_t filterIdx);
-
-    /** Check safety (panic in filter order) and clear the queues. */
-    void completeFlush();
-
     /** In deferred mode, queue one snoop with its captured ground truth.
      *  @p busId must be the unit's home bus. */
     void
@@ -195,8 +173,6 @@ class FilterBank : public mem::CacheEventListener
      *  allocator work, and each chunk is a contiguous cache-line-aligned
      *  run the batched applyBatch streams over. */
     std::vector<util::ArenaQueue<BankEvent>> busQueues_;
-    /** prepareFlush()'s per-filter safetyViolations snapshot. */
-    std::vector<std::uint64_t> violationsBefore_;
 };
 
 } // namespace jetty::filter

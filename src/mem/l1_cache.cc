@@ -5,7 +5,6 @@
 
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::mem
 {
@@ -19,8 +18,6 @@ L1Cache::L1Cache(const L1Config &cfg) : cfg_(cfg)
     const std::uint64_t sets = cfg.sets();
     if (sets == 0)
         fatal("L1Cache: size too small for block/assoc");
-    if (cfg.assoc >= simd::kL1Writable)
-        fatal("L1Cache: assoc too large for the classify verdict encoding");
 
     lineMask_ = cfg.blockBytes - 1;
     offsetBits_ = floorLog2(cfg.blockBytes);
@@ -80,32 +77,6 @@ L1Cache::probe(Addr addr) const
 }
 
 void
-L1Cache::classifyBatch(const Addr *addrs, const std::uint8_t *writes,
-                       std::size_t n, std::uint8_t *outcome,
-                       std::uint8_t *waySel) const
-{
-    simd::l1Classify(tagw_.data(), addrs, n, offsetBits_,
-                     maskBits(indexBits_), offsetBits_ + indexBits_,
-                     assocShift_, waySel);
-    // Branchless verdict mapping (the mispredict cost of a 3-way branch
-    // on interleaved hit/miss streams is what Stage 1 exists to avoid):
-    // Miss when no way matched, Blocked on a write without permission,
-    // Hit otherwise.
-    constexpr auto kHit = static_cast<std::uint8_t>(L1FastOutcome::Hit);
-    constexpr auto kMiss = static_cast<std::uint8_t>(L1FastOutcome::Miss);
-    constexpr auto kBlocked =
-        static_cast<std::uint8_t>(L1FastOutcome::Blocked);
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint8_t sel = waySel[k];
-        const bool miss = sel == simd::kL1NoWay;
-        const bool blocked =
-            !miss && writes[k] && !(sel & simd::kL1Writable);
-        outcome[k] = static_cast<std::uint8_t>(
-            miss ? kMiss : (blocked ? kBlocked : kHit));
-    }
-}
-
-void
 L1Cache::touch(Addr addr)
 {
     const int w = findWay(addr);
@@ -138,7 +109,6 @@ L1Cache::setWritable(Addr addr, bool writable)
         (static_cast<std::size_t>(setIndex(addr)) << assocShift_) + w;
     tagw_[frame] = (tagw_[frame] & ~std::uint64_t{2}) |
                    (writable ? std::uint64_t{2} : 0);
-    ++gen_;
 }
 
 void
@@ -181,7 +151,6 @@ L1Cache::fill(Addr addr, bool writable, L1Victim &victim)
     dirty_[frame] = 0;
     lastUse_[frame] = ++useClock_;
     ++validLines_;
-    ++gen_;
 }
 
 std::vector<L1LineInfo>
@@ -225,7 +194,6 @@ L1Cache::invalidate(Addr addr)
     tagw_[frame] &= ~std::uint64_t{3};
     dirty_[frame] = 0;
     --validLines_;
-    ++gen_;
     return was_dirty;
 }
 

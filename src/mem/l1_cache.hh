@@ -6,12 +6,12 @@
  * permission bit derived from the L2's MOESI state, and the inclusion
  * property (L2 superset of L1) is enforced by the owning processor node.
  *
- * Storage is packed for the batch pre-classifier (DESIGN.md, "Batched
- * miss pipeline"): each (set, way) frame is one 64-bit word
- * (tag << 2) | (writable << 1) | valid, so a lookup is a single masked
- * compare and classifyBatch() can scan a whole reference batch with the
- * simd::l1Classify gather kernel. LRU clocks and dirty flags sit in
- * parallel cold arrays — classification never touches them.
+ * Storage is packed for the run() walk (DESIGN.md, "The run() walk"):
+ * each (set, way) frame is one 64-bit word
+ * (tag << 2) | (writable << 1) | valid, so a way check is a single
+ * masked compare and accessClassify() scans a set's tags without
+ * touching anything else. LRU clocks and dirty flags sit in parallel
+ * cold arrays, written only when a hit retires or a line fills.
  */
 
 #ifndef JETTY_MEM_L1_CACHE_HH
@@ -23,7 +23,6 @@
 #include "mem/cache_config.hh"
 #include "util/arena.hh"
 #include "util/bits.hh"
-#include "util/simd.hh"
 #include "util/types.hh"
 
 namespace jetty::mem
@@ -74,33 +73,18 @@ class L1Cache
     L1LookupResult probe(Addr addr) const;
 
     /**
-     * Single-lookup fast path for hits that need no L2 interaction: a
-     * read hit, or a write hit on a writable line. Performs exactly the
-     * state changes of probe() + touch() (+ markDirty() for writes) in
-     * one associative search and returns true. Any other case — miss, or
-     * a write hit lacking write permission — leaves the cache completely
-     * untouched and returns false so the caller can take the full path.
+     * Single-lookup fast path, one call per reference in the run() walk.
+     * A hit needing no L2 help — a read hit, or a write hit on a
+     * writable line — is retired in place with exactly the state changes
+     * of probe() + touch() (+ markDirty() for writes): same LRU clock
+     * advance, same dirty marking. Otherwise the cache is left
+     * completely untouched and the verdict says why: Blocked (a write
+     * hit lacking permission — the full processorAccess route applies)
+     * or Miss (the line is absent, so the caller can enter the L1-miss
+     * route without re-probing).
      *
-     * Inline because the simulator's batched delivery loop issues one of
-     * these per reference; it must stay bit-identical to the slow path
-     * (same LRU clock advance, same dirty marking).
-     */
-    bool
-    accessFast(Addr addr, bool write)
-    {
-        return accessClassify(addr, write) == L1FastOutcome::Hit;
-    }
-
-    /**
-     * accessFast() that additionally reports *why* the fast path did
-     * not retire the reference, so the caller can enter the L1-miss
-     * route directly instead of re-probing: Blocked (a write hit
-     * lacking permission — the full processorAccess route applies) vs
-     * Miss (the line is absent). Hit semantics are accessFast()'s.
-     *
-     * This scalar loop is the oracle the vectorized classifyBatch() +
-     * retireHitAt() pipeline is asserted bit-identical against
-     * (test_caches.cc).
+     * test_caches asserts it against that probe/touch/markDirty slow
+     * path at assoc 1, 2, 4 and 8.
      */
     L1FastOutcome
     accessClassify(Addr addr, bool write)
@@ -123,52 +107,6 @@ class L1Cache
         }
         return L1FastOutcome::Miss;
     }
-
-    /**
-     * Stage 1 of the batched hot loop: classify @p n references against
-     * the *current* tag/permission state without touching any of it.
-     * outcome[k] is the L1FastOutcome accessClassify() would return for
-     * (addrs[k], writes[k]); waySel[k] is the raw simd::l1Classify
-     * verdict (way | kL1Writable, or kL1NoWay) that retireHitAt() uses
-     * to retire a classified hit without re-probing.
-     *
-     * Validity contract: the verdicts describe the cache as of this
-     * call's generation() — they stay exact as long as generation() is
-     * unchanged, because retiring hits (LRU touch, dirty marking) never
-     * changes tag/valid/writable state. fill(), invalidate() and
-     * setWritable() each bump the generation; a caller holding stale
-     * verdicts must reclassify.
-     */
-    void classifyBatch(const Addr *addrs, const std::uint8_t *writes,
-                       std::size_t n, std::uint8_t *outcome,
-                       std::uint8_t *waySel) const;
-
-    /**
-     * Retire one classified hit: exactly the state changes of
-     * accessClassify()'s Hit arm (LRU clock advance, dirty marking on a
-     * write), applied through the way recorded by classifyBatch()
-     * instead of a fresh associative scan. Only valid while the
-     * classifying generation still holds.
-     */
-    void
-    retireHitAt(Addr addr, std::uint8_t waySel, bool write)
-    {
-        const std::size_t frame =
-            (static_cast<std::size_t>(
-                 bitField(addr, offsetBits_, indexBits_))
-             << assocShift_) +
-            (waySel & ~simd::kL1Writable);
-        lastUse_[frame] = ++useClock_;
-        if (write)
-            dirty_[frame] = 1;
-    }
-
-    /**
-     * Tag/permission-state generation: bumped by every mutation that can
-     * change a classifyBatch() verdict (fill, invalidate, setWritable).
-     * Hit retirement never bumps it.
-     */
-    std::uint64_t generation() const { return gen_; }
 
     /** Update LRU for a hit on @p addr's line. */
     void touch(Addr addr);
@@ -214,7 +152,7 @@ class L1Cache
     L1Config cfg_;
     /** Flat [set << assocShift | way] packed words,
      *  (tag << 2) | (writable << 1) | valid — the only array a
-     *  classification reads; one cache line covers 8 ways. */
+     *  lookup reads; one cache line covers 8 ways. */
     util::AlignedVec<std::uint64_t> tagw_;
     util::AlignedVec<std::uint64_t> lastUse_;  //!< [frame] LRU clocks
     std::vector<std::uint8_t> dirty_;          //!< [frame] dirty flags
@@ -224,7 +162,6 @@ class L1Cache
     unsigned assocShift_;  //!< log2(assoc), precomputed
     std::uint64_t useClock_ = 0;
     std::uint64_t validLines_ = 0;
-    std::uint64_t gen_ = 0;  //!< classification-visible state version
 };
 
 } // namespace jetty::mem

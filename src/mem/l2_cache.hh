@@ -91,20 +91,6 @@ class L2Cache
      *  to size up what a snoop tag probe would find. */
     bool hasBlock(Addr addr) const;
 
-    /** Hint the host to pull the tag words of @p addr's set toward the
-     *  core: the batched miss pipeline issues this for upcoming misses
-     *  so the probeWay scan in the drain finds its line resident. Pure
-     *  hint — no simulated state is touched. */
-    void
-    prefetchSet(Addr addr) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&tagValid_[frameOf(setIndex(addr), 0)]);
-#else
-        (void)addr;
-#endif
-    }
-
     /** Update LRU for a local access that hit the block of @p addr. */
     void touch(Addr addr);
 

@@ -97,7 +97,7 @@ WritebackBuffer::rebuildSignature()
             break;  // a 64-bit signature is saturated by 64 entries
         }
     }
-    simd::oneHotHash(addrs, n, 5, 0x9E3779B97F4A7C15ull, 58, bits);
+    simd::oneHotHash(addrs, n, kSigPreShift, kSigMul, kSigPostShift, bits);
     std::uint64_t sig = 0;
     for (std::size_t k = 0; k < n; ++k)
         sig |= bits[k];

@@ -80,11 +80,9 @@ class WritebackBuffer
         return (signature_ & bit) != 0;
     }
 
-    /** Signature-hash geometry, shared with the batched miss pipeline:
-     *  SmpSystem::prepareMissRun computes whole runs of signature bits
-     *  through simd::oneHotHash with exactly these constants, so they
-     *  are named once here instead of living as magic numbers in two
-     *  hot paths. */
+    /** Signature-hash geometry, shared by signatureBitOf() and the
+     *  simd::oneHotHash sweep of rebuildSignature(), so it is named once
+     *  here instead of living as magic numbers in both. */
     static constexpr unsigned kSigPreShift = 5;  //!< unit-granular bits
     static constexpr std::uint64_t kSigMul = 0x9E3779B97F4A7C15ull;
     static constexpr unsigned kSigPostShift = 58;  //!< keep top 6 bits

@@ -4,7 +4,6 @@
 
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::sim
 {
@@ -12,24 +11,6 @@ namespace jetty::sim
 using coherence::BusOp;
 using coherence::BusResponse;
 using coherence::State;
-
-namespace
-{
-
-/** Rows classified per Stage-1 window extension. Large enough to keep
- *  the SIMD classify kernel's lanes full, small enough that a miss
- *  invalidating the window (the L1 generation moved) throws away
- *  little work. Any value is bit-identical. */
-constexpr std::size_t kClassifyWindowMin = 8;
-constexpr std::size_t kClassifyWindowMax = 128;
-
-/** Consecutive fully-Hit drain sweeps required before Stage 3 hands
- *  control back to the run splitter. One all-Hit sweep right after a
- *  miss is often a lull, not a run — re-entering Stage 1 for it pays
- *  the window bookkeeping only to fall straight back into the drain. */
-constexpr std::size_t kDrainExitStreak = 1;
-
-} // namespace
 
 filter::AddressMap
 SmpConfig::addressMap() const
@@ -63,42 +44,6 @@ SmpSystem::SmpSystem(const SmpConfig &cfg)
         node->l2->addListener(node->bank.get());
         nodes_.push_back(std::move(node));
     }
-    if (cfg.replayThreads > 1)
-        replayPool_ = std::make_unique<WorkerPool>(cfg.replayThreads);
-}
-
-void
-SmpSystem::flushAllBanks()
-{
-    if (!replayPool_) {
-        for (auto &node : nodes_)
-            node->bank->flushDeferred();
-        return;
-    }
-    // Parallel replay over independent (node, filter) tasks. Each task
-    // replays one bank's bus queues through one filter, bus-major —
-    // exactly the sequential flush's work unit — touching only that
-    // filter and its stats slot, so any schedule yields the sequential
-    // result. prepareFlush snapshots the violation counters up front;
-    // completeFlush takes the panic decision after the join, walking
-    // nodes (and filters within each bank) in ascending order, so a
-    // safety failure reports deterministically however the replay ran.
-    replayTasks_.clear();
-    preparedBanks_.clear();
-    for (auto &node : nodes_) {
-        filter::FilterBank *const bank = node->bank.get();
-        if (!bank->prepareFlush())
-            continue;
-        preparedBanks_.push_back(bank);
-        for (std::size_t f = 0; f < bank->size(); ++f)
-            replayTasks_.push_back({bank, f});
-    }
-    replayPool_->parallelFor(
-        replayTasks_.size(), [this](std::size_t t) {
-            replayTasks_[t].bank->replayOne(replayTasks_[t].filterIdx);
-        });
-    for (filter::FilterBank *bank : preparedBanks_)
-        bank->completeFlush();
 }
 
 void
@@ -159,26 +104,16 @@ SmpSystem::run()
         return;
     }
 
-    // The batched hot loop: a three-stage pipeline over chunks of the
-    // round-robin schedule (DESIGN.md, "Batched miss pipeline"). The
-    // interleaving is exactly step()'s — one reference per live
-    // processor per sweep — but the chunk is walked as runs instead of
-    // references:
-    //
-    //  Stage 1 classifies windows of upcoming references per processor
-    //  through the vectorized L1 pre-classifier (classifyBatch — pure
-    //  reads, verdicts pinned to the L1's generation counter);
-    //  Stage 2 retires the maximal all-Hit schedule prefix in bulk
-    //  (hits touch only their own L1's LRU/dirty state, never another
-    //  processor and never a verdict, so per-lane retirement order is
-    //  bit-identical to the interleaved order);
-    //  Stage 3 drains the non-Hit run one schedule slot at a time —
-    //  misses interact across processors (fill states, evictions, WB
-    //  FIFOs), so their coherence work cannot be reordered — but with
-    //  the per-run setup batched: signature bits via simd::oneHotHash,
-    //  home-bus routing, and L2 set prefetches are prepared for whole
-    //  runs, and the per-bus occupancy counters accumulate in
-    //  chunk-local deltas folded bus-major at the chunk boundary.
+    // The batched hot loop walks chunks of the round-robin schedule
+    // (DESIGN.md, "The run() walk"). The interleaving is exactly
+    // step()'s — one reference per live processor per sweep — but each
+    // reference costs one accessClassify() straight off the trace
+    // record: a hit retires in place (it touches only its own L1's
+    // LRU/dirty state), a miss enters missTail() without a second L1
+    // probe, and the rare Blocked write (a hit lacking permission) takes
+    // the general processorAccess() route. Misses interact across
+    // processors (fill states, evictions, WB FIFOs), so the walk never
+    // reorders the schedule; it is the same for every L1 geometry.
     //
     // The filter banks run deferred throughout: every snoop observation
     // and L2 fill/evict notification is queued per home snoop bus and
@@ -192,32 +127,22 @@ SmpSystem::run()
     const unsigned nprocs = static_cast<unsigned>(nodes_.size());
     const Addr unit_mask = ~(static_cast<Addr>(cfg_.l2.unitBytes()) - 1);
 
-    // Walk mode. With a direct-mapped L1 a probe is one scalar load, and
-    // the fused drain — classify-and-retire in a single pass per row —
-    // out-runs the three-stage pipeline's separate classify/scan/retire
-    // array passes on every workload we measured, hit-heavy ones
-    // included. An associative L1 flips the trade: there the SIMD
-    // pre-classifier replaces a whole multi-way tag scan per reference,
-    // and the run splitter pays for itself. Both walks retire the same
-    // schedule in the same order, so the choice is invisible in the
-    // statistics (asserted by test_differential across geometries).
-    const bool fused_walk = cfg_.l1.assoc == 1;
-
     for (auto &node : nodes_)
         node->bank->beginDeferred();
     deferActive_ = true;
     chunkBus_.assign(interconnect_.buses(), BusStats{});
     chunkBusProbes_.assign(interconnect_.buses(), 0);
 
-    // Live processors in ascending id order (the round-robin order),
-    // with their nodes resolved once per chunk so the per-reference
-    // loop does no unique_ptr chasing.
-    std::vector<ProcId> live;
-    std::vector<Node *> liveNodes;
-    live.reserve(nprocs);
-    liveNodes.reserve(nprocs);
-    if (lanes_.size() < nprocs)
-        lanes_.resize(nprocs);
+    /** One live processor of a chunk, resolved once so the
+     *  per-reference loop does no unique_ptr chasing. */
+    struct Lane
+    {
+        ProcId proc;
+        mem::L1Cache *l1;
+        const trace::TraceRecord *rec;  //!< its slice of the batch
+    };
+    std::vector<Lane> lanes;
+    lanes.reserve(nprocs);
 
     for (;;) {
         // Top up every live batch and size the next chunk of sweeps: all
@@ -225,9 +150,9 @@ SmpSystem::run()
         // another exhaustion or refill check. A processor leaves the live
         // set only at a batch boundary, which is exactly when step()
         // semantics would discover its exhaustion — the (proc, record)
-        // issue order is untouched.
-        live.clear();
-        liveNodes.clear();
+        // issue order is untouched. Lanes are in ascending id order (the
+        // round-robin order).
+        lanes.clear();
         std::size_t rounds = ~std::size_t{0};
         for (unsigned p = 0; p < nprocs; ++p) {
             Node &node = *nodes_[p];
@@ -235,160 +160,40 @@ SmpSystem::run()
                 continue;
             if (node.batchPos == node.batchLen && !refillBatch(node))
                 continue;
-            live.push_back(p);
-            liveNodes.push_back(&node);
+            lanes.push_back(
+                {p, node.l1.get(), node.batch.data() + node.batchPos});
             rounds = std::min(rounds, node.batchLen - node.batchPos);
         }
-        if (live.empty())
+        if (lanes.empty())
             break;
-        const std::size_t nlive = live.size();
+        for (const Lane &ln : lanes)
+            nodes_[ln.proc]->batchPos += rounds;
 
-        // Pin each lane to its slice of the trace batch, then (for the
-        // associative walk only) decode the chunk once: unit-aligned
-        // addresses and write flags per lane row, in the layout the
-        // SIMD kernels consume. The fused walk skips the decode pass —
-        // its drain reads the records directly.
-        for (std::size_t li = 0; li < nlive; ++li) {
-            Lane &ls = lanes_[li];
-            Node &node = *liveNodes[li];
-            ls.rec = node.batch.data() + node.batchPos;
-            ls.l1 = node.l1.get();
-            ls.clsTo = 0;
-            ls.win = kClassifyWindowMin;
-            ls.gen = node.l1->generation();
-            node.batchPos += rounds;
-            if (fused_walk)
-                continue;
-            if (ls.unit.size() < rounds) {
-                ls.unit.resize(rounds);
-                ls.write.resize(rounds);
-                ls.outcome.resize(rounds);
-                ls.waySel.resize(rounds);
-                ls.sigBit.resize(rounds);
-            }
-            for (std::size_t row = 0; row < rounds; ++row) {
-                ls.unit[row] = ls.rec[row].addr & unit_mask;
-                ls.write[row] = static_cast<std::uint8_t>(
-                    ls.rec[row].type == AccessType::Write);
-            }
-        }
-
-        std::size_t r = 0;
-        while (r < rounds) {
-            // ---- Stages 1+2 (associative walk only): split off the
-            // maximal prefix of rounds in which every lane's verdict is
-            // Hit, and retire it in bulk. No verdict goes stale inside
-            // the prefix: Stage 1 only reads, and hit retirement never
-            // moves a generation.
-            if (!fused_walk) {
-                std::size_t h = rounds - r;
-                for (std::size_t li = 0; li < nlive && h > 0; ++li)
-                    h = firstNonHit(lanes_[li], r, r + h, rounds) - r;
-                if (h > 0) {
-                    for (std::size_t li = 0; li < nlive; ++li) {
-                        Lane &ls = lanes_[li];
-                        std::uint64_t wr = 0;
-                        for (std::size_t row = r; row < r + h; ++row) {
-                            ls.l1->retireHitAt(ls.unit[row],
-                                               ls.waySel[row],
-                                               ls.write[row] != 0);
-                            wr += ls.write[row];
-                        }
-                        ProcStats &ps = stats_.procs[live[li]];
-                        ps.accesses += h;
-                        ps.writes += wr;
-                        ps.reads += h - wr;
-                        ps.l1Hits += h;
-                    }
-                    r += h;
-                    if (r >= rounds)
-                        break;
+        for (std::size_t r = 0; r < rounds; ++r) {
+            for (const Lane &ln : lanes) {
+                const trace::TraceRecord &rc = ln.rec[r];
+                const Addr unit = rc.addr & unit_mask;
+                const bool write = rc.type == AccessType::Write;
+                const mem::L1FastOutcome out =
+                    ln.l1->accessClassify(unit, write);
+                if (out == mem::L1FastOutcome::Blocked) {
+                    // A write hit lacking permission — the rare upgrade
+                    // path; take the fully general route.
+                    processorAccess(ln.proc, rc.type, unit);
+                    continue;
                 }
-            }
-
-            // ---- Stage 3: drain the non-Hit run in exact schedule
-            // order until a fully-Hit sweep hands control back to the
-            // run splitter (the fused walk never hands back — it drains
-            // whole chunks). Cached verdicts are honoured while their
-            // generation holds; stale slots fall back to the scalar
-            // classify (which retires hits itself, exactly like the
-            // sequential path).
-            std::size_t hitStreak = 0;
-            while (r < rounds &&
-                   (fused_walk || hitStreak < kDrainExitStreak)) {
-                bool all_hit = true;
-                for (std::size_t li = 0; li < nlive; ++li) {
-                    Lane &ls = lanes_[li];
-                    const ProcId p = live[li];
-                    Addr unit;
-                    bool write;
-                    if (fused_walk) {
-                        const trace::TraceRecord &rc = ls.rec[r];
-                        unit = rc.addr & unit_mask;
-                        write = rc.type == AccessType::Write;
-                    } else {
-                        unit = ls.unit[r];
-                        write = ls.write[r] != 0;
-                    }
-
-                    // Re-checked every slot: an earlier lane's miss this
-                    // very round may have invalidated one of our lines.
-                    // (Always false in the fused walk — nothing is ever
-                    // classified ahead there.)
-                    const bool cached =
-                        r < ls.clsTo && ls.gen == ls.l1->generation();
-                    mem::L1FastOutcome out;
-                    if (cached) {
-                        out = static_cast<mem::L1FastOutcome>(
-                            ls.outcome[r]);
-                        if (out == mem::L1FastOutcome::Hit)
-                            ls.l1->retireHitAt(unit, ls.waySel[r], write);
-                    } else {
-                        out = ls.l1->accessClassify(unit, write);
-                    }
-
-                    if (out == mem::L1FastOutcome::Hit) {
-                        ProcStats &ps = stats_.procs[p];
-                        ++ps.accesses;
-                        if (write)
-                            ++ps.writes;
-                        else
-                            ++ps.reads;
-                        ++ps.l1Hits;
-                        continue;
-                    }
-                    all_hit = false;
-                    if (out == mem::L1FastOutcome::Miss) {
-                        ProcStats &ps = stats_.procs[p];
-                        ++ps.accesses;
-                        if (write)
-                            ++ps.writes;
-                        else
-                            ++ps.reads;
-                        ++ps.l1Misses;
-                        // A cached Miss verdict carries its prepared
-                        // signature bit; a scalar reclassify hashes it
-                        // here (no prefetch — the stale path is rare).
-                        const MissPrep prep{
-                            interconnect_.busOf(unit),
-                            cached ? ls.sigBit[r]
-                                   : mem::WritebackBuffer::signatureBitOf(
-                                         unit)};
-                        missTail(p,
-                                 write ? AccessType::Write
-                                       : AccessType::Read,
-                                 unit, unit, &prep);
-                        continue;
-                    }
-                    // Blocked: a write hit lacking permission — the
-                    // rare upgrade path; take the fully general route.
-                    processorAccess(p,
-                                    write ? AccessType::Write
-                                          : AccessType::Read,
-                                    unit);
+                ProcStats &ps = stats_.procs[ln.proc];
+                ++ps.accesses;
+                if (write)
+                    ++ps.writes;
+                else
+                    ++ps.reads;
+                if (out == mem::L1FastOutcome::Hit) {
+                    ++ps.l1Hits;
+                    continue;
                 }
-                hitStreak = all_hit ? hitStreak + 1 : 0;
-                ++r;
+                ++ps.l1Misses;
+                missTail(ln.proc, rc.type, unit, unit);
             }
         }
 
@@ -396,7 +201,8 @@ SmpSystem::run()
         // through the batched probe path before the queues grow past
         // the cache-friendly chunk size, then fold the chunk's per-bus
         // occupancy deltas in ascending bus order.
-        flushAllBanks();
+        for (auto &node : nodes_)
+            node->bank->flushDeferred();
         // Accumulate first, clear in a separate pass: mixing the adds
         // and the resets in one loop trips a GCC 12 -O3
         // loop-distribution misordering (the generated memset lands
@@ -418,78 +224,6 @@ SmpSystem::run()
     deferActive_ = false;
     for (auto &node : nodes_)
         node->bank->endDeferred();
-}
-
-std::size_t
-SmpSystem::firstNonHit(Lane &ls, std::size_t from, std::size_t limit,
-                       std::size_t rounds)
-{
-    constexpr auto kHit = static_cast<std::uint8_t>(mem::L1FastOutcome::Hit);
-    const std::uint64_t gen = ls.l1->generation();
-    if (ls.gen != gen) {
-        // The window is stale: a fill/invalidate/permission change
-        // moved the generation. Re-take it from the cursor and re-seed
-        // the adaptive window — the run pattern restarts after an
-        // invalidation.
-        ls.clsTo = from;
-        ls.gen = gen;
-        ls.win = kClassifyWindowMin;
-    } else if (ls.clsTo < from) {
-        // Valid but consumed past: the drain advanced beyond the
-        // window without touching this lane's L1. Keep the grown
-        // window size — the verdicts were good, only the cursor moved.
-        ls.clsTo = from;
-    }
-    std::size_t f = from;
-    for (;;) {
-        if (f >= limit)
-            return limit;
-        if (f == ls.clsTo) {
-            const std::size_t to =
-                std::min(ls.clsTo + ls.win, rounds);
-            ls.win = std::min(ls.win * 2, kClassifyWindowMax);
-            ls.l1->classifyBatch(ls.unit.data() + ls.clsTo,
-                                 ls.write.data() + ls.clsTo, to - ls.clsTo,
-                                 ls.outcome.data() + ls.clsTo,
-                                 ls.waySel.data() + ls.clsTo);
-            prepareMissRows(ls, ls.clsTo, to);
-            ls.clsTo = to;
-        }
-        const std::size_t end = std::min(ls.clsTo, limit);
-        while (f < end && ls.outcome[f] == kHit)
-            ++f;
-        if (f < end)
-            return f;
-    }
-}
-
-void
-SmpSystem::prepareMissRows(Lane &ls, std::size_t from, std::size_t to)
-{
-    // Hit-only windows (the common case everywhere but the miss-heavy
-    // apps) pay one byte scan and nothing else.
-    constexpr auto kMiss =
-        static_cast<std::uint8_t>(mem::L1FastOutcome::Miss);
-    bool any_miss = false;
-    for (std::size_t k = from; k < to && !any_miss; ++k)
-        any_miss = ls.outcome[k] == kMiss;
-    if (!any_miss)
-        return;
-    simd::oneHotHash(ls.unit.data() + from, to - from,
-                     mem::WritebackBuffer::kSigPreShift,
-                     mem::WritebackBuffer::kSigMul,
-                     mem::WritebackBuffer::kSigPostShift,
-                     ls.sigBit.data() + from);
-    // Every node's L2 set line for each upcoming miss: the drain's
-    // remote snoop probes (3 cold tag reads per miss) plus the
-    // requester's own probe/fill are the miss path's dominant stalls.
-    for (std::size_t k = from; k < to; ++k) {
-        if (ls.outcome[k] != kMiss)
-            continue;
-        const Addr unit = ls.unit[k];
-        for (const auto &node : nodes_)
-            node->l2->prefetchSet(unit);
-    }
 }
 
 const filter::FilterBank &
@@ -536,8 +270,7 @@ SmpSystem::enforceInclusion(ProcId p, Addr unitAddr)
 }
 
 BusResponse
-SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
-                     const MissPrep *prep)
+SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
 {
     BusResponse resp;
     ++stats_.snoopTransactions;
@@ -545,7 +278,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
     // Route to the unit's home bus and count its occupancy. While the
     // hot loop runs the counts land in the chunk-local deltas and fold
     // into SimStats bus-major at the chunk boundary.
-    const unsigned bus = prep ? prep->bus : interconnect_.busOf(unitAddr);
+    const unsigned bus = interconnect_.busOf(unitAddr);
     {
         BusStats &bs =
             deferActive_ ? chunkBus_[bus] : stats_.perBus[bus];
@@ -577,8 +310,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr,
         // for the chunk-end batched replay instead of walking every
         // filter now.
         const std::uint64_t sig_bit =
-            prep ? prep->sigBit
-                 : mem::WritebackBuffer::signatureBitOf(unitAddr);
+            mem::WritebackBuffer::signatureBitOf(unitAddr);
         for (unsigned q = 0; q < nodes_.size(); ++q) {
             if (q == requester)
                 continue;
@@ -738,8 +470,7 @@ SmpSystem::pushVictim(ProcId p, const mem::L2Victim &victim)
 }
 
 coherence::State
-SmpSystem::fetchUnit(ProcId p, Addr unitAddr, bool forWrite,
-                     const MissPrep *prep)
+SmpSystem::fetchUnit(ProcId p, Addr unitAddr, bool forWrite)
 {
     Node &node = *nodes_[p];
     ProcStats &ps = stats_.procs[p];
@@ -755,13 +486,13 @@ SmpSystem::fetchUnit(ProcId p, Addr unitAddr, bool forWrite,
         fill_state = wb_entry.state;
         if (forWrite && !coherence::isWritable(fill_state)) {
             // An Owned victim may still be shared elsewhere: upgrade.
-            broadcast(p, BusOp::BusUpgrade, unitAddr, prep);
+            broadcast(p, BusOp::BusUpgrade, unitAddr);
             ++ps.busUpgrades;
             fill_state = State::Modified;
         }
     } else {
         const BusOp op = forWrite ? BusOp::BusReadX : BusOp::BusRead;
-        const BusResponse resp = broadcast(p, op, unitAddr, prep);
+        const BusResponse resp = broadcast(p, op, unitAddr);
         if (op == BusOp::BusRead)
             ++ps.busReads;
         else
@@ -851,8 +582,7 @@ SmpSystem::processorAccess(ProcId p, AccessType type, Addr addr)
 }
 
 void
-SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit,
-                    const MissPrep *prep)
+SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit)
 {
     Node &node = *nodes_[p];
     ProcStats &ps = stats_.procs[p];
@@ -868,7 +598,7 @@ SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit,
     if (l2_hit && type == AccessType::Write &&
         !coherence::isWritable(unit_state)) {
         // Write to a Shared/Owned unit: upgrade first.
-        broadcast(p, BusOp::BusUpgrade, unit, prep);
+        broadcast(p, BusOp::BusUpgrade, unit);
         ++ps.busUpgrades;
         node.l2->setStateAt(way, unit, State::Modified);
         ++ps.traffic.localTagUpdates;
@@ -886,7 +616,7 @@ SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit,
         }
         ++ps.traffic.localDataReads;  // unit handed to the L1
     } else {
-        unit_state = fetchUnit(p, unit, type == AccessType::Write, prep);
+        unit_state = fetchUnit(p, unit, type == AccessType::Write);
     }
 
     // ---- Fill the L1 (write-allocate). ----

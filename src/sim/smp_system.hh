@@ -27,7 +27,6 @@
 #include "sim/interconnect.hh"
 #include "sim/observer.hh"
 #include "sim/sim_stats.hh"
-#include "sim/worker_pool.hh"
 #include "trace/trace_source.hh"
 
 namespace jetty::sim
@@ -51,8 +50,8 @@ struct SmpConfig
 
     /**
      * References pulled per TraceSource::nextBatch call in the delivery
-     * path (1 = scalar per-reference pulls). Purely a transport knob:
-     * the round-robin interleaving — one reference per processor per
+     * path (1 = scalar per-reference pulls). The one purely wall-clock
+     * field: the round-robin interleaving — one reference per processor per
      * sweep — and therefore every simulated number is bit-identical for
      * every value.
      */
@@ -71,18 +70,6 @@ struct SmpConfig
      * snoopBuses > 1; safety never does).
      */
     unsigned snoopBuses = 1;
-
-    /**
-     * Total threads (including the simulation thread) the chunk-end
-     * filter replay of run() may use. 1 keeps the replay sequential.
-     * The replay parallelizes over independent (node, filter) tasks —
-     * each task replays its bank's bus queues bus-major, exactly as the
-     * sequential flush does, and the safety-panic decision is taken
-     * after the join in deterministic (node, filter) order — so every
-     * simulated number is bit-identical for every value, at any bus
-     * count; like batchRefs this is purely a wall-clock knob.
-     */
-    unsigned replayThreads = 1;
 
     /** Derive the filters' address-space facts. */
     filter::AddressMap addressMap() const;
@@ -108,10 +95,11 @@ class SmpSystem
     bool step();
 
     /**
-     * Run until all streams are exhausted. This is the hot path: batched
-     * delivery plus an inlined L1-hit fast path, with the full
-     * processorAccess() route for everything else. Produces exactly the
-     * per-reference behaviour of repeated step() calls.
+     * Run until all streams are exhausted. This is the hot path, one walk
+     * for every L1 geometry: batched delivery, one accessClassify() per
+     * reference that retires hits in place, the miss tail entered
+     * directly, and deferred filter banks flushed per chunk. Produces
+     * exactly the per-reference behaviour of repeated step() calls.
      */
     void run();
 
@@ -181,98 +169,23 @@ class SmpSystem
      *  returns false) when the stream is exhausted. */
     bool refillBatch(Node &node);
 
-    /** Chunk-end flush of every node's deferred filter queues — over
-     *  the replay pool when cfg_.replayThreads > 1, else sequential.
-     *  Bit-identical either way (see SmpConfig::replayThreads). */
-    void flushAllBanks();
-
-    /**
-     * Routing facts of one prepared miss (Stage 3 of the batched hot
-     * loop): the unit's home bus and its write-back Bloom-signature
-     * bit, precomputed per miss run (the signature bits through the
-     * simd::oneHotHash kernel) instead of per broadcast. Both depend
-     * only on the address, so a prepared entry can never go stale.
-     */
-    struct MissPrep
-    {
-        unsigned bus = 0;
-        std::uint64_t sigBit = 0;
-    };
-
     /** Place a transaction on its home snoop bus: snoop all other
      *  nodes, count remote copies, transition their states. While the
      *  banks are deferred (the batched run() hot loop) the per-node
      *  filter observation is queued instead of walked — both routes make
-     *  identical coherence state changes. @p prep, when given, carries
-     *  the precomputed routing facts for @p unitAddr. */
+     *  identical coherence state changes. */
     coherence::BusResponse
-    broadcast(ProcId requester, coherence::BusOp op, Addr unitAddr,
-              const MissPrep *prep = nullptr);
+    broadcast(ProcId requester, coherence::BusOp op, Addr unitAddr);
 
     /** Handle a local L2 miss for @p addr: WB reclaim or bus fetch plus
      *  L2 (and victim) bookkeeping. Returns the unit's final L2 state. */
-    coherence::State
-    fetchUnit(ProcId p, Addr unitAddr, bool forWrite,
-              const MissPrep *prep = nullptr);
+    coherence::State fetchUnit(ProcId p, Addr unitAddr, bool forWrite);
 
     /** The L1-miss tail of processorAccess(): L2 lookup/upgrade/fetch,
      *  L1 fill, dirty-victim writeback, observer. Entered directly by
-     *  the batched hot loop once the pre-classifier reported a miss, so
-     *  the L1 is not probed twice; @p unit is the aligned address.
-     *  Every bus transaction of one missTail call targets @p unit, so
-     *  @p prep (when given) covers the whole tail. */
-    void missTail(ProcId p, AccessType type, Addr addr, Addr unit,
-                  const MissPrep *prep = nullptr);
-
-    /**
-     * Per-live-processor scratch of one hot-loop chunk (reused across
-     * chunks, so the arrays stop allocating after warm-up). Rows index
-     * the processor's references within the chunk, one per round-robin
-     * sweep: unit/write are decoded up front; outcome/waySel hold the
-     * Stage-1 classification window [0, clsTo) taken at L1 generation
-     * gen; sigBit holds the Stage-3 prepared signature bits [0, prepTo).
-     */
-    struct Lane
-    {
-        std::vector<Addr> unit;             //!< [row] unit-aligned address
-        std::vector<std::uint8_t> write;    //!< [row] 1 = write
-        std::vector<std::uint8_t> outcome;  //!< [row] L1FastOutcome
-        std::vector<std::uint8_t> waySel;   //!< [row] classify verdicts
-        /** [row] WB signature bits, batch-hashed at classify time for
-         *  every window that contains at least one Miss verdict — so a
-         *  cached Miss verdict always has its signature bit ready. */
-        std::vector<std::uint64_t> sigBit;
-        /** The lane's slice of its node's trace batch for this chunk.
-         *  The fused walk classifies straight out of it instead of
-         *  paying a decode pass into the arrays above. */
-        const trace::TraceRecord *rec = nullptr;
-        mem::L1Cache *l1 = nullptr;  //!< the lane's L1, devirtualized
-        std::size_t clsTo = 0;   //!< rows [0, clsTo) hold verdicts
-        std::uint64_t gen = 0;   //!< L1 generation of the verdicts
-        /** Adaptive classification window: each extension that the
-         *  Stage-1 scan consumes whole doubles it (amortizing the
-         *  kernel-call overhead over hit runs), and a generation bump
-         *  drops it back to the seed so miss-dense phases never
-         *  classify far past the next invalidation. Any policy here is
-         *  bit-identical — windows only cache verdicts. */
-        std::size_t win = 0;
-    };
-
-    /** Stage 1: first row in [from, limit) whose classified verdict is
-     *  non-Hit, or @p limit when every row classifies Hit. Extends the
-     *  lane's classification window on demand (never past @p rounds)
-     *  and re-takes it when the L1 generation moved. */
-    std::size_t firstNonHit(Lane &ls, std::size_t from, std::size_t limit,
-                            std::size_t rounds);
-
-    /** Stage 3 setup, run per freshly classified window [from, to):
-     *  when the window holds any Miss verdict, batch-hash the rows'
-     *  write-back signature bits (simd::oneHotHash) and prefetch every
-     *  node's L2 set line for each Miss row — the drain's remote snoop
-     *  probes are the miss path's coldest loads, and classify time is
-     *  far enough ahead of the drain for the prefetches to land.
-     *  Address-only facts, so prepared rows can never go stale. */
-    void prepareMissRows(Lane &ls, std::size_t from, std::size_t to);
+     *  the run() walk once accessClassify() reported a miss, so the L1
+     *  is not probed twice; @p unit is the aligned address. */
+    void missTail(ProcId p, AccessType type, Addr addr, Addr unit);
 
     /** Make room in the WB, then insert a victim. */
     void pushVictim(ProcId p, const mem::L2Victim &victim);
@@ -289,17 +202,6 @@ class SmpSystem
     bool probeObserved_ = false;  //!< any bank has a probe observer
     bool deferActive_ = false;    //!< run() hot loop: banks are queueing
 
-    /** One parallel replay task: a bank and the filter it replays. */
-    struct ReplayTask
-    {
-        filter::FilterBank *bank;
-        std::size_t filterIdx;
-    };
-    std::unique_ptr<WorkerPool> replayPool_;  //!< replayThreads > 1 only
-    std::vector<ReplayTask> replayTasks_;     //!< flushAllBanks scratch
-    std::vector<filter::FilterBank *> preparedBanks_;
-
-    std::vector<Lane> lanes_;  //!< [live index] hot-loop chunk scratch
     /** Chunk-local per-bus occupancy deltas: while the hot loop runs,
      *  broadcast() accumulates here and run() folds into SimStats
      *  bus-major at each chunk boundary — commutative sums, so the

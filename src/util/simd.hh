@@ -2,16 +2,14 @@
  * @file
  * Width-agnostic SIMD kernels for the packed snoop-probe data paths.
  *
- * PR 4 flattened the hot filter state into contiguous packed words — the
- * L2's (tag << 1) | valid frame words, the exclude-JETTY's
- * (tag << 1) | present entry words, the include-JETTY's 64-per-word
- * p-bit array, the write-back buffer's 64-bit Bloom signature — exactly
- * so the batched replay loops could scan them more than one element per
- * step. This header is that step: four tiny kernels (equality scan,
- * p-bit gather-accumulate, one-hot multiplicative hash, and the L1
- * batch pre-classifier over packed (tag << 2) | writable | valid tag
- * words) with one implementation per ISA tier and a portable scalar
- * reference.
+ * The hot filter state lives in contiguous packed words — the L2's
+ * (tag << 1) | valid frame words, the exclude-JETTY's (tag << 1) |
+ * present entry words, the include-JETTY's 64-per-word p-bit array, the
+ * write-back buffer's 64-bit Bloom signature — so the batched replay
+ * loops can scan it more than one element per step. This header holds
+ * those steps: three tiny kernels (equality scan, p-bit
+ * gather-accumulate, one-hot multiplicative hash) with one
+ * implementation per ISA tier and a portable scalar reference.
  *
  * Tier selection is two-level. The configure-time level picks the
  * family: the CMake option `JETTY_SIMD=OFF` defines JETTY_SIMD_DISABLED
@@ -122,11 +120,6 @@ prefetchRead(const void *p)
 #endif
 }
 
-/** A no-way-matched verdict of l1Classify. */
-constexpr std::uint8_t kL1NoWay = 0xFF;
-/** Set in an l1Classify verdict when the matched way is writable. */
-constexpr std::uint8_t kL1Writable = 0x80;
-
 // ---- portable reference kernels (always compiled: fallback + oracle) --
 
 namespace scalar
@@ -174,44 +167,6 @@ oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
     for (std::size_t k = 0; k < n; ++k) {
         out[k] = std::uint64_t{1}
                  << (((keys[k] >> preShift) * mul) >> postShift);
-    }
-}
-
-/**
- * Batched L1 way selection over packed tag words (the pre-classifier's
- * Stage-1 scan). The cache stores one word per (set, way) frame,
- * words[(set << assocShift) + way] = (tag << 2) | (writable << 1) |
- * valid, with set = (addr >> offsetBits) & setMask and
- * tag = addr >> tagShift. For each address the kernel reports which way
- * holds a valid matching tag: out[k] = way | (kL1Writable when that
- * way's line is writable), or kL1NoWay when none matches.
- *
- * Caller contract: at most one *valid* way of a set may carry a given
- * tag (L1Cache::fill panics on duplicates), so match selection needs no
- * first-match ordering — matches are exclusive. assocShift must keep
- * way indices below kL1Writable.
- */
-inline void
-l1Classify(const std::uint64_t *words, const std::uint64_t *addrs,
-           std::size_t n, unsigned offsetBits, std::uint64_t setMask,
-           unsigned tagShift, unsigned assocShift, std::uint8_t *out)
-{
-    const unsigned assoc = 1u << assocShift;
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint64_t a = addrs[k];
-        const std::uint64_t base = ((a >> offsetBits) & setMask)
-                                   << assocShift;
-        const std::uint64_t key = ((a >> tagShift) << 2) | 1;
-        std::uint8_t r = kL1NoWay;
-        for (unsigned w = 0; w < assoc; ++w) {
-            const std::uint64_t word = words[base + w];
-            if ((word & ~std::uint64_t{2}) == key) {
-                r = static_cast<std::uint8_t>(
-                    w | ((word & 2) ? kL1Writable : 0));
-                break;
-            }
-        }
-        out[k] = r;
     }
 }
 
@@ -306,54 +261,6 @@ oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
     scalar::oneHotHash(keys + k, n - k, preShift, mul, postShift, out + k);
 }
 
-JETTY_SIMD_TARGET_AVX2 inline void
-l1Classify(const std::uint64_t *words, const std::uint64_t *addrs,
-           std::size_t n, unsigned offsetBits, std::uint64_t setMask,
-           unsigned tagShift, unsigned assocShift, std::uint8_t *out)
-{
-    const __m128i offv = _mm_cvtsi32_si128(static_cast<int>(offsetBits));
-    const __m128i tagv = _mm_cvtsi32_si128(static_cast<int>(tagShift));
-    const __m128i asv = _mm_cvtsi32_si128(static_cast<int>(assocShift));
-    const __m256i setmaskv =
-        _mm256_set1_epi64x(static_cast<long long>(setMask));
-    const __m256i onev = _mm256_set1_epi64x(1);
-    const __m256i nottwov = _mm256_set1_epi64x(~2ll);
-    const __m256i nowayv = _mm256_set1_epi64x(kL1NoWay);
-    const unsigned assoc = 1u << assocShift;
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(addrs + k));
-        const __m256i basev = _mm256_sll_epi64(
-            _mm256_and_si256(_mm256_srl_epi64(av, offv), setmaskv), asv);
-        const __m256i keyv = _mm256_or_si256(
-            _mm256_slli_epi64(_mm256_srl_epi64(av, tagv), 2), onev);
-        __m256i resv = nowayv;
-        for (unsigned w = 0; w < assoc; ++w) {
-            const __m256i wordv = _mm256_i64gather_epi64(
-                reinterpret_cast<const long long *>(words + w), basev, 8);
-            const __m256i eqv = _mm256_cmpeq_epi64(
-                _mm256_and_si256(wordv, nottwov), keyv);
-            // way | (writable-bit << 7); matches are exclusive per the
-            // caller contract, so a blend per way needs no ordering.
-            const __m256i valv = _mm256_or_si256(
-                _mm256_set1_epi64x(w),
-                _mm256_slli_epi64(
-                    _mm256_and_si256(_mm256_srli_epi64(wordv, 1), onev),
-                    7));
-            resv = _mm256_blendv_epi8(resv, valv, eqv);
-        }
-        alignas(32) std::uint64_t lane[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lane), resv);
-        out[k + 0] = static_cast<std::uint8_t>(lane[0]);
-        out[k + 1] = static_cast<std::uint8_t>(lane[1]);
-        out[k + 2] = static_cast<std::uint8_t>(lane[2]);
-        out[k + 3] = static_cast<std::uint8_t>(lane[3]);
-    }
-    scalar::l1Classify(words, addrs + k, n - k, offsetBits, setMask,
-                       tagShift, assocShift, out + k);
-}
-
 } // namespace avx2
 
 #endif // JETTY_SIMD_AVX2_KERNELS
@@ -417,27 +324,6 @@ oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
     scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
 }
 
-inline void
-l1Classify(const std::uint64_t *words, const std::uint64_t *addrs,
-           std::size_t n, unsigned offsetBits, std::uint64_t setMask,
-           unsigned tagShift, unsigned assocShift, std::uint8_t *out)
-{
-#if defined(JETTY_SIMD_AVX2_KERNELS)
-    // Direct-mapped excepted: its lookup is one scalar load per
-    // address, and a plain unrolled load loop out-runs vpgatherqq on
-    // every AVX2 part we measured — the gather only pays once it
-    // replaces a whole multi-way scan.
-    if (assocShift > 0 && haveAvx2()) {
-        avx2::l1Classify(words, addrs, n, offsetBits, setMask, tagShift,
-                         assocShift, out);
-        return;
-    }
-#endif
-    // The per-address packed-word gather needs AVX2: scalar below it.
-    scalar::l1Classify(words, addrs, n, offsetBits, setMask, tagShift,
-                       assocShift, out);
-}
-
 #elif defined(JETTY_SIMD_NEON)
 
 inline int
@@ -472,16 +358,6 @@ oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
     scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
 }
 
-/** NEON has no gather: the L1 classify scan stays scalar on this tier. */
-inline void
-l1Classify(const std::uint64_t *words, const std::uint64_t *addrs,
-           std::size_t n, unsigned offsetBits, std::uint64_t setMask,
-           unsigned tagShift, unsigned assocShift, std::uint8_t *out)
-{
-    scalar::l1Classify(words, addrs, n, offsetBits, setMask, tagShift,
-                       assocShift, out);
-}
-
 #else  // portable scalar tier
 
 inline int
@@ -503,15 +379,6 @@ oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
            std::uint64_t mul, unsigned postShift, std::uint64_t *out)
 {
     scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
-}
-
-inline void
-l1Classify(const std::uint64_t *words, const std::uint64_t *addrs,
-           std::size_t n, unsigned offsetBits, std::uint64_t setMask,
-           unsigned tagShift, unsigned assocShift, std::uint8_t *out)
-{
-    scalar::l1Classify(words, addrs, n, offsetBits, setMask, tagShift,
-                       assocShift, out);
 }
 
 #endif

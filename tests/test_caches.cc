@@ -450,207 +450,153 @@ TEST(WritebackBuffer, EntriesExposeFifoView)
 namespace
 {
 
-/** The slow-path equivalent of one accessFast() call: probe, and on a
- *  serviceable hit touch (+ markDirty for writes). Returns whether the
- *  access was serviced, exactly accessFast()'s contract. */
-bool
-slowAccess(L1Cache &l1, Addr addr, bool write)
+/** The slow-path equivalent of one accessClassify() call: probe, and on
+ *  a serviceable hit touch (+ markDirty for writes). Returns the verdict
+ *  accessClassify() must return. */
+L1FastOutcome
+slowClassify(L1Cache &l1, Addr addr, bool write)
 {
     const auto res = l1.probe(addr);
-    if (!res.hit || (write && !res.writable))
-        return false;
+    if (!res.hit)
+        return L1FastOutcome::Miss;
+    if (write && !res.writable)
+        return L1FastOutcome::Blocked;
     l1.touch(addr);
     if (write)
         l1.markDirty(addr);
-    return true;
+    return L1FastOutcome::Hit;
 }
+
+/** Two caches of one geometry: `fast` driven through accessClassify(),
+ *  `slow` through the probe/touch/markDirty route. */
+struct FastSlowPair
+{
+    explicit FastSlowPair(const L1Config &cfg) : fast(cfg), slow(cfg) {}
+
+    /** One reference through both caches; the verdicts must agree. */
+    L1FastOutcome
+    access(Addr addr, bool write)
+    {
+        const L1FastOutcome f = fast.accessClassify(addr, write);
+        EXPECT_EQ(f, slowClassify(slow, addr, write))
+            << std::hex << addr << (write ? " W" : " R");
+        return f;
+    }
+
+    /** Install @p addr in both (dirty on a permitted write); the
+     *  displaced lines must agree. */
+    void
+    fill(Addr addr, bool writable, bool write = false)
+    {
+        L1Victim vf, vs;
+        fast.fill(addr, writable, vf);
+        slow.fill(addr, writable, vs);
+        if (write && writable) {
+            fast.markDirty(addr);
+            slow.markDirty(addr);
+        }
+        EXPECT_EQ(vf.valid, vs.valid);
+        EXPECT_EQ(vf.dirty, vs.dirty);
+        EXPECT_EQ(vf.lineAddr, vs.lineAddr);
+    }
+
+    /** Full line state (presence, permission, dirtiness) agrees. */
+    void
+    expectSameLines() const
+    {
+        const auto lf = fast.validLineInfo();
+        const auto ls = slow.validLineInfo();
+        ASSERT_EQ(lf.size(), ls.size());
+        for (std::size_t k = 0; k < lf.size(); ++k) {
+            EXPECT_EQ(lf[k].lineAddr, ls[k].lineAddr) << k;
+            EXPECT_EQ(lf[k].writable, ls[k].writable) << k;
+            EXPECT_EQ(lf[k].dirty, ls[k].dirty) << k;
+        }
+        EXPECT_EQ(fast.validLines(), slow.validLines());
+    }
+
+    L1Cache fast;
+    L1Cache slow;
+};
 
 } // namespace
 
 TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
 {
-    // Two identical caches driven by the same randomized access/fill
-    // sequence, one through accessFast(), one through the probe/touch/
-    // markDirty route. Both must agree on every return value, every
-    // victim (especially dirty ones at eviction boundaries), and the
-    // full final line state — i.e. the fast path's single associative
-    // search changes exactly the state the slow path changes.
-    L1Config cfg;
-    cfg.sizeBytes = 512;  // 2 sets x 4 ways: constant conflict pressure
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    L1Cache fast(cfg), slow(cfg);
-
-    jetty::Rng rng(99);
-    for (int i = 0; i < 20000; ++i) {
-        // A handful of lines per set keeps hits, permission misses and
-        // capacity misses all frequent.
-        const Addr addr = 0x1000 + rng.below(12) * 32;
-        const bool write = rng.chance(0.45);
-
-        const bool f = fast.accessFast(addr, write);
-        const bool s = slowAccess(slow, addr, write);
-        ASSERT_EQ(f, s) << "iteration " << i;
-
-        if (!f && !fast.probe(addr).hit) {
-            // Genuine miss: fill both with the same permission. This is
-            // where dirty victims cross the eviction boundary.
-            const bool writable = rng.chance(0.6);
-            L1Victim vf, vs;
-            fast.fill(addr, writable, vf);
-            slow.fill(addr, writable, vs);
-            if (write && writable) {
-                fast.markDirty(addr);
-                slow.markDirty(addr);
-            }
-            ASSERT_EQ(vf.valid, vs.valid) << i;
-            ASSERT_EQ(vf.dirty, vs.dirty) << i;
-            ASSERT_EQ(vf.lineAddr, vs.lineAddr) << i;
-        }
-
-        if (i % 1000 == 0) {
-            const auto lf = fast.validLineInfo();
-            const auto ls = slow.validLineInfo();
-            ASSERT_EQ(lf.size(), ls.size()) << i;
-            for (std::size_t k = 0; k < lf.size(); ++k) {
-                ASSERT_EQ(lf[k].lineAddr, ls[k].lineAddr) << i;
-                ASSERT_EQ(lf[k].writable, ls[k].writable) << i;
-                ASSERT_EQ(lf[k].dirty, ls[k].dirty) << i;
-            }
-        }
-    }
-    EXPECT_EQ(fast.validLines(), slow.validLines());
-}
-
-namespace
-{
-
-/** One scripted reference for the classify-equivalence harness. */
-struct Ref
-{
-    Addr addr;
-    bool write;
-};
-
-/**
- * Drive @p batch through one classifyBatch() window (retiring hits via
- * retireHitAt) and @p oracle through per-reference accessClassify(),
- * asserting identical verdicts row by row and identical final line
- * state. Valid only for windows that trigger no fill: classification
- * never moves the generation, so the whole window stays exact — the
- * contract Stage 1 of the batched hot loop relies on.
- */
-void
-expectBatchMatchesOracle(L1Cache &batch, L1Cache &oracle,
-                         const std::vector<Ref> &refs)
-{
-    const std::size_t n = refs.size();
-    std::vector<Addr> addrs(n);
-    std::vector<std::uint8_t> writes(n), outcome(n, 0xAB),
-        waySel(n, 0xAB);
-    for (std::size_t k = 0; k < n; ++k) {
-        addrs[k] = refs[k].addr;
-        writes[k] = static_cast<std::uint8_t>(refs[k].write);
-    }
-    const std::uint64_t gen = batch.generation();
-    batch.classifyBatch(addrs.data(), writes.data(), n, outcome.data(),
-                        waySel.data());
-    EXPECT_EQ(batch.generation(), gen) << "classifyBatch mutated state";
-    for (std::size_t k = 0; k < n; ++k) {
-        const auto want = oracle.accessClassify(refs[k].addr,
-                                                refs[k].write);
-        ASSERT_EQ(static_cast<L1FastOutcome>(outcome[k]), want)
-            << "row " << k;
-        if (want == L1FastOutcome::Hit)
-            batch.retireHitAt(refs[k].addr, waySel[k], refs[k].write);
-    }
-    const auto lb = batch.validLineInfo();
-    const auto lo = oracle.validLineInfo();
-    ASSERT_EQ(lb.size(), lo.size());
-    for (std::size_t k = 0; k < lb.size(); ++k) {
-        EXPECT_EQ(lb[k].lineAddr, lo[k].lineAddr) << k;
-        EXPECT_EQ(lb[k].writable, lo[k].writable) << k;
-        EXPECT_EQ(lb[k].dirty, lo[k].dirty) << k;
-    }
-}
-
-/** Install @p addr with @p writable permission in both caches. */
-void
-fillBoth(L1Cache &batch, L1Cache &oracle, Addr addr, bool writable)
-{
-    L1Victim v;
-    batch.fill(addr, writable, v);
-    oracle.fill(addr, writable, v);
-}
-
-} // namespace
-
-TEST(L1Cache, ClassifyBatchShorterThanSimdWidth)
-{
-    // Lengths below one vector width (4 x u64 on AVX2) exercise the
-    // kernels' tail handling through the real cache geometry.
-    const L1Config cfg = smallL1();
-    for (std::size_t n = 1; n <= 3; ++n) {
-        L1Cache batch(cfg), oracle(cfg);
-        fillBoth(batch, oracle, 0x1000, true);
-        std::vector<Ref> refs;
-        for (std::size_t k = 0; k < n; ++k)
-            refs.push_back({k == 0 ? Addr{0x1000} : Addr{0x2000 + 32 * k},
-                            k == 0});
-        expectBatchMatchesOracle(batch, oracle, refs);
-    }
-}
-
-TEST(L1Cache, ClassifyBatchAllBlockedChunk)
-{
-    // Writes against read-only lines: a whole window of Blocked
-    // verdicts, none of which may touch LRU or dirty state.
-    const L1Config cfg = smallL1();
-    L1Cache batch(cfg), oracle(cfg);
-    std::vector<Ref> refs;
-    for (Addr a = 0x4000; a < 0x4000 + 8 * 32; a += 32) {
-        fillBoth(batch, oracle, a, false);
-        refs.push_back({a, true});
-    }
-    expectBatchMatchesOracle(batch, oracle, refs);
-}
-
-TEST(L1Cache, ClassifyBatchMaxPhysicalAddresses)
-{
-    // Full-width 56-bit addresses (the largest physAddrBits the
-    // simulator configures): no kernel lane may narrow a tag.
-    const Addr top = ((Addr{1} << 56) - 1) & ~Addr{31};
-    const L1Config cfg = smallL1();
-    L1Cache batch(cfg), oracle(cfg);
-    fillBoth(batch, oracle, top, true);
-    fillBoth(batch, oracle, top - 32, false);
-    const std::vector<Ref> refs = {
-        {top, true},        // hit, writable
-        {top - 32, false},  // hit, read-only line
-        {top - 64, false},  // miss
-        {top - 32, true},   // blocked
-        {top, false},       // hit again
-    };
-    expectBatchMatchesOracle(batch, oracle, refs);
-}
-
-TEST(L1Cache, ClassifyBatchAlternatingHitMiss)
-{
-    // The interleaved hit/miss pattern the branchless verdict mapping
-    // exists for, across both bench geometries (direct-mapped and
-    // 4-way).
-    for (const unsigned assoc : {1u, 4u}) {
-        L1Config cfg = smallL1();
+    // Two identical caches driven by the same access/fill sequences, one
+    // through accessClassify(), one through the probe/touch/markDirty
+    // route, at every associativity the run() walk serves. Both must
+    // agree on every verdict, every victim (especially dirty ones at
+    // eviction boundaries), and the full final line state — i.e. the
+    // fast path's single associative search changes exactly the state
+    // the slow path changes.
+    for (const unsigned assoc : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "assoc " << assoc);
+        L1Config cfg;
+        cfg.sizeBytes = 512;  // 16 frames: constant conflict pressure
         cfg.assoc = assoc;
-        L1Cache batch(cfg), oracle(cfg);
-        std::vector<Ref> refs;
-        for (unsigned k = 0; k < 16; ++k) {
-            const Addr a = 0x8000 + 32 * k;
-            if (k % 2 == 0)
-                fillBoth(batch, oracle, a, k % 4 == 0);
-            refs.push_back({a, k % 4 == 2});
+        cfg.blockBytes = 32;
+
+        // Randomized: 24 lines over 16 frames keep hits, permission
+        // misses and capacity misses all frequent.
+        {
+            FastSlowPair c(cfg);
+            jetty::Rng rng(99);
+            for (int i = 0; i < 20000; ++i) {
+                const Addr addr = 0x1000 + rng.below(24) * 32;
+                const bool write = rng.chance(0.45);
+                if (c.access(addr, write) == L1FastOutcome::Miss) {
+                    // Genuine miss: fill both with the same permission.
+                    // This is where dirty victims cross the eviction
+                    // boundary.
+                    c.fill(addr, rng.chance(0.6), write);
+                }
+                if (i % 1000 == 0)
+                    c.expectSameLines();
+                if (HasFailure())
+                    FAIL() << "diverged at iteration " << i;
+            }
+            c.expectSameLines();
         }
-        expectBatchMatchesOracle(batch, oracle, refs);
+
+        cfg.sizeBytes = 1024;
+
+        // An all-Blocked chunk: writes against read-only lines, none of
+        // which may touch LRU or dirty state.
+        {
+            FastSlowPair c(cfg);
+            for (Addr a = 0x4000; a < 0x4000 + 8 * 32; a += 32)
+                c.fill(a, false);
+            for (Addr a = 0x4000; a < 0x4000 + 8 * 32; a += 32)
+                EXPECT_EQ(c.access(a, true), L1FastOutcome::Blocked);
+            c.expectSameLines();
+        }
+
+        // Full-width 56-bit addresses (the largest physAddrBits the
+        // simulator configures): no lookup may narrow a tag.
+        {
+            const Addr top = ((Addr{1} << 56) - 1) & ~Addr{31};
+            FastSlowPair c(cfg);
+            c.fill(top, true);
+            c.fill(top - 32, false);
+            EXPECT_EQ(c.access(top, true), L1FastOutcome::Hit);
+            EXPECT_EQ(c.access(top - 32, false), L1FastOutcome::Hit);
+            EXPECT_EQ(c.access(top - 64, false), L1FastOutcome::Miss);
+            EXPECT_EQ(c.access(top - 32, true), L1FastOutcome::Blocked);
+            EXPECT_EQ(c.access(top, false), L1FastOutcome::Hit);
+            c.expectSameLines();
+        }
+
+        // Alternating hit/miss: every other line present, with read
+        // hits, misses and Blocked writes interleaved.
+        {
+            FastSlowPair c(cfg);
+            for (unsigned k = 0; k < 16; k += 2)
+                c.fill(0x8000 + 32 * k, k % 4 == 0);
+            for (unsigned k = 0; k < 16; ++k)
+                c.access(0x8000 + 32 * k, k % 4 == 2);
+            c.expectSameLines();
+        }
     }
 }
 
@@ -673,8 +619,8 @@ TEST(L1Cache, FastPathRefusalLeavesCacheUntouched)
 
     // Refused accesses: a write to the non-writable MRU line and a read
     // of an absent line. Neither may reorder the set.
-    EXPECT_FALSE(l1.accessFast(0x0, true));
-    EXPECT_FALSE(l1.accessFast(3 * set_stride, false));
+    EXPECT_EQ(l1.accessClassify(0x0, true), L1FastOutcome::Blocked);
+    EXPECT_EQ(l1.accessClassify(3 * set_stride, false), L1FastOutcome::Miss);
 
     l1.fill(2 * set_stride, false, victim);
     ASSERT_TRUE(victim.valid);

@@ -239,90 +239,15 @@ TEST(Differential, MillionReferenceSplitBusRunsStayBitExact)
     }
 }
 
-TEST(Differential, ThreadedReplayIsBitIdenticalToSequential)
+TEST(Differential, AssociativeWalkBitIdenticalAtOneTwoFourBuses)
 {
-    // SmpConfig::replayThreads is a pure wall-clock knob: the chunk-end
-    // filter replay parallelizes over (node, filter) tasks whose state
-    // is disjoint, and the safety-panic decision joins deterministically
-    // — so any thread count must produce the sequential run bit-for-bit
-    // (machine state, architectural counters, every per-filter
-    // statistic), at any bus count. Anchor it under the same
-    // 1M-reference adversarial trace set as the other differential
-    // acceptance tests, across 1/2/4 buses.
-    FuzzConfig cfg;
-    cfg.refsPerProc = 250'000;  // x4 processors = 1M references
-    TraceFuzzer fuzzer(cfg);
-    std::array<double, kPatternCount> weights;
-    weights.fill(1.0);
-    const TraceSet traces = fuzzer.generate(cfg.seed, weights);
-
-    const auto sources = [&traces] {
-        std::vector<trace::TraceSourcePtr> s;
-        for (const auto &t : traces)
-            s.push_back(std::make_unique<trace::VectorTraceSource>(t));
-        return s;
-    };
-
-    for (const unsigned buses : {1u, 2u, 4u}) {
-        sim::SmpConfig seq_cfg = cfg.system;
-        seq_cfg.snoopBuses = buses;
-        seq_cfg.replayThreads = 1;
-        sim::SmpSystem sequential(seq_cfg);
-        sequential.attachSources(sources());
-        sequential.run();
-        const auto seq_agg = sequential.stats().aggregate();
-
-        for (const unsigned threads : {2u, 4u}) {
-            sim::SmpConfig par_cfg = seq_cfg;
-            par_cfg.replayThreads = threads;
-            sim::SmpSystem threaded(par_cfg);
-            threaded.attachSources(sources());
-            threaded.run();
-
-            EXPECT_EQ(diffSnapshots(snapshotOf(sequential),
-                                    snapshotOf(threaded)),
-                      "")
-                << buses << " buses, " << threads << " replay threads";
-
-            const auto agg = threaded.stats().aggregate();
-            EXPECT_EQ(agg.accesses, seq_agg.accesses);
-            EXPECT_EQ(agg.l1Hits, seq_agg.l1Hits);
-            EXPECT_EQ(agg.snoopTagProbes, seq_agg.snoopTagProbes);
-            EXPECT_EQ(agg.snoopMisses, seq_agg.snoopMisses);
-            EXPECT_EQ(agg.busReads, seq_agg.busReads);
-            EXPECT_EQ(agg.busUpgrades, seq_agg.busUpgrades);
-            EXPECT_EQ(agg.wbInsertions, seq_agg.wbInsertions);
-
-            ASSERT_EQ(threaded.bank(0).size(), sequential.bank(0).size());
-            for (std::size_t f = 0; f < threaded.bank(0).size(); ++f) {
-                const auto fs = threaded.mergedFilterStats(f);
-                const auto fq = sequential.mergedFilterStats(f);
-                EXPECT_EQ(fs.probes, fq.probes);
-                EXPECT_EQ(fs.filtered, fq.filtered);
-                EXPECT_EQ(fs.wouldMiss, fq.wouldMiss);
-                EXPECT_EQ(fs.filteredWouldMiss, fq.filteredWouldMiss);
-                EXPECT_EQ(fs.snoopAllocs, fq.snoopAllocs);
-                EXPECT_EQ(fs.fillUpdates, fq.fillUpdates);
-                EXPECT_EQ(fs.evictUpdates, fq.evictUpdates);
-                EXPECT_EQ(fs.safetyViolations, 0u)
-                    << threaded.bank(0).filterAt(f).name() << " at "
-                    << buses << " buses, " << threads << " threads";
-            }
-        }
-    }
-}
-
-TEST(Differential, PipelineWalkBitIdenticalAtOneTwoFourBuses)
-{
-    // The batched miss pipeline's acceptance proof on the associative
-    // walk: with an L1 of assoc > 1, run() takes the three-stage route
-    // (SIMD pre-classifier, bulk hit retirement, batched-setup drain)
-    // instead of the fused direct-mapped drain. At 1, 2 and 4 buses the
-    // same adversarial traces must land run(), the sequential step()
-    // path, and the golden model on bit-identical machine state,
-    // per-bus routing, and filter statistics.
+    // The run() walk on associative L1s (2-, 4- and 8-way; the default
+    // campaigns cover direct-mapped). At 1, 2 and 4 buses the same
+    // adversarial traces must land run(), the sequential step() path,
+    // and the golden model on bit-identical machine state, per-bus
+    // routing, and filter statistics.
     FuzzConfig fz;
-    fz.refsPerProc = 50'000;  // x4 processors = 200k refs per bus count
+    fz.refsPerProc = 50'000;  // x4 processors = 200k refs per system
     TraceFuzzer fuzzer(fz);
     std::array<double, kPatternCount> weights;
     weights.fill(1.0);
@@ -335,88 +260,90 @@ TEST(Differential, PipelineWalkBitIdenticalAtOneTwoFourBuses)
         return s;
     };
 
-    sim::SmpConfig base = fz.system;
-    base.l1.sizeBytes = 2048;  // 16 sets x 4 ways
-    base.l1.assoc = 4;
+    for (const unsigned assoc : {2u, 4u, 8u}) {
+        for (const unsigned buses : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << assoc << "-way L1");
+            sim::SmpConfig cfg = fz.system;
+            cfg.l1.sizeBytes = 2048;  // 64 lines: 32, 16 or 8 sets
+            cfg.l1.assoc = assoc;
+            cfg.snoopBuses = buses;
 
-    for (const unsigned buses : {1u, 2u, 4u}) {
-        sim::SmpConfig cfg = base;
-        cfg.snoopBuses = buses;
+            sim::SmpSystem batched(cfg);
+            batched.attachSources(sources());
+            batched.run();
 
-        sim::SmpSystem batched(cfg);
-        batched.attachSources(sources());
-        batched.run();
+            sim::SmpSystem seq(cfg);
+            seq.attachSources(sources());
+            while (seq.step()) {
+            }
 
-        sim::SmpSystem seq(cfg);
-        seq.attachSources(sources());
-        while (seq.step()) {
-        }
+            GoldenSmp golden(cfg);
+            golden.attachSources(sources());
+            golden.run();
 
-        GoldenSmp golden(cfg);
-        golden.attachSources(sources());
-        golden.run();
+            EXPECT_EQ(diffSnapshots(golden.snapshot(), snapshotOf(batched)),
+                      "")
+                << buses << " buses";
+            EXPECT_EQ(diffSnapshots(snapshotOf(seq), snapshotOf(batched)),
+                      "")
+                << buses << " buses";
 
-        EXPECT_EQ(diffSnapshots(golden.snapshot(), snapshotOf(batched)),
-                  "")
-            << buses << " buses";
-        EXPECT_EQ(diffSnapshots(snapshotOf(seq), snapshotOf(batched)),
-                  "")
-            << buses << " buses";
-
-        const auto ba = batched.stats().aggregate();
-        const auto sa = seq.stats().aggregate();
-        EXPECT_EQ(ba.accesses, sa.accesses) << buses;
-        EXPECT_EQ(ba.l1Hits, sa.l1Hits) << buses;
-        EXPECT_EQ(ba.l1Misses, sa.l1Misses) << buses;
-        EXPECT_EQ(ba.busReads, sa.busReads) << buses;
-        EXPECT_EQ(ba.busReadXs, sa.busReadXs) << buses;
-        EXPECT_EQ(ba.busUpgrades, sa.busUpgrades) << buses;
-        EXPECT_EQ(ba.wbInsertions, sa.wbInsertions) << buses;
-        EXPECT_EQ(ba.snoopTagProbes, sa.snoopTagProbes) << buses;
-        for (unsigned b = 0; b < buses; ++b) {
-            EXPECT_EQ(batched.stats().perBus[b].transactions,
-                      seq.stats().perBus[b].transactions)
-                << "bus " << b << " of " << buses;
-        }
-        for (std::size_t f = 0; f < batched.bank(0).size(); ++f) {
-            const auto bf = batched.mergedFilterStats(f);
-            const auto sf = seq.mergedFilterStats(f);
-            EXPECT_EQ(bf.probes, sf.probes) << f << " at " << buses;
-            EXPECT_EQ(bf.fillUpdates, sf.fillUpdates)
-                << f << " at " << buses;
-            EXPECT_EQ(bf.evictUpdates, sf.evictUpdates)
-                << f << " at " << buses;
-            EXPECT_EQ(bf.safetyViolations, 0u) << f << " at " << buses;
-            // Filter *decisions* are order-sensitive: the deferred
-            // replay interleaves whole buses, which is the exact
-            // immediate order only on a single bus (run()'s contract) —
-            // with more buses the counts may differ while the machine
-            // state above stays bit-identical.
-            if (buses == 1) {
-                EXPECT_EQ(bf.filtered, sf.filtered) << f;
-                EXPECT_EQ(bf.filteredWouldMiss, sf.filteredWouldMiss)
-                    << f;
+            const auto ba = batched.stats().aggregate();
+            const auto sa = seq.stats().aggregate();
+            EXPECT_EQ(ba.accesses, sa.accesses) << buses;
+            EXPECT_EQ(ba.l1Hits, sa.l1Hits) << buses;
+            EXPECT_EQ(ba.l1Misses, sa.l1Misses) << buses;
+            EXPECT_EQ(ba.busReads, sa.busReads) << buses;
+            EXPECT_EQ(ba.busReadXs, sa.busReadXs) << buses;
+            EXPECT_EQ(ba.busUpgrades, sa.busUpgrades) << buses;
+            EXPECT_EQ(ba.wbInsertions, sa.wbInsertions) << buses;
+            EXPECT_EQ(ba.snoopTagProbes, sa.snoopTagProbes) << buses;
+            for (unsigned b = 0; b < buses; ++b) {
+                EXPECT_EQ(batched.stats().perBus[b].transactions,
+                          seq.stats().perBus[b].transactions)
+                    << "bus " << b << " of " << buses;
+            }
+            for (std::size_t f = 0; f < batched.bank(0).size(); ++f) {
+                const auto bf = batched.mergedFilterStats(f);
+                const auto sf = seq.mergedFilterStats(f);
+                EXPECT_EQ(bf.probes, sf.probes) << f << " at " << buses;
+                EXPECT_EQ(bf.fillUpdates, sf.fillUpdates)
+                    << f << " at " << buses;
+                EXPECT_EQ(bf.evictUpdates, sf.evictUpdates)
+                    << f << " at " << buses;
+                EXPECT_EQ(bf.safetyViolations, 0u) << f << " at " << buses;
+                // Filter *decisions* are order-sensitive: the deferred
+                // replay interleaves whole buses, which is the exact
+                // immediate order only on a single bus (run()'s contract) —
+                // with more buses the counts may differ while the machine
+                // state above stays bit-identical.
+                if (buses == 1) {
+                    EXPECT_EQ(bf.filtered, sf.filtered) << f;
+                    EXPECT_EQ(bf.filteredWouldMiss, sf.filteredWouldMiss)
+                        << f;
+                }
             }
         }
     }
 }
 
-TEST(Differential, PipelineWalkFuzzCampaignIsClean)
+TEST(Differential, AssociativeWalkFuzzCampaignIsClean)
 {
     // A full fuzzer campaign (step-checked invariants, golden compare,
-    // batched compare, randomized 1/2/4 bus counts) over the
-    // associative-L1 geometry, so the Stage-1/2 pipeline code path gets
-    // the same adversarial sweep the fused walk gets from the default
-    // campaigns.
-    FuzzConfig cfg;
-    cfg.rounds = 6;
-    cfg.refsPerProc = 8192;
-    cfg.system.l1.sizeBytes = 2048;
-    cfg.system.l1.assoc = 4;
-    const FuzzResult result = TraceFuzzer(cfg).run();
-    EXPECT_FALSE(result.failed) << result.invariant << ": "
-                                << result.detail;
-    EXPECT_EQ(result.roundsRun, 6u);
+    // batched compare, randomized 1/2/4 bus counts) per associative-L1
+    // geometry, so the walk gets the same adversarial sweep there that
+    // the default campaigns give it on a direct-mapped L1.
+    for (const unsigned assoc : {2u, 4u, 8u}) {
+        FuzzConfig cfg;
+        cfg.rounds = 6;
+        cfg.refsPerProc = 8192;
+        cfg.system.l1.sizeBytes = 2048;
+        cfg.system.l1.assoc = assoc;
+        const FuzzResult result = TraceFuzzer(cfg).run();
+        EXPECT_FALSE(result.failed) << assoc << "-way: " << result.invariant
+                                    << ": " << result.detail;
+        EXPECT_EQ(result.roundsRun, 6u) << assoc << "-way";
+    }
 }
 
 TEST(Differential, MillionReferenceCampaignWithRandomizedBusesIsClean)

@@ -131,6 +131,26 @@ TEST(Experiments, StatsForUnknownFilterFatal)
                 "unknown filter");
 }
 
+TEST(Experiments, FatalWithWarmSweepPoolExitsCleanly)
+{
+    // A multi-request batch on the process-wide sweep pool (jobs = 0:
+    // SweepRunner::defaultJobs() workers, 2 or more on any multi-core
+    // host) leaves its worker threads parked. The death-test child
+    // inherits that pool object but none of its threads, so fatal() must
+    // exit 1 without running static destructors that would join them.
+    std::vector<RunRequest> requests(2);
+    requests[0].app = trace::appByName("lu");
+    requests[1].app = trace::appByName("fm");
+    for (auto &req : requests) {
+        req.filterSpecs = {"EJ-32x4"};
+        req.accessScale = 0.005;
+    }
+    const auto results = runMany(requests);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EXIT(results[1].statsFor("EJ-1x1"), ::testing::ExitedWithCode(1),
+                "unknown filter");
+}
+
 TEST(Experiments, EnergyEvaluationSane)
 {
     SystemVariant variant;

@@ -63,9 +63,6 @@ using HashFn = void (*)(const std::uint64_t *, std::size_t, unsigned,
                         std::uint64_t, unsigned, std::uint64_t *);
 using FindFn = int (*)(const std::uint64_t *, std::size_t,
                        std::uint64_t);
-using L1ClassifyFn = void (*)(const std::uint64_t *, const std::uint64_t *,
-                              std::size_t, unsigned, std::uint64_t,
-                              unsigned, unsigned, std::uint8_t *);
 
 void
 checkFindEq(FindFn fn, const char *what)
@@ -175,63 +172,6 @@ checkOneHotHash(HashFn fn, const char *what)
     }
 }
 
-void
-checkL1Classify(L1ClassifyFn fn, const char *what)
-{
-    Rng rng(31337);
-    // A miniature L1 tag array: 16 sets, swept across the assocShift
-    // range the simulator configures (direct-mapped through 4-way).
-    constexpr unsigned kOffsetBits = 5;
-    constexpr unsigned kIndexBits = 4;
-    constexpr std::uint64_t kSetMask = (1u << kIndexBits) - 1;
-    constexpr unsigned kTagShift = kOffsetBits + kIndexBits;
-
-    for (unsigned assocShift = 0; assocShift <= 2; ++assocShift) {
-        const std::size_t frames = (kSetMask + 1) << assocShift;
-        // Tags sized so a derived address stays within 56 bits, with
-        // the top tag bits exercised; random valid/writable per frame.
-        std::vector<std::uint64_t> words(frames);
-        for (auto &w : words) {
-            const std::uint64_t tag =
-                rng.next() & (kAddrMask56 >> kTagShift);
-            w = (tag << 2) | (rng.next() & 3);
-        }
-
-        for (unsigned offset = 0; offset < 8; ++offset) {
-            for (std::size_t n = 0; n <= 19; ++n) {
-                Misaligned addrs(n, offset, rng);
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (rng.next() & 1) {
-                        // Derived from a stored frame: hits when that
-                        // frame is valid, with its writable bit.
-                        const std::size_t f = rng.next() % frames;
-                        const std::uint64_t set = f >> assocShift;
-                        addrs.base[i] =
-                            ((words[f] >> 2) << kTagShift) |
-                            (set << kOffsetBits) | (rng.next() & 31);
-                    } else {
-                        // Random: a hit only by (vanishing) accident,
-                        // still settled identically by both kernels.
-                        addrs.base[i] = rng.next() & kAddrMask56;
-                    }
-                }
-                std::vector<std::uint8_t> got(n + 1, 0xAB),
-                    want(n + 1, 0xAB);
-                fn(words.data(), addrs.base, n, kOffsetBits, kSetMask,
-                   kTagShift, assocShift, got.data());
-                simd::scalar::l1Classify(words.data(), addrs.base, n,
-                                         kOffsetBits, kSetMask,
-                                         kTagShift, assocShift,
-                                         want.data());
-                EXPECT_EQ(got, want)
-                    << what << " assocShift=" << assocShift
-                    << " off=" << offset << " n=" << n;
-                EXPECT_EQ(got[n], 0xABu) << what << " wrote past n";
-            }
-        }
-    }
-}
-
 } // namespace
 
 TEST(Simd, DispatchFindEqMatchesScalar)
@@ -249,11 +189,6 @@ TEST(Simd, DispatchOneHotHashMatchesScalar)
     checkOneHotHash(&simd::oneHotHash, "dispatch");
 }
 
-TEST(Simd, DispatchL1ClassifyMatchesScalar)
-{
-    checkL1Classify(&simd::l1Classify, "dispatch");
-}
-
 #if defined(JETTY_SIMD_AVX2_KERNELS)
 // The run-time-dispatched AVX2 kernels, exercised directly whenever the
 // host supports them — even when the compile-time tier is SSE2.
@@ -264,9 +199,6 @@ TEST(Simd, Avx2KernelsMatchScalar)
     checkFindEq(&simd::avx2::findEqU64, "avx2");
     checkPbitAbsent(&simd::avx2::pbitAbsentAccum, "avx2");
     checkOneHotHash(&simd::avx2::oneHotHash, "avx2");
-    // Including assocShift = 0, which the dispatcher routes to scalar
-    // for speed — the gather kernel must still be correct there.
-    checkL1Classify(&simd::avx2::l1Classify, "avx2");
 }
 #endif
 
