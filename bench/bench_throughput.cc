@@ -1,42 +1,56 @@
 /**
  * @file
- * Throughput trajectory bench: sustained refs/sec of the reference
- * delivery pipeline, scalar vs batched.
+ * Throughput bench: sustained refs/sec of SmpSystem::run() against
+ * step(), the per-reference oracle the tree maintains, at 1, 2 and 4
+ * snoop buses.
  *
- * The scalar baseline reproduces the pre-refactor delivery loop exactly
- * as `SmpSystem::run()` shipped it before the streaming pipeline: one
- * virtual TraceSource::next() call and one processorAccess() call per
- * reference, round-robin. The batched side is today's SmpSystem::run()
- * — nextBatch() delivery plus the inlined L1-hit fast path. Both drive
- * identical reference streams and the bench asserts their statistics are
- * bit-identical before reporting any number.
+ * Both sides drive the same synthesized Workload::makeSource streams:
+ *  - step(): `while (sys.step()) {}` — one reference per live processor
+ *    per sweep through processorAccess(), with immediate per-snoop
+ *    filter observation;
+ *  - run(): the batched walk (DESIGN.md "The run() walk") with deferred
+ *    filter banks flushed per chunk.
+ * At each bus count the two alternate, so slow phases of a shared host
+ * hit both sides alike, and `speedup_vs_step` divides step()'s median
+ * time by run()'s: every ratio measures code the tree still runs.
  *
- * Workloads (all 4-processor, paper base system, paper filter trio):
+ * Workloads (all 4-processor, paper base system, default filter trio):
  *  - delivery-bound: a cache-friendly synthetic profile whose references
- *    almost always hit the L1, isolating the delivery pipeline itself —
- *    the headline speedup number;
- *  - fm / lu: the best- and mid-locality paper apps, for context on how
- *    much of a real run the delivery path is.
+ *    almost always hit the L1, isolating the delivery path itself;
+ *  - fm / lu: the best- and mid-locality paper apps, lu snoop-bound.
  *
- * Writes BENCH_throughput.json (override with --out). --smoke shrinks
- * the run for CI and skips the file unless --out is given explicitly.
+ * Correctness gates, checked before any number is reported:
+ *  - step() vs run() at each bus count: every architectural counter,
+ *    snoopTransactions and the machine snapshot agree; at 1 bus every
+ *    filter statistic is bit-identical too;
+ *  - 2 and 4 buses: machine snapshot, architectural counters and
+ *    snoopTransactions equal the 1-bus run;
+ *  - no filter ever reports a safety violation.
+ *
+ * Writes BENCH_throughput.json (override with --out; field reference in
+ * DESIGN.md). --smoke shrinks the run for CI and skips the file unless
+ * --out is given explicitly.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/report.hh"
 #include "experiments/experiments.hh"
+#include "service/executor.hh"
+#include "sim/latency.hh"
 #include "sim/smp_system.hh"
-#include "util/stats.hh"
 #include "trace/apps.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
+#include "verify/golden_smp.hh"
 
 using namespace jetty;
 using Clock = std::chrono::steady_clock;
@@ -44,9 +58,7 @@ using Clock = std::chrono::steady_clock;
 namespace
 {
 
-/** The paper's standard filter trio (run/replay default). */
-const std::vector<std::string> kFilters = {"EJ-32x4", "IJ-10x4x7",
-                                           "HJ(IJ-10x4x7,EJ-32x4)"};
+const std::vector<unsigned> kBusCounts = {1, 2, 4};
 
 /**
  * A profile built to be delivery-bound: a hot resident set far smaller
@@ -75,110 +87,136 @@ deliveryBoundProfile(std::uint64_t accessesPerProc)
     return p;
 }
 
-/**
- * The pre-refactor scalar delivery loop, verbatim in behaviour: pull one
- * reference per live processor per sweep through the virtual next(),
- * hand each to processorAccess(). (The seed's SmpSystem::run() did
- * exactly this; it is reproduced here so the baseline stays measurable
- * now that the library path is batched.)
- */
-void
-runScalarReference(sim::SmpSystem &sys,
-                   std::vector<trace::TraceSourcePtr> &sources)
+/** Simulate @p workload on a fresh system, through step() when
+ *  @p stepwise, else run(); only the drive loop is timed. */
+std::unique_ptr<sim::SmpSystem>
+simulate(const sim::SmpConfig &cfg, const trace::Workload &workload,
+         bool stepwise, std::vector<double> &seconds)
 {
-    std::vector<bool> done(sources.size(), false);
-    bool any = true;
-    while (any) {
-        any = false;
-        for (unsigned p = 0; p < sources.size(); ++p) {
-            if (done[p])
-                continue;
-            trace::TraceRecord rec;
-            if (!sources[p]->next(rec)) {
-                done[p] = true;
-                continue;
-            }
-            any = true;
-            sys.processorAccess(p, rec.type, rec.addr);
+    auto sys = std::make_unique<sim::SmpSystem>(cfg);
+    std::vector<trace::TraceSourcePtr> sources;
+    for (unsigned p = 0; p < cfg.nprocs; ++p)
+        sources.push_back(workload.makeSource(p));
+    sys->attachSources(std::move(sources));
+    const auto t0 = Clock::now();
+    if (stepwise) {
+        while (sys->step()) {
+        }
+    } else {
+        sys->run();
+    }
+    seconds.push_back(
+        std::chrono::duration<double>(Clock::now() - t0).count());
+    return sys;
+}
+
+/** Every architectural counter, snoopTransactions and the machine
+ *  snapshot of two runs must agree exactly, and neither may see a safety
+ *  violation; @p andFilters additionally requires bit-identical filter
+ *  stats. */
+void
+requireIdentical(const sim::SmpSystem &a, const sim::SmpSystem &b,
+                 const std::string &what, bool andFilters)
+{
+    const auto x = a.stats().aggregate();
+    const auto y = b.stats().aggregate();
+    if (x.accesses != y.accesses || x.l1Hits != y.l1Hits ||
+        x.l1Misses != y.l1Misses || x.l2LocalHits != y.l2LocalHits ||
+        x.l2Fills != y.l2Fills || x.snoopTagProbes != y.snoopTagProbes ||
+        x.snoopHits != y.snoopHits || x.snoopMisses != y.snoopMisses ||
+        x.busReads != y.busReads || x.busReadXs != y.busReadXs ||
+        x.busUpgrades != y.busUpgrades ||
+        x.wbInsertions != y.wbInsertions ||
+        x.wbReclaims != y.wbReclaims ||
+        a.stats().snoopTransactions != b.stats().snoopTransactions) {
+        fatal("bench_throughput: " + what + " diverged architecturally");
+    }
+    const std::string state_diff =
+        verify::diffSnapshots(verify::snapshotOf(a), verify::snapshotOf(b));
+    if (!state_diff.empty())
+        fatal("bench_throughput: " + what + " machine state diverged:\n" +
+              state_diff);
+    for (std::size_t f = 0; f < a.bank(0).size(); ++f) {
+        const auto fa = a.mergedFilterStats(f);
+        const auto fb = b.mergedFilterStats(f);
+        if (fa.safetyViolations != 0 || fb.safetyViolations != 0)
+            fatal("bench_throughput: " + what + " saw a safety violation");
+        if (!andFilters)
+            continue;
+        if (fa.probes != fb.probes || fa.filtered != fb.filtered ||
+            fa.wouldMiss != fb.wouldMiss ||
+            fa.filteredWouldMiss != fb.filteredWouldMiss ||
+            fa.snoopAllocs != fb.snoopAllocs ||
+            fa.fillUpdates != fb.fillUpdates ||
+            fa.evictUpdates != fb.evictUpdates) {
+            fatal("bench_throughput: " + what +
+                  " filter stats diverged on " +
+                  a.bank(0).filterAt(f).name());
         }
     }
 }
+
+struct BusRow
+{
+    unsigned buses = 0;
+    double stepSeconds = 0;
+    double runSeconds = 0;
+    double busiestUtilization = 0;
+    double busiestWaitBusCycles = 0;
+    std::vector<std::uint64_t> perBusTxns;
+};
 
 struct Measurement
 {
     std::uint64_t refs = 0;
-    double scalarSeconds = 0;
-    double batchedSeconds = 0;
-
-    double scalarRate() const { return refs / scalarSeconds; }
-    double batchedRate() const { return refs / batchedSeconds; }
-    double speedup() const { return scalarSeconds / batchedSeconds; }
+    std::vector<BusRow> rows;  //!< one per bus count, 1 bus first
 };
 
-/** Compare the counters the two paths must agree on bit-for-bit. */
-void
-requireIdentical(const sim::SimStats &a, const sim::SimStats &b,
-                 const std::string &workload)
-{
-    const auto x = a.aggregate();
-    const auto y = b.aggregate();
-    if (x.accesses != y.accesses || x.l1Hits != y.l1Hits ||
-        x.l2LocalHits != y.l2LocalHits ||
-        x.snoopTagProbes != y.snoopTagProbes ||
-        x.snoopMisses != y.snoopMisses || x.busReads != y.busReads ||
-        x.busUpgrades != y.busUpgrades ||
-        x.wbInsertions != y.wbInsertions) {
-        fatal("bench_throughput: scalar and batched runs diverged on '" +
-              workload + "' — the delivery refactor broke determinism");
-    }
-}
-
-/** Median-of-@p repeats measurement of one workload under both paths.
- *  Scalar and batched runs alternate so slow background phases on a
- *  shared box hit both sides alike. */
+/** Median-of-@p repeats measurement of one workload at every bus
+ *  count, step() and run() alternating. */
 Measurement
-measure(const trace::AppProfile &profile, unsigned repeats,
-        unsigned buses)
+measure(const trace::AppProfile &profile, unsigned repeats)
 {
     experiments::SystemVariant variant;
     sim::SmpConfig cfg = variant.smpConfig();
-    cfg.filterSpecs = kFilters;
-    cfg.snoopBuses = buses;
-
+    cfg.filterSpecs = service::defaultFilterSpecs();
     const trace::Workload workload(profile, cfg.nprocs, 1.0);
 
     Measurement m;
-    sim::SimStats scalarStats{0}, batchedStats{0};
-    std::vector<double> scalarTimes, batchedTimes;
-    for (unsigned r = 0; r < repeats; ++r) {
-        {
-            sim::SmpSystem sys(cfg);
-            std::vector<trace::TraceSourcePtr> sources;
-            for (unsigned p = 0; p < cfg.nprocs; ++p)
-                sources.push_back(workload.makeSource(p));
-            const auto t0 = Clock::now();
-            runScalarReference(sys, sources);
-            scalarTimes.push_back(
-                std::chrono::duration<double>(Clock::now() - t0).count());
-            scalarStats = sys.stats();
-            m.refs = scalarStats.aggregate().accesses;
+    std::unique_ptr<sim::SmpSystem> one_bus;
+    for (const unsigned buses : kBusCounts) {
+        cfg.snoopBuses = buses;
+        const std::string at =
+            profile.abbrev + " at " + std::to_string(buses) + " bus(es)";
+        std::unique_ptr<sim::SmpSystem> stepped, batched;
+        std::vector<double> step_times, run_times;
+        for (unsigned r = 0; r < repeats; ++r) {
+            stepped = simulate(cfg, workload, true, step_times);
+            batched = simulate(cfg, workload, false, run_times);
         }
-        {
-            sim::SmpSystem sys(cfg);
-            std::vector<trace::TraceSourcePtr> sources;
-            for (unsigned p = 0; p < cfg.nprocs; ++p)
-                sources.push_back(workload.makeSource(p));
-            sys.attachSources(std::move(sources));
-            const auto t0 = Clock::now();
-            sys.run();
-            batchedTimes.push_back(
-                std::chrono::duration<double>(Clock::now() - t0).count());
-            batchedStats = sys.stats();
+        requireIdentical(*stepped, *batched, at + ": step() vs run()",
+                         /*andFilters=*/buses == 1);
+
+        BusRow row;
+        row.buses = buses;
+        row.stepSeconds = medianInPlace(step_times);
+        row.runSeconds = medianInPlace(run_times);
+        const auto contention =
+            sim::evaluateBusContention(batched->stats());
+        row.busiestUtilization = contention.busiestUtilization;
+        row.busiestWaitBusCycles = contention.busiestWaitBusCycles;
+        for (const auto &bus : batched->stats().perBus)
+            row.perBusTxns.push_back(bus.transactions);
+        m.rows.push_back(std::move(row));
+
+        if (buses == 1) {
+            m.refs = batched->stats().aggregate().accesses;
+            one_bus = std::move(batched);
+        } else {
+            requireIdentical(*one_bus, *batched, at + " vs 1 bus",
+                             /*andFilters=*/false);
         }
     }
-    m.scalarSeconds = medianInPlace(scalarTimes);
-    m.batchedSeconds = medianInPlace(batchedTimes);
-    requireIdentical(scalarStats, batchedStats, profile.name);
     return m;
 }
 
@@ -190,7 +228,6 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string out;
     unsigned repeats = 3;
-    unsigned buses = 1;
     double scale = 1.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -199,24 +236,17 @@ main(int argc, char **argv)
             out = argv[++i];
         } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
             repeats = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--buses") == 0 && i + 1 < argc) {
-            buses = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
             scale = std::atof(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: bench_throughput [--smoke] [--out FILE] "
-                         "[--repeat N] [--buses N] [--scale F]\n");
+                         "[--repeat N] [--scale F]\n");
             return 1;
         }
     }
     if (repeats < 1)
         repeats = 1;
-    if (buses < 1 || (buses & (buses - 1)) != 0) {
-        std::fprintf(stderr,
-                     "bench_throughput: --buses must be a power of two\n");
-        return 1;
-    }
     if (scale <= 0.0 || scale > 1.0) {
         std::fprintf(stderr, "bench_throughput: --scale must be in (0, 1]\n");
         return 1;
@@ -237,41 +267,43 @@ main(int argc, char **argv)
         Measurement m;
     };
     std::vector<Row> rows;
-
-    rows.push_back(
-        {"delivery-bound",
-         measure(deliveryBoundProfile(refsPerProc), repeats, buses)});
+    rows.push_back({"delivery-bound",
+                    measure(deliveryBoundProfile(refsPerProc), repeats)});
     for (const char *app : {"fm", "lu"}) {
         trace::AppProfile p = trace::appByName(app);
         p.accessesPerProc = static_cast<std::uint64_t>(
             static_cast<double>(p.accessesPerProc) * appScale);
-        rows.push_back({app, measure(p, repeats, buses)});
+        rows.push_back({app, measure(p, repeats)});
     }
 
     TextTable table;
-    table.header({"workload", "refs", "scalar Mrefs/s", "batched Mrefs/s",
-                  "speedup"});
+    table.header({"workload", "refs", "buses", "step Mrefs/s",
+                  "run Mrefs/s", "run/step", "busiest util",
+                  "wait (bus cyc)"});
     for (const auto &row : rows) {
-        table.row({row.name, TextTable::count(row.m.refs),
-                   TextTable::num(row.m.scalarRate() / 1e6, 1),
-                   TextTable::num(row.m.batchedRate() / 1e6, 1),
-                   TextTable::num(row.m.speedup(), 2) + "x"});
+        const double refs = static_cast<double>(row.m.refs);
+        for (const auto &bus : row.m.rows) {
+            table.row({row.name, TextTable::count(row.m.refs),
+                       std::to_string(bus.buses),
+                       TextTable::num(refs / bus.stepSeconds / 1e6, 1),
+                       TextTable::num(refs / bus.runSeconds / 1e6, 1),
+                       TextTable::num(bus.stepSeconds / bus.runSeconds,
+                                      2) + "x",
+                       TextTable::num(100.0 * bus.busiestUtilization, 1) +
+                           "%",
+                       TextTable::num(bus.busiestWaitBusCycles, 2)});
+        }
     }
     table.print();
-    const double headline = rows.front().m.speedup();
-    std::printf("\nheadline (delivery-bound) speedup: %.2fx %s\n", headline,
-                headline >= 2.0 ? "(>= 2x target met)"
-                                : "(below the 2x target)");
 
     if (!out.empty()) {
-        // One api::Report (DESIGN.md schema): the pre-Report emitter's
-        // fields preserved under the versioned envelope, with the
-        // machine/filters echoed as an ExperimentSpec.
+        // One api::Report (DESIGN.md schema) with the machine, filters
+        // and bus axis echoed as an ExperimentSpec.
         api::ExperimentSpec spec;
-        spec.filters = kFilters;
+        spec.filters = service::defaultFilterSpecs();
         spec.scale = scale;
         spec.benchRepeat = repeats;
-        spec.machine.buses = buses;
+        spec.sweepBuses = kBusCounts;
 
         api::Report report("throughput");
         report.echoSpec(spec);
@@ -279,26 +311,35 @@ main(int argc, char **argv)
         root.set("bench", "throughput");
         root.set("smoke", smoke);
         root.set("procs", 4);
-        root.set("buses", buses);
         root.set("filters",
-                 static_cast<std::uint64_t>(kFilters.size()));
+                 static_cast<std::uint64_t>(spec.filters.size()));
         root.set("repeats", repeats);
-        root.set("headline_speedup",
-                 api::Report::ratio(rows.front().m.scalarSeconds,
-                                    rows.front().m.batchedSeconds));
         json::Value workloads = json::Value::array();
         for (const auto &row : rows) {
+            const double refs = static_cast<double>(row.m.refs);
             json::Value w = json::Value::object();
             w.set("name", row.name);
             w.set("refs", row.m.refs);
-            w.set("scalar_refs_per_sec",
-                  api::Report::ratio(static_cast<double>(row.m.refs),
-                                     row.m.scalarSeconds));
-            w.set("batched_refs_per_sec",
-                  api::Report::ratio(static_cast<double>(row.m.refs),
-                                     row.m.batchedSeconds));
-            w.set("speedup", api::Report::ratio(row.m.scalarSeconds,
-                                                row.m.batchedSeconds));
+            w.set("step_refs_per_sec",
+                  api::Report::ratio(refs, row.m.rows.front().stepSeconds));
+            json::Value bus_rows = json::Value::array();
+            for (const auto &bus : row.m.rows) {
+                json::Value r = json::Value::object();
+                r.set("buses", bus.buses);
+                r.set("run_refs_per_sec",
+                      api::Report::ratio(refs, bus.runSeconds));
+                r.set("speedup_vs_step",
+                      api::Report::ratio(bus.stepSeconds, bus.runSeconds));
+                r.set("busiest_utilization", bus.busiestUtilization);
+                r.set("busiest_wait_bus_cycles",
+                      bus.busiestWaitBusCycles);
+                json::Value txns = json::Value::array();
+                for (const std::uint64_t t : bus.perBusTxns)
+                    txns.push(t);
+                r.set("per_bus_transactions", std::move(txns));
+                bus_rows.push(std::move(r));
+            }
+            w.set("bus_rows", std::move(bus_rows));
             workloads.push(std::move(w));
         }
         root.set("workloads", std::move(workloads));

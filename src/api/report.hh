@@ -2,13 +2,12 @@
  * @file
  * Report: the one structured results schema every emitter shares.
  *
- * `jetty_cli run/sweep/bench/fuzz`, `bench_throughput` and
- * `bench_snoopbus` all used to hand-roll their JSON with fprintf (and
- * none of them escaped strings). They now build one metrics tree —
- * architectural statistics, per-bus occupancy, per-filter coverage and
- * energy, timing, plus an echo of the ExperimentSpec that produced the
- * numbers and the content digests of any replayed trace files — and
- * serialize it through util/json.
+ * `jetty_cli run/sweep/bench/fuzz` and `bench_throughput` all used to
+ * hand-roll their JSON with fprintf (and none of them escaped strings).
+ * They now build one metrics tree — architectural statistics, per-bus
+ * occupancy, per-filter coverage and energy, timing, plus an echo of
+ * the ExperimentSpec that produced the numbers and the content digests
+ * of any replayed trace files — and serialize it through util/json.
  *
  * Envelope (every report):
  *   { "jetty_report": 1, "kind": "<run|sweep|bench|fuzz|...>",
@@ -46,7 +45,7 @@ class Report
     static constexpr std::int64_t kVersion = 1;
 
     /** @param kind the producing flow: "run", "sweep", "bench", "fuzz",
-     *  "throughput", "snoopbus". */
+     *  "throughput". */
     explicit Report(const std::string &kind);
 
     /** The mutable tree (kind-specific payload lands here). */

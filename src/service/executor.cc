@@ -169,12 +169,36 @@ resolveSpec(api::ExperimentSpec &spec, const std::string &kind)
             return err;
         spec.machine.procs =
             trace::inferReplayProcs(spec.traceFiles, spec.machine.procs);
+    } else if (kind == "bench") {
+        if (spec.apps.empty() && spec.traceFiles.empty())
+            spec.apps = {"lu"};
+        if (spec.apps.size() > 1)
+            return "bench drives one workload (the spec names " +
+                   std::to_string(spec.apps.size()) + " apps)";
+        if (spec.benchRepeat == 0)
+            spec.benchRepeat = 3;
+        if (!(err = rejectSweepAxes(spec, "bench")).empty())
+            return err;
+        if (!(err = rejectForeignSections(spec, "bench", true)).empty())
+            return err;
+        if (spec.filters.empty())
+            spec.filters = defaultFilterSpecs();
+        if (spec.scale <= 0)
+            spec.scale = 1.0;
+        if (!spec.traceFiles.empty()) {
+            if (!(err = checkTraceFilesReadable(spec.traceFiles)).empty())
+                return err;
+            spec.machine.procs = trace::inferReplayProcs(
+                spec.traceFiles, spec.machine.procs);
+        }
     } else {
         return "unknown execution kind '" + kind + "'";
     }
     if (!(err = validateResolved(spec)).empty())
         return err;
-    return requireVariantMachine(spec);
+    // Bench drives SmpSystem directly, so explicit machine geometry is
+    // honoured rather than required to match the paper variant.
+    return kind == "bench" ? "" : requireVariantMachine(spec);
 }
 
 std::vector<std::string>

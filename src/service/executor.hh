@@ -1,7 +1,8 @@
 /**
  * @file
  * The one spec-execution path shared by the CLI (`jetty_cli
- * run/sweep/replay`) and the experiment service (`jetty_cli serve`).
+ * run/sweep/replay`) and the experiment service (`jetty_cli serve`);
+ * `jetty_cli bench` shares its resolution step.
  *
  * Both front ends hand a loaded ExperimentSpec to resolveSpec() (fill
  * the verb's defaults, validate through the spec's own schema, check
@@ -47,13 +48,14 @@ const std::vector<std::string> &defaultFilterSpecs();
 std::string chooseKind(const api::ExperimentSpec &spec, std::string *err);
 
 /**
- * Resolve @p spec in place for @p kind ("run" / "sweep" / "replay"):
- * fill the kind's defaults (workload, filters, scale, sweep axes,
- * replay processor inference), reject sections the kind cannot honour,
- * round-trip through the spec schema, and require a variant-compatible
- * machine. Idempotent: resolving an already-resolved spec is a no-op,
- * so a spec resolved by the CLI and re-resolved by the server stays
- * byte-identical.
+ * Resolve @p spec in place for @p kind ("run" / "sweep" / "replay" /
+ * "bench"): fill the kind's defaults (workload, filters, scale, sweep
+ * axes, bench repeat, processor inference from trace files), reject
+ * sections the kind cannot honour, round-trip through the spec schema,
+ * and — except for bench, which honours explicit geometry — require a
+ * variant-compatible machine. Idempotent: resolving an already-resolved
+ * spec is a no-op, so a spec resolved by the CLI and re-resolved by the
+ * server stays byte-identical.
  * @return "" on success, else the diagnostic.
  */
 std::string resolveSpec(api::ExperimentSpec &spec, const std::string &kind);

@@ -1,10 +1,9 @@
 /**
  * @file
- * FileStreamSource: chunked replay of one stream section of a trace file
- * (JTTRACE1 or JTTRACE2). Only a bounded window of the file is ever in
- * memory, so traces far larger than RAM — including > 4 Gi-record
- * JTTRACE2 captures — replay at full speed through the batched delivery
- * path.
+ * FileStreamSource: chunked replay of one stream section of a JTTRACE2
+ * trace file. Only a bounded window of the file is ever in memory, so
+ * traces far larger than RAM — including > 4 Gi-record captures — replay
+ * at full speed through the batched delivery path.
  */
 
 #ifndef JETTY_TRACE_FILE_STREAM_SOURCE_HH

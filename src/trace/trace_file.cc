@@ -86,27 +86,22 @@ parseInfo(std::FILE *f, const std::string &path)
     if (std::fread(magic, 1, 8, f) != 8)
         fatal("trace file '" + path + "': bad header (too short)");
 
-    TraceFileInfo info;
-    if (std::memcmp(magic, kMagicV1, 8) == 0) {
-        info.version = 1;
-        info.counts.push_back(readLe32(f, path));
-        (void)readLe32(f, path);  // reserved
-        info.offsets.push_back(16);
-    } else if (std::memcmp(magic, kMagicV2, 8) == 0) {
-        info.version = 2;
-        const std::uint32_t streams = readLe32(f, path);
-        (void)readLe32(f, path);  // reserved
-        if (streams == 0)
-            fatal("trace file '" + path + "': no stream sections");
-        std::uint64_t offset =
-            kV2FixedHeaderBytes + std::uint64_t{streams} * 8;
-        for (std::uint32_t s = 0; s < streams; ++s) {
-            info.counts.push_back(readLe64(f, path));
-            info.offsets.push_back(offset);
-            offset += info.counts.back() * kTraceRecordBytes;
-        }
-    } else {
+    if (std::memcmp(magic, kMagicV1, 8) == 0)
+        fatal("trace file '" + path +
+              "': JTTRACE1 is no longer read; re-capture with this build");
+    if (std::memcmp(magic, kMagicV2, 8) != 0)
         fatal("trace file '" + path + "': bad header (unknown magic)");
+
+    TraceFileInfo info;
+    const std::uint32_t streams = readLe32(f, path);
+    (void)readLe32(f, path);  // reserved
+    if (streams == 0)
+        fatal("trace file '" + path + "': no stream sections");
+    std::uint64_t offset = kV2FixedHeaderBytes + std::uint64_t{streams} * 8;
+    for (std::uint32_t s = 0; s < streams; ++s) {
+        info.counts.push_back(readLe64(f, path));
+        info.offsets.push_back(offset);
+        offset += info.counts.back() * kTraceRecordBytes;
     }
 
     // Validate the declared counts against the actual size *before* any
@@ -248,33 +243,6 @@ writeTraceFile(const std::string &path,
     writer.append(records);
     writer.endStream();
     writer.close();
-}
-
-void
-writeTraceFileV1(const std::string &path,
-                 const std::vector<TraceRecord> &records)
-{
-    util::AtomicFile out(path);
-    if (!out.error().empty())
-        fatal("writeTraceFile: " + out.error());
-    std::FILE *f = out.stream();
-
-    if (std::fwrite(kMagicV1, 1, 8, f) != 8)
-        fatal("writeTraceFile: header write failed");
-    writeLe32(f, static_cast<std::uint32_t>(records.size()), "count");
-    writeLe32(f, 0, "reserved field");
-
-    for (const auto &r : records) {
-        unsigned char rec[kTraceRecordBytes];
-        encodeTraceRecord(r, rec);
-        if (std::fwrite(rec, 1, kTraceRecordBytes, f) !=
-            kTraceRecordBytes) {
-            fatal("writeTraceFile: record write failed");
-        }
-    }
-    const std::string why = out.commit();
-    if (!why.empty())
-        fatal("writeTraceFile: " + why);
 }
 
 // ---- Readers ----------------------------------------------------------

@@ -1,17 +1,14 @@
 /**
  * @file
- * Binary trace file formats: capture a reference stream once and replay
+ * Binary trace file format: capture a reference stream once and replay
  * it, mirroring the paper's WWT2 trace-collection methodology.
  *
- * Two on-disk versions exist:
- *
- *  - JTTRACE2 (current): 8-byte magic "JTTRACE2", u32 stream-section
- *    count, u32 reserved, then one little-endian u64 record count per
- *    section, then the sections back to back. Multi-section files hold
- *    one stream per processor; record counts are 64-bit so a capture can
- *    exceed 4 Gi records.
- *  - JTTRACE1 (legacy): 8-byte magic "JTTRACE1", u32 record count, u32
- *    reserved, then a single section. Still read transparently.
+ * JTTRACE2: 8-byte magic "JTTRACE2", u32 stream-section count, u32
+ * reserved, then one little-endian u64 record count per section, then
+ * the sections back to back. Multi-section files hold one stream per
+ * processor; record counts are 64-bit so a capture can exceed 4 Gi
+ * records. The older single-section version-1 layout is refused with a
+ * re-capture diagnostic.
  *
  * Every record is 8 bytes: {u8 type (0 = read, 1 = write), 7-byte
  * little-endian address}, so addresses are capped at 56 bits.
@@ -41,7 +38,7 @@ class AtomicFile;
 namespace jetty::trace
 {
 
-/** Bytes of one on-disk record (both versions). */
+/** Bytes of one on-disk record. */
 constexpr std::size_t kTraceRecordBytes = 8;
 
 /** Largest address the 7-byte record encoding can carry. */
@@ -71,7 +68,6 @@ decodeTraceRecord(const unsigned char *p)
 /** Parsed, size-validated header of a trace file. */
 struct TraceFileInfo
 {
-    unsigned version = 2;                 //!< 1 or 2
     std::vector<std::uint64_t> counts;    //!< records per stream section
     std::vector<std::uint64_t> offsets;   //!< byte offset of each section
 
@@ -88,8 +84,8 @@ struct TraceFileInfo
 };
 
 /**
- * Parse and validate a trace file header (either version). Calls fatal()
- * when the file is missing, the magic is unknown, or the declared record
+ * Parse and validate a trace file header. Calls fatal() when the file is
+ * missing, the magic is unknown or version 1, or the declared record
  * counts are inconsistent with the actual file size.
  */
 TraceFileInfo readTraceFileInfo(const std::string &path);
@@ -152,17 +148,12 @@ class TraceFileWriter
 void writeTraceFile(const std::string &path,
                     const std::vector<TraceRecord> &records);
 
-/** Write @p records in the legacy JTTRACE1 layout (u32 record count).
- *  Exists so the transparent-read support stays round-trip tested. */
-void writeTraceFileV1(const std::string &path,
-                      const std::vector<TraceRecord> &records);
-
-/** Read stream section @p stream of a trace file (either version). */
+/** Read stream section @p stream of a trace file. */
 std::vector<TraceRecord> readTraceStream(const std::string &path,
                                          std::size_t stream);
 
-/** Read a single-stream trace file (either version); fatal() when the
- *  file has multiple sections (use readTraceStream or FileStreamSource). */
+/** Read a single-stream trace file; fatal() when the file has multiple
+ *  sections (use readTraceStream or FileStreamSource). */
 std::vector<TraceRecord> readTraceFile(const std::string &path);
 
 /** FNV-1a digest of the file's full contents; identifies a captured

@@ -1,10 +1,8 @@
 #include "verify/fuzzer.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "api/experiment_spec.hh"
@@ -224,23 +222,6 @@ TraceFuzzer::generate(std::uint64_t roundSeed,
 
 namespace
 {
-
-/** Digits-only 64-bit parse: the sidecar's l1/l2 sizeBytes fields are
- *  written as full u64 values, which the 32-bit parseUnsigned would
- *  reject — and a rejected sidecar replays on the wrong machine. */
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || s[0] < '0' || s[0] > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
 
 std::vector<trace::TraceSourcePtr>
 sourcesFor(const TraceSet &traces)
@@ -520,8 +501,7 @@ writeRepro(const std::string &path, const FuzzResult &result,
     // The sidecar: a JSON document whose embedded ExperimentSpec pins
     // the exact machine (explicit geometry, the *failing round's* bus
     // count, filters, campaign seed and budgets) — everything a replay
-    // needs — plus the failure metadata. Legacy key=value ".txt"
-    // sidecars are still read by readReproConfig(), never written.
+    // needs — plus the failure metadata.
     api::ExperimentSpec spec = specOfFuzz(cfg, result.snoopBuses);
     spec.fuzz.seed = result.seed;
     spec.fuzz.randomizeBuses = false;  // the machine above is pinned
@@ -554,121 +534,28 @@ readReproTraces(const std::string &path)
 bool
 readReproConfig(const std::string &path, sim::SmpConfig &out)
 {
-    // Current sidecar format: "<path>.json" carrying the machine as an
-    // embedded ExperimentSpec. The spec parser does the validation
-    // (geometry completeness, ranges, filter grammar), so anything it
-    // accepts is a fully pinned machine; anything it rejects falls
-    // through to the legacy reader and, failing that, to false.
-    {
-        std::string err;
-        const json::Value doc = json::parseFile(path + ".json", &err);
-        if (err.empty()) {
-            if (const json::Value *spec_node = doc.find("spec")) {
-                const api::ExperimentSpec spec =
-                    api::ExperimentSpec::fromJson(*spec_node, &err);
-                if (err.empty() && spec.hasMachine) {
-                    // A spec with a machine section is a fully pinned
-                    // machine — including a filterless one (a campaign
-                    // hunting core-coherence bugs runs no filters, and
-                    // its repro must not fall back to the defaults).
-                    // One *without* a machine section is incomplete,
-                    // and the all-or-nothing rule applies: restoring a
-                    // hybrid of sidecar and default machine is exactly
-                    // the false-clean replay this reader must prevent.
-                    sim::SmpConfig cfg = spec.smpConfig();
-                    cfg.checkSafety = out.checkSafety;
-                    out = cfg;
-                    return true;
-                }
-            }
-        }
-    }
-
-    // Legacy sidecar: "<path>.txt", one key=value per line (written by
-    // pre-spec builds; kept readable so old repros still replay).
-    std::FILE *f = std::fopen((path + ".txt").c_str(), "r");
-    if (!f)
+    // The sidecar is "<path>.json" carrying the machine as an embedded
+    // ExperimentSpec. The spec parser does the validation (geometry
+    // completeness, ranges, filter grammar), so anything it accepts is
+    // a fully pinned machine; anything it rejects reads as no config.
+    std::string err;
+    const json::Value doc = json::parseFile(path + ".json", &err);
+    const json::Value *spec_node = err.empty() ? doc.find("spec") : nullptr;
+    if (!spec_node)
         return false;
-
-    // All five configuration keys must parse or the sidecar is rejected
-    // wholesale: accepting a truncated header would replay a hybrid of
-    // recorded and default machine — exactly the false-clean replay this
-    // mechanism exists to rule out.
-    enum Key
-    {
-        KeyNprocs = 1 << 0,
-        KeyWb = 1 << 1,
-        KeyL1 = 1 << 2,
-        KeyL2 = 1 << 3,
-        KeyFilters = 1 << 4,
-    };
-    const unsigned all = KeyNprocs | KeyWb | KeyL1 | KeyL2 | KeyFilters;
-
-    sim::SmpConfig cfg = out;
-    unsigned seen = 0;
-    char buf[1024];
-    while (std::fgets(buf, sizeof(buf), f)) {
-        const std::string line = trim(buf);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            continue;
-        const std::string key = line.substr(0, eq);
-        const std::string val = line.substr(eq + 1);
-
-        unsigned u = 0;
-        if (key == "nprocs" && parseUnsigned(val, u)) {
-            cfg.nprocs = u;
-            seen |= KeyNprocs;
-        } else if (key == "snoop_buses" && parseUnsigned(val, u) &&
-                   u >= 1) {
-            // Optional (absent in pre-interconnect sidecars, which must
-            // keep replaying): the bus count never changes machine
-            // state, only routing attribution and filter replay order.
-            cfg.snoopBuses = u;
-        } else if (key == "wb_entries" && parseUnsigned(val, u)) {
-            cfg.wbEntries = u;
-            seen |= KeyWb;
-        } else if (key == "l1") {
-            const auto parts = split(val, '/');
-            std::uint64_t size = 0;
-            unsigned assoc = 0, block = 0;
-            if (parts.size() == 3 && parseU64(parts[0], size) &&
-                parseUnsigned(parts[1], assoc) &&
-                parseUnsigned(parts[2], block)) {
-                cfg.l1.sizeBytes = size;
-                cfg.l1.assoc = assoc;
-                cfg.l1.blockBytes = block;
-                seen |= KeyL1;
-            }
-        } else if (key == "l2") {
-            const auto parts = split(val, '/');
-            std::uint64_t size = 0;
-            unsigned assoc = 0, block = 0, sub = 0;
-            if (parts.size() == 4 && parseU64(parts[0], size) &&
-                parseUnsigned(parts[1], assoc) &&
-                parseUnsigned(parts[2], block) &&
-                parseUnsigned(parts[3], sub)) {
-                cfg.l2.sizeBytes = size;
-                cfg.l2.assoc = assoc;
-                cfg.l2.blockBytes = block;
-                cfg.l2.subblocks = sub;
-                seen |= KeyL2;
-            }
-        } else if (key == "filters") {
-            cfg.filterSpecs.clear();
-            for (const auto &spec : split(val, ';')) {
-                if (!trim(spec).empty())
-                    cfg.filterSpecs.push_back(trim(spec));
-            }
-            if (!cfg.filterSpecs.empty())
-                seen |= KeyFilters;
-        }
-    }
-    std::fclose(f);
-    if (seen != all)
+    const api::ExperimentSpec spec =
+        api::ExperimentSpec::fromJson(*spec_node, &err);
+    // A spec with a machine section is a fully pinned machine —
+    // including a filterless one (a campaign hunting core-coherence
+    // bugs runs no filters, and its repro must not fall back to the
+    // defaults). One *without* a machine section is incomplete, and the
+    // all-or-nothing rule applies: restoring a hybrid of sidecar and
+    // default machine is exactly the false-clean replay this reader
+    // must prevent.
+    if (!err.empty() || !spec.hasMachine)
         return false;
+    sim::SmpConfig cfg = spec.smpConfig();
+    cfg.checkSafety = out.checkSafety;
     out = cfg;
     return true;
 }

@@ -202,10 +202,10 @@ TraceSet readReproTraces(const std::string &path);
 /**
  * Restore the system configuration recorded in the repro's sidecar so a
  * replay runs the machine the failure was caught on, not the defaults.
- * Reads the "<path>.json" embedded-ExperimentSpec sidecar first and
- * falls back to the legacy "<path>.txt" key=value header (pre-spec
- * builds' repros stay replayable). @p out is only modified on success.
- * @return false when no sidecar yields a complete machine.
+ * Reads the "<path>.json" embedded-ExperimentSpec sidecar; @p out is
+ * only modified on success.
+ * @return false when the sidecar is missing or does not yield a
+ * complete machine.
  */
 bool readReproConfig(const std::string &path, sim::SmpConfig &out);
 

@@ -6,7 +6,8 @@
 #  - a within-threshold dip passes;
 #  - null rates (a run too short to rate) are SKIPPED, never scored as
 #    regressions, and --max-skips bounds them;
-#  - workload rows are matched by name, so reordering never mis-pairs;
+#  - workload rows are matched by name and bus rows by buses, so
+#    reordering never mis-pairs, even for rows nested in rows;
 #  - a baseline metric missing from the fresh report is a schema error
 #    (exit 1), as is a kind mismatch.
 # Run as:
@@ -196,6 +197,54 @@ file(WRITE ${WORK}/otherkind.json [=[
 }
 ]=])
 
+# The bench_throughput schema: bus rows nested inside workload rows,
+# paired by `buses`. write_bus_report(NAME LU_ROWS) writes a report whose
+# lu workload carries the bus rows LU_ROWS.
+function(write_bus_report name lu_rows)
+  set(LU_ROWS "${lu_rows}")
+  string(CONFIGURE [=[
+{
+  "jetty_report": 1,
+  "kind": "throughput",
+  "simd_isa": "avx2",
+  "simd_width": 4,
+  "workloads": [
+    {
+      "name": "fm",
+      "step_refs_per_sec": 20000000.0,
+      "bus_rows": [
+        {"buses": 1, "run_refs_per_sec": 50000000.0, "speedup_vs_step": 2.5}
+      ]
+    },
+    {
+      "name": "lu",
+      "step_refs_per_sec": 15000000.0,
+      "bus_rows": [@LU_ROWS@]
+    }
+  ]
+}
+]=] doc @ONLY)
+  file(WRITE ${WORK}/${name}.json "${doc}")
+endfunction()
+
+write_bus_report(bus_base [=[
+        {"buses": 1, "run_refs_per_sec": 30000000.0, "speedup_vs_step": 2.0},
+        {"buses": 2, "run_refs_per_sec": 27000000.0, "speedup_vs_step": 1.8},
+        {"buses": 4, "run_refs_per_sec": 22500000.0, "speedup_vs_step": 1.5}
+]=])
+# The same rows in another order: must still pair by `buses`.
+write_bus_report(bus_reordered [=[
+        {"buses": 4, "run_refs_per_sec": 22500000.0, "speedup_vs_step": 1.5},
+        {"buses": 1, "run_refs_per_sec": 30000000.0, "speedup_vs_step": 2.0},
+        {"buses": 2, "run_refs_per_sec": 27000000.0, "speedup_vs_step": 1.8}
+]=])
+# lu's 4-bus speedup_vs_step collapses 1.5 -> 1.0 (-33.3%).
+write_bus_report(bus_regress [=[
+        {"buses": 1, "run_refs_per_sec": 30000000.0, "speedup_vs_step": 2.0},
+        {"buses": 2, "run_refs_per_sec": 27000000.0, "speedup_vs_step": 1.8},
+        {"buses": 4, "run_refs_per_sec": 15000000.0, "speedup_vs_step": 1.0}
+]=])
+
 function(expect_exit expected)
   # ARGN is the bench_compare argument list.
   execute_process(
@@ -252,6 +301,15 @@ expect_exit(2 ${WORK}/base.json ${WORK}/dip5.json --threshold 3)
 # Null rates skip (exit 0), and --max-skips 0 turns them into failures.
 expect_exit(0 ${WORK}/base.json ${WORK}/nullrate.json)
 expect_exit(1 ${WORK}/base.json ${WORK}/nullrate.json --max-skips 0)
+
+# Bus rows nested in workload rows pair by `buses`, not position, and a
+# regression deep inside one is caught and named by its full path.
+expect_exit(0 ${WORK}/bus_base.json ${WORK}/bus_reordered.json --ratios-only)
+expect_exit(0 ${WORK}/bus_base.json ${WORK}/bus_reordered.json)
+expect_exit(2 ${WORK}/bus_base.json ${WORK}/bus_regress.json --ratios-only)
+expect_stdout_matches(
+  "FAIL: 1 metric\\(s\\) regressed more than 25\\.0% vs [^\n]* \\(worst: workloads\\[lu\\]\\.bus_rows\\[4\\]\\.speedup_vs_step -33\\.3%\\)"
+  ${WORK}/bus_base.json ${WORK}/bus_regress.json --ratios-only --threshold 25)
 
 # Schema drift and kind mismatch are hard errors, not passes.
 expect_exit(1 ${WORK}/base.json ${WORK}/missing.json)

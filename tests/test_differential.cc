@@ -584,38 +584,25 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
     std::remove((path + ".json").c_str());
 }
 
-TEST(Differential, LegacyTxtSidecarStillRestoresTheMachine)
+TEST(Differential, LoneTxtSidecarReadsAsNoConfig)
 {
-    // Pre-spec builds wrote "<path>.txt" key=value sidecars; those
-    // repros must keep replaying on their recorded machine. Fabricate
-    // one in the old format (no .json alongside) and restore it.
-    const std::string path = ::testing::TempDir() + "jetty_legacy_repro";
+    // Only "<path>.json" sidecars carry a machine. A key=value "<path>.txt"
+    // beside the traces is ignored: the repro reads as having no config
+    // and the caller replays under its defaults (with a warning).
+    const std::string path = ::testing::TempDir() + "jetty_txt_repro";
+    std::remove((path + ".json").c_str());
     std::FILE *f = std::fopen((path + ".txt").c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fprintf(f,
-                 "# jetty fuzz repro (traces in %s)\n"
-                 "seed=7\n"
-                 "invariant=no-false-negative\n"
-                 "nprocs=8\n"
-                 "snoop_buses=2\n"
-                 "l1=2048/1/32\n"
-                 "l2=16384/1/64/2\n"
-                 "wb_entries=4\n"
-                 "filters=NULL;EJ-16x2\n"
-                 "records=12\n",
-                 path.c_str());
+    std::fprintf(f, "nprocs=8\nsnoop_buses=2\nl1=2048/1/32\n"
+                    "l2=16384/1/64/2\nwb_entries=4\nfilters=NULL;EJ-16x2\n");
     std::fclose(f);
 
     sim::SmpConfig restored;
-    ASSERT_TRUE(readReproConfig(path, restored));
-    EXPECT_EQ(restored.nprocs, 8u);
-    EXPECT_EQ(restored.snoopBuses, 2u);
-    EXPECT_EQ(restored.l1.sizeBytes, 2048u);
-    EXPECT_EQ(restored.l2.sizeBytes, 16384u);
-    EXPECT_EQ(restored.l2.subblocks, 2u);
-    EXPECT_EQ(restored.wbEntries, 4u);
-    EXPECT_EQ(restored.filterSpecs,
-              (std::vector<std::string>{"NULL", "EJ-16x2"}));
+    const sim::SmpConfig defaults;
+    EXPECT_FALSE(readReproConfig(path, restored));
+    EXPECT_EQ(restored.nprocs, defaults.nprocs);
+    EXPECT_EQ(restored.snoopBuses, defaults.snoopBuses);
+    EXPECT_EQ(restored.filterSpecs, defaults.filterSpecs);
     std::remove((path + ".txt").c_str());
 }
 

@@ -78,11 +78,43 @@ TEST(SpecExecutor, ChoosesKindFromSpecShape)
 
 TEST(SpecExecutor, ResolveIsIdempotent)
 {
-    api::ExperimentSpec spec = tinyRunSpec();
-    ASSERT_EQ(service::resolveSpec(spec, "run"), "");
-    const std::string once = spec.emit();
-    ASSERT_EQ(service::resolveSpec(spec, "run"), "");
-    EXPECT_EQ(spec.emit(), once);
+    for (const char *kind : {"run", "bench"}) {
+        api::ExperimentSpec spec = tinyRunSpec();
+        ASSERT_EQ(service::resolveSpec(spec, kind), "") << kind;
+        const std::string once = spec.emit();
+        ASSERT_EQ(service::resolveSpec(spec, kind), "") << kind;
+        EXPECT_EQ(spec.emit(), once) << kind;
+    }
+}
+
+TEST(SpecExecutor, BenchResolveHonoursExplicitGeometry)
+{
+    // bench drives SmpSystem directly, so a custom geometry that the
+    // experiment layer (run/sweep) refuses resolves for bench — with
+    // bench's defaults filled in.
+    std::string err;
+    api::ExperimentSpec spec = api::ExperimentSpec::parse(
+        R"({"jetty_spec": 1,
+            "machine": {"procs": 4, "buses": 1, "subblocked": true,
+                        "l1": {"size_bytes": 1024, "assoc": 1,
+                               "block_bytes": 32},
+                        "l2": {"size_bytes": 8192, "assoc": 1,
+                               "block_bytes": 64, "subblocks": 2},
+                        "wb_entries": 4, "phys_addr_bits": 40}})",
+        &err);
+    ASSERT_EQ(err, "");
+    api::ExperimentSpec as_run = spec;
+    EXPECT_NE(service::resolveSpec(as_run, "run"), "");
+
+    ASSERT_EQ(service::resolveSpec(spec, "bench"), "");
+    EXPECT_EQ(spec.apps, std::vector<std::string>{"lu"});
+    EXPECT_EQ(spec.scale, 1.0);
+    EXPECT_EQ(spec.benchRepeat, 3u);
+    EXPECT_EQ(spec.filters, service::defaultFilterSpecs());
+    EXPECT_EQ(spec.smpConfig().l1.sizeBytes, 1024u);
+
+    spec.sweepBuses = {1, 2};
+    EXPECT_NE(service::resolveSpec(spec, "bench"), "");
 }
 
 TEST(SpecExecutor, ExecuteFailsSoftlyOnBadSpecs)

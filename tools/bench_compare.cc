@@ -3,23 +3,24 @@
  * bench_compare: the CI perf-regression gate over committed bench
  * baselines.
  *
- * Compares a fresh bench Report (bench_throughput / bench_snoopbus
- * --out) against the committed BENCH_*.json baseline and fails (exit 2)
- * when any throughput metric regressed by more than the threshold
- * (default 10%). Both files are PR 5 structured Reports, so the compare
- * is a walk of two JSON trees — no scraping.
+ * Compares a fresh bench Report (bench_throughput --out) against the
+ * committed BENCH_throughput.json baseline and fails (exit 2) when any
+ * throughput metric regressed by more than the threshold (default 10%).
+ * Both files are structured api::Reports, so the compare is a walk of
+ * two JSON trees — no scraping.
  *
  * What counts as a throughput metric (higher is better):
  *  - any key ending in `_refs_per_sec` (absolute simulation rates);
- *  - any key containing `speedup` (batched-vs-scalar ratios).
+ *  - any key containing `speedup` (run()-vs-step() ratios).
  *
  * Array elements are matched by identity, not position: an object with a
- * `name` ("workloads" rows) or `buses` ("bus_rows") member is paired
- * with the baseline element carrying the same value, so reordering or
- * appending workloads never mis-pairs rows. A baseline metric missing
- * from the fresh report fails the gate (schema drift is a regression of
- * the gate itself); fresh-only metrics are ignored (new benches may land
- * before their baselines).
+ * `name` ("workloads" rows) or `buses` ("bus_rows", nested inside each
+ * workload) member is paired with the baseline element carrying the same
+ * value, giving paths like `workloads[lu].bus_rows[4].speedup_vs_step`,
+ * so reordering or appending rows never mis-pairs them. A baseline
+ * metric missing from the fresh report fails the gate (schema drift is a
+ * regression of the gate itself); fresh-only metrics are ignored (new
+ * benches may land before their baselines).
  *
  * Rates can legitimately be null (a run too short to rate: the Report
  * layer emits null, never 0 or inf) — a null or non-positive value on

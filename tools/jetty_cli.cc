@@ -88,7 +88,7 @@
  *                     written as a JTTRACE2 repro + .json sidecar whose
  *                     embedded ExperimentSpec pins the machine.
  *                     --repro replays a previously written repro
- *                     (legacy .txt sidecars still read).
+ *                     on the machine its .json sidecar records.
  *                     Exit 0 clean, 2 on a caught violation)
  */
 
@@ -136,11 +136,6 @@ using namespace jetty;
 
 namespace
 {
-
-/** The paper's standard filter trio (run/replay/bench default) — owned
- *  by the service layer so the CLI and the serve daemon cannot drift. */
-const std::vector<std::string> &kDefaultFilters =
-    service::defaultFilterSpecs();
 
 /** Parse "--key value" style options into a map. */
 std::map<std::string, std::string>
@@ -278,59 +273,6 @@ overlayCommonFlags(const std::map<std::string, std::string> &opts,
         spec.traceFiles.clear();
     }
     overlayFilterFlag(opts, spec.filters);
-}
-
-/** @p cmd simulates exactly one machine; a spec carrying sweep axes
- *  would be silently narrowed, so reject it the way multi-app and
- *  trace-file mismatches are rejected. */
-void
-rejectSweepAxes(const api::ExperimentSpec &spec, const char *cmd)
-{
-    if (!spec.sweepProcs.empty() || !spec.sweepBuses.empty())
-        fatal(std::string(cmd) +
-              ": the spec has a sweep section — use sweep");
-}
-
-/** Sections @p cmd cannot honour must fail loudly, not be silently
- *  dropped and then echoed back as if they had been part of the run. */
-void
-rejectForeignSections(const api::ExperimentSpec &spec, const char *cmd,
-                      bool allowBench)
-{
-    if (spec.hasFuzz)
-        fatal(std::string(cmd) +
-              ": the spec has a fuzz section — use fuzz");
-    if (!allowBench && spec.benchRepeat > 0)
-        fatal(std::string(cmd) +
-              ": the spec has a bench section — use bench");
-}
-
-/**
- * Round-trip the fully resolved spec through its own schema, replacing
- * it with the normalized parse. Flags overlay the spec *before* this
- * runs, so a flag value the schema would reject (an unknown app, an
- * out-of-range processor count) fails here with the schema's
- * diagnostic — --dump-spec can never emit a spec that --spec refuses.
- */
-void
-validateResolved(api::ExperimentSpec &spec)
-{
-    std::string err;
-    api::ExperimentSpec parsed = api::ExperimentSpec::parse(spec.emit(),
-                                                            &err);
-    if (!err.empty())
-        fatal(err);
-    spec = std::move(parsed);
-}
-
-/** Shared resolution tail: default filters and scale. */
-void
-resolveCommonDefaults(api::ExperimentSpec &spec, double defaultScale)
-{
-    if (spec.filters.empty())
-        spec.filters = kDefaultFilters;
-    if (spec.scale <= 0)
-        spec.scale = defaultScale;
 }
 
 /** Print the fully resolved spec and report whether the command should
@@ -963,22 +905,6 @@ cmdCapture(const std::map<std::string, std::string> &opts)
     return 0;
 }
 
-/** Processor count a replay file list drives; the fallback — the
- *  spec's machine.procs, overridden by --procs — only matters for one
- *  single-section file (trace::inferReplayProcs rules), so a dumped
- *  spec re-runs on the machine it recorded. */
-unsigned
-replayProcs(const std::vector<std::string> &files,
-            const std::map<std::string, std::string> &opts,
-            unsigned fallback)
-{
-    if (opts.count("procs")) {
-        if (!parseUnsigned(opts.at("procs"), fallback) || fallback < 2)
-            fatal("replay --procs needs a count >= 2");
-    }
-    return trace::inferReplayProcs(files, fallback);
-}
-
 int
 cmdReplay(const std::map<std::string, std::string> &opts)
 {
@@ -1068,26 +994,14 @@ cmdBench(const std::map<std::string, std::string> &opts)
             fatal("bench --repeat needs a count >= 1");
         spec.benchRepeat = repeat;
     }
-    if (spec.apps.empty() && spec.traceFiles.empty())
-        spec.apps = {"lu"};
-    if (spec.apps.size() > 1)
-        fatal("bench drives one workload (the spec names " +
-              std::to_string(spec.apps.size()) + " apps)");
-    if (spec.benchRepeat == 0)
-        spec.benchRepeat = 3;
-    rejectSweepAxes(spec, "bench");
-    rejectForeignSections(spec, "bench", /*allowBench=*/true);
-    resolveCommonDefaults(spec, 1.0);
-    if (!spec.traceFiles.empty()) {
-        spec.machine.procs =
-            replayProcs(spec.traceFiles, opts, spec.machine.procs);
-    }
-    validateResolved(spec);
+    // Resolution (defaults, processor inference from trace files,
+    // section rejection) is the shared service executor's.
+    const std::string err = service::resolveSpec(spec, "bench");
+    if (!err.empty())
+        fatal(err);
     if (dumpSpecRequested(opts, spec))
         return 0;
 
-    // Bench drives SmpSystem directly, so explicit machine geometry in
-    // the spec is honoured here (unlike run/sweep).
     sim::SmpConfig cfg = spec.smpConfig();
     const unsigned repeat = spec.benchRepeat;
 
@@ -1184,7 +1098,8 @@ applySpecToFuzz(const api::ExperimentSpec &spec, verify::FuzzConfig &cfg)
     if (!spec.apps.empty() || !spec.traceFiles.empty())
         fatal("fuzz: the spec has a workload section — fuzz synthesizes "
               "its own adversarial traces (use run/replay/bench)");
-    rejectSweepAxes(spec, "fuzz");
+    if (!spec.sweepProcs.empty() || !spec.sweepBuses.empty())
+        fatal("fuzz: the spec has a sweep section — use sweep");
     if (spec.benchRepeat > 0)
         fatal("fuzz: the spec has a bench section — use bench");
 
@@ -1309,8 +1224,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
         }
         if (!verify::readReproConfig(opts.at("repro"), cfg.system)) {
             warn("no complete sidecar " + opts.at("repro") +
-                 ".json (or legacy .txt); replaying under the default "
-                 "configuration");
+                 ".json; replaying under the default configuration");
         }
         // Restore the recorded campaign's fuzz section too (seed and
         // budgets), so the --dump-spec/--json echo records the
