@@ -2,7 +2,6 @@
 
 #include "core/filter_spec.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::filter
 {
@@ -123,16 +122,8 @@ FilterBank::flushDeferred()
         FilterStats &st = stats_[i];
         SnoopFilter *const f = filters_[i].get();
         const std::uint64_t violations_before = st.safetyViolations;
-        for (const auto &queue : busQueues_) {
-            queue.forEachRun([&](const BankEvent *evs, std::size_t n) {
-                // Pull the run's tail toward the cache while the head
-                // replays; each 64 B line holds four 16 B events.
-                for (std::size_t off = 0; off < n;
-                     off += 64 / sizeof(BankEvent))
-                    simd::prefetchRead(evs + off);
-                f->applyBatch(evs, n, st);
-            });
-        }
+        for (const auto &queue : busQueues_)
+            f->applyBatch(queue.data(), queue.size(), st);
         if (checkSafety_ && st.safetyViolations != violations_before) {
             panic("JETTY safety violation: " + f->name() +
                   " filtered a snoop to a cached unit");
@@ -143,24 +134,10 @@ FilterBank::flushDeferred()
 }
 
 void
-FilterBank::observeSnoopBatch(const BankEvent *evs, std::size_t n)
-{
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-        FilterStats &st = stats_[i];
-        const std::uint64_t violations_before = st.safetyViolations;
-        filters_[i]->applyBatch(evs, n, st);
-        if (checkSafety_ && st.safetyViolations != violations_before) {
-            panic("JETTY safety violation: " + filters_[i]->name() +
-                  " filtered a snoop to a cached unit");
-        }
-    }
-}
-
-void
 FilterBank::unitFilled(Addr unitAddr)
 {
     if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push(
+        busQueues_[homeBusOf(unitAddr)].push_back(
             {unitAddr, BankEvent::Kind::Fill, false, false});
         return;
     }
@@ -174,7 +151,7 @@ void
 FilterBank::unitEvicted(Addr unitAddr)
 {
     if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push(
+        busQueues_[homeBusOf(unitAddr)].push_back(
             {unitAddr, BankEvent::Kind::Evict, false, false});
         return;
     }

@@ -108,21 +108,9 @@ class FilterBank : public mem::CacheEventListener
     void
     deferSnoop(unsigned busId, Addr unitAddr, bool unitInL2, bool blockInL2)
     {
-        busQueues_[busId].push(
+        busQueues_[busId].push_back(
             {unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
     }
-
-    /** Whether the bank is currently queueing. */
-    bool deferred() const { return deferred_; }
-
-    /**
-     * Replay one pre-grouped event run through every filter via the
-     * per-filter batched probe path (SnoopFilter::applyBatch). The
-     * events must share a home bus (or the bank must have one bus);
-     * flushDeferred() is the usual caller, but the verification suite
-     * replays hand-built runs directly.
-     */
-    void observeSnoopBatch(const BankEvent *evs, std::size_t n);
 
     // CacheEventListener
     void unitFilled(Addr unitAddr) override;
@@ -168,11 +156,10 @@ class FilterBank : public mem::CacheEventListener
 
     bool deferred_ = false;
     unsigned snoopBuses_ = 1;
-    /** [bus] -> captured events, in chunked arena storage: the flush /
-     *  refill cycle reuses the chunks, so steady-state deferral does no
-     *  allocator work, and each chunk is a contiguous cache-line-aligned
-     *  run the batched applyBatch streams over. */
-    std::vector<util::ArenaQueue<BankEvent>> busQueues_;
+    /** [bus] -> captured events in capture order. clear() keeps the
+     *  capacity, so steady-state deferral does no allocator work, and
+     *  each queue replays as one contiguous applyBatch run. */
+    std::vector<util::AlignedVec<BankEvent>> busQueues_;
 };
 
 } // namespace jetty::filter

@@ -1,7 +1,5 @@
 #include "core/hybrid_jetty.hh"
 
-#include "core/exclude_jetty.hh"
-#include "core/include_jetty.hh"
 #include "util/logging.hh"
 
 namespace jetty::filter
@@ -13,43 +11,6 @@ HybridJetty::HybridJetty(SnoopFilterPtr includePart,
 {
     if (!include_ || !exclude_)
         fatal("HybridJetty: both components are required");
-    ijTyped_ = dynamic_cast<IncludeJetty *>(include_.get());
-    ejTyped_ = dynamic_cast<ExcludeJetty *>(exclude_.get());
-}
-
-void
-HybridJetty::applyBatch(const BankEvent *evs, std::size_t n, FilterStats &st)
-{
-    if (!ijTyped_ || !ejTyped_) {
-        SnoopFilter::applyBatch(evs, n, st);
-        return;
-    }
-    // The canonical IJ+EJ hybrid under the shared protocol, with both
-    // components called directly (qualified: no virtual dispatch). The
-    // IJ side is pure, so a run of snoops batch-probes it through the
-    // SIMD gather; the EJ side touches LRU state on a hit and therefore
-    // stays a per-event call, evaluated in event order exactly as the
-    // one-at-a-time walk did. Both components are probed in parallel in
-    // hardware, so both are evaluated (no short-circuit), as in probe().
-    replayBankEventsSegmented(
-        evs, n, st, addrScratch_, preScratch_,
-        [this](const Addr *addrs, std::size_t m, std::uint8_t *out) {
-            ijTyped_->probeFilteredMany(addrs, m, out);
-        },
-        [this](Addr a, std::uint8_t pre) {
-            const bool ej = ejTyped_->ExcludeJetty::probe(a);
-            return pre != 0 || ej;
-        },
-        [this](Addr a, bool blockPresent) {
-            ejTyped_->ExcludeJetty::onSnoopMiss(a, blockPresent);
-        },
-        [this](Addr a) {
-            ijTyped_->IncludeJetty::onFill(a);
-            ejTyped_->ExcludeJetty::onFill(a);
-        },
-        [this](Addr a) {
-            ijTyped_->IncludeJetty::onEvict(a);  // the EJ ignores evicts
-        });
 }
 
 bool

@@ -10,17 +10,10 @@
 #ifndef JETTY_CORE_HYBRID_JETTY_HH
 #define JETTY_CORE_HYBRID_JETTY_HH
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "core/snoop_filter.hh"
 
 namespace jetty::filter
 {
-
-class IncludeJetty;
-class ExcludeJetty;
 
 /** The hybrid JETTY, composed of an include part and an exclude part. */
 class HybridJetty : public SnoopFilter
@@ -47,25 +40,9 @@ class HybridJetty : public SnoopFilter
     SnoopFilter &includePart() { return *include_; }
     SnoopFilter &excludePart() { return *exclude_; }
 
-    /** Batched replay with devirtualized component calls for the
-     *  canonical IJ+EJ composition; other compositions fall back to the
-     *  generic walk. */
-    void applyBatch(const BankEvent *evs, std::size_t n,
-                    FilterStats &st) override;
-
   private:
     SnoopFilterPtr include_;
     SnoopFilterPtr exclude_;
-
-    /** Concrete-typed views of the components when the hybrid is the
-     *  paper's IJ+EJ shape (null otherwise), enabling direct calls in
-     *  applyBatch. */
-    IncludeJetty *ijTyped_ = nullptr;
-    ExcludeJetty *ejTyped_ = nullptr;
-
-    /** Reusable segment buffers for the segmented applyBatch. */
-    std::vector<Addr> addrScratch_;
-    std::vector<std::uint8_t> preScratch_;
 };
 
 } // namespace jetty::filter

@@ -3,7 +3,6 @@
 #include "energy/sram_array.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::filter
 {
@@ -65,37 +64,6 @@ IncludeJetty::onEvict(Addr unitAddr)
         if (--c == 0)
             pbits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     }
-}
-
-void
-IncludeJetty::probeFilteredMany(const Addr *addrs, std::size_t n,
-                                std::uint8_t *outFiltered) const
-{
-    const std::uint64_t mask = (std::uint64_t{1} << cfg_.entryBits) - 1;
-    for (unsigned i = 0; i < cfg_.arrays; ++i) {
-        simd::pbitAbsentAccum(pbits_.data(), addrs, n,
-                              baseOffsetBits_ + i * cfg_.skipBits, mask,
-                              static_cast<std::uint64_t>(i)
-                                  << cfg_.entryBits,
-                              outFiltered);
-    }
-}
-
-void
-IncludeJetty::applyBatch(const BankEvent *evs, std::size_t n,
-                         FilterStats &st)
-{
-    // Probing an IJ is pure (only Fill/Evict touch counters/p-bits), so
-    // snoop runs batch-probe through the SIMD gather before the shared
-    // protocol folds the verdicts; onSnoopMiss is a no-op.
-    replayBankEventsSegmented(
-        evs, n, st, addrScratch_, preScratch_,
-        [this](const Addr *addrs, std::size_t m, std::uint8_t *out) {
-            probeFilteredMany(addrs, m, out);
-        },
-        [](Addr, std::uint8_t pre) { return pre != 0; },
-        [](Addr, bool) {}, [this](Addr a) { IncludeJetty::onFill(a); },
-        [this](Addr a) { IncludeJetty::onEvict(a); });
 }
 
 void

@@ -20,7 +20,6 @@
 #define JETTY_CORE_INCLUDE_JETTY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "core/snoop_filter.hh"
 #include "util/arena.hh"
@@ -61,10 +60,6 @@ class IncludeJetty : public SnoopFilter
     void onEvict(Addr unitAddr) override;
     void clear() override;
 
-    /** Devirtualized batch replay for the deferred bank path. */
-    void applyBatch(const BankEvent *evs, std::size_t n,
-                    FilterStats &st) override;
-
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts
     energyCosts(const energy::Technology &tech) const override;
@@ -75,17 +70,6 @@ class IncludeJetty : public SnoopFilter
 
     /** The index of sub-array @p i for @p unitAddr (exposed for tests). */
     std::uint64_t indexOf(Addr unitAddr, unsigned i) const;
-
-    /**
-     * The pure batch probe: for each of @p n addresses, OR a 1 into
-     * @p outFiltered[k] when any sub-array's p-bit is clear (the unit is
-     * guaranteed absent). Exactly @c probe over the batch — probing
-     * mutates nothing, which is what lets the segmented replay hoist
-     * it over a run of snoops. One simd::pbitAbsentAccum sweep per
-     * sub-array, so the inner loop gathers from a single packed array.
-     */
-    void probeFilteredMany(const Addr *addrs, std::size_t n,
-                           std::uint8_t *outFiltered) const;
 
     /** Shape of one p-bit array as rows x cols (Table 4's organization:
      *  a 2^E-bit array folded into a near-square register-file shape). */
@@ -111,9 +95,6 @@ class IncludeJetty : public SnoopFilter
      *  3b/c separates p-bit and cnt arrays the same way), so a probe
      *  touches N bits instead of N counters. */
     util::AlignedVec<std::uint64_t> pbits_;
-    /** Reusable segment buffers for the segmented applyBatch. */
-    std::vector<Addr> addrScratch_;
-    std::vector<std::uint8_t> preScratch_;
 };
 
 } // namespace jetty::filter

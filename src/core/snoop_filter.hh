@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "energy/accountant.hh"
 #include "energy/technology.hh"
@@ -107,8 +106,8 @@ struct FilterStats
 /**
  * One deferred filter-bank event (core/filter_bank.hh). The batched
  * simulation hot path queues these per logical snoop bus instead of
- * walking every filter on every snoop; FilterBank::observeSnoopBatch
- * later replays a queue through each filter in one pass. Snoop events
+ * walking every filter on every snoop; FilterBank::flushDeferred later
+ * replays each queue through each filter in one pass. Snoop events
  * carry their ground truth *as captured at snoop time*, so the deferred
  * safety check judges every verdict against the true cache state.
  */
@@ -131,10 +130,10 @@ struct BankEvent
 /**
  * The single copy of the snoop-arm bookkeeping: which counters a
  * verdict bumps, when the safety violation is counted, and when the
- * miss hook (exclude-side allocation) fires. Both replay walks below —
- * and through them every applyBatch in the tree — fold each snoop
+ * miss hook (exclude-side allocation) fires. The replay walk below —
+ * and through it every applyBatch in the tree — folds each snoop
  * verdict through this one function, so the protocol cannot drift
- * between the scalar and the batch-probed paths.
+ * between the generic and the devirtualized paths.
  */
 template <typename MissFn>
 inline void
@@ -162,10 +161,9 @@ applySnoopVerdict(FilterStats &st, const BankEvent &ev, bool filtered,
 /**
  * The batch-replay protocol walk: one event at a time, probe verdicts
  * through applySnoopVerdict. Every applyBatch — the generic virtual
- * walk and the devirtualized family overrides — instantiates this (or
- * the segmented variant below) with its own probe/miss/fill/evict
- * callables, so the protocol stays in one place while the inner calls
- * stay direct.
+ * walk and the devirtualized EJ override — instantiates this with its
+ * own probe/miss/fill/evict callables, so the protocol stays in one
+ * place while the inner calls stay direct.
  */
 template <typename ProbeFn, typename MissFn, typename FillFn,
           typename EvictFn>
@@ -189,64 +187,6 @@ replayBankEvents(const BankEvent *evs, std::size_t n, FilterStats &st,
             ++st.evictUpdates;
             break;
         }
-    }
-}
-
-/**
- * The segmented batch-replay walk for filters whose probe is pure (no
- * state change): runs of consecutive Snoop events are pre-probed as one
- * data-parallel batch (the SIMD path in util/simd.hh), then the
- * verdicts are folded through applySnoopVerdict in event order.
- *
- * @p preFn (const Addr*, n, std::uint8_t* out) fills out[k] with the
- * pure part of the verdict for each address of the segment; @p probeFn
- * (Addr, std::uint8_t pre) combines it with any stateful per-event part
- * (the hybrid's exclude probe) and returns the final verdict. Because
- * the pure part reads state that only Fill/Evict events mutate — and
- * those delimit the segments — hoisting it over the segment is
- * result-identical to the one-at-a-time walk for every event order.
- *
- * @p addrScratch / @p preScratch are caller-owned reusable buffers.
- */
-template <typename PreFn, typename ProbeFn, typename MissFn,
-          typename FillFn, typename EvictFn>
-inline void
-replayBankEventsSegmented(const BankEvent *evs, std::size_t n,
-                          FilterStats &st, std::vector<Addr> &addrScratch,
-                          std::vector<std::uint8_t> &preScratch,
-                          PreFn &&preFn, ProbeFn &&probeFn, MissFn &&missFn,
-                          FillFn &&fillFn, EvictFn &&evictFn)
-{
-    std::size_t i = 0;
-    while (i < n) {
-        const BankEvent &ev = evs[i];
-        if (ev.kind == BankEvent::Kind::Fill) {
-            fillFn(ev.unitAddr);
-            ++st.fillUpdates;
-            ++i;
-            continue;
-        }
-        if (ev.kind == BankEvent::Kind::Evict) {
-            evictFn(ev.unitAddr);
-            ++st.evictUpdates;
-            ++i;
-            continue;
-        }
-        std::size_t j = i + 1;
-        while (j < n && evs[j].kind == BankEvent::Kind::Snoop)
-            ++j;
-        const std::size_t m = j - i;
-        addrScratch.resize(m);
-        preScratch.assign(m, 0);
-        for (std::size_t k = 0; k < m; ++k)
-            addrScratch[k] = evs[i + k].unitAddr;
-        preFn(addrScratch.data(), m, preScratch.data());
-        for (std::size_t k = 0; k < m; ++k) {
-            applySnoopVerdict(
-                st, evs[i + k],
-                probeFn(evs[i + k].unitAddr, preScratch[k]), missFn);
-        }
-        i = j;
     }
 }
 
@@ -296,14 +236,13 @@ class SnoopFilter
 
     /**
      * Replay a run of deferred bank events through this filter,
-     * accumulating into @p st — the batched-probe path behind
-     * FilterBank::observeSnoopBatch. The base implementation walks the
+     * accumulating into @p st — the batched path behind
+     * FilterBank::flushDeferred. The base implementation walks the
      * events through the virtual probe/onSnoopMiss/onFill/onEvict hooks
      * with exactly the bookkeeping of FilterBank::observeSnoop, so every
-     * family is batch-correct by construction; hot families (EJ, IJ)
-     * override it with devirtualized inner loops. Safety violations are
-     * *counted* here (st.safetyViolations); the bank decides whether to
-     * panic.
+     * family is batch-correct by construction; EJ overrides it with a
+     * devirtualized inner loop. Safety violations are *counted* here
+     * (st.safetyViolations); the bank decides whether to panic.
      */
     virtual void applyBatch(const BankEvent *evs, std::size_t n,
                             FilterStats &st);

@@ -1,7 +1,6 @@
 #include "mem/writeback_buffer.hh"
 
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::mem
 {
@@ -85,25 +84,9 @@ WritebackBuffer::take(Addr unitAddr, bool &found)
 void
 WritebackBuffer::rebuildSignature()
 {
-    // One vector sweep over the (<= capacity) live entries: hash every
-    // address to its one-hot bit, then OR the bits together. Identical
-    // to signatureBitOf per entry — simd::oneHotHash is the same
-    // preShift/mul/postShift pipeline, kernel-tested against it.
-    std::uint64_t addrs[64], bits[64];
-    std::size_t n = 0;
-    for (const auto &e : entries_) {
-        addrs[n++] = e.unitAddr;
-        if (n == 64) {
-            break;  // a 64-bit signature is saturated by 64 entries
-        }
-    }
-    simd::oneHotHash(addrs, n, kSigPreShift, kSigMul, kSigPostShift, bits);
     std::uint64_t sig = 0;
-    for (std::size_t k = 0; k < n; ++k)
-        sig |= bits[k];
-    // Entries beyond the vector batch (capacity > 64) fold in scalar.
-    for (std::size_t k = 64; k < entries_.size(); ++k)
-        sig |= signatureBitOf(entries_[k].unitAddr);
+    for (const auto &e : entries_)
+        sig |= signatureBitOf(e.unitAddr);
     signature_ = sig;
 }
 

@@ -80,16 +80,13 @@ class WritebackBuffer
         return (signature_ & bit) != 0;
     }
 
-    /** Signature-hash geometry, shared by signatureBitOf() and the
-     *  simd::oneHotHash sweep of rebuildSignature(), so it is named once
-     *  here instead of living as magic numbers in both. */
+    /** Signature-hash geometry of signatureBitOf(). */
     static constexpr unsigned kSigPreShift = 5;  //!< unit-granular bits
     static constexpr std::uint64_t kSigMul = 0x9E3779B97F4A7C15ull;
     static constexpr unsigned kSigPostShift = 58;  //!< keep top 6 bits
 
     /** Signature bit of @p unitAddr: a multiplicative hash over the
-     *  unit-granular address bits, mapped onto a 64-bit mask. Matches
-     *  simd::oneHotHash(kSigPreShift, kSigMul, kSigPostShift). */
+     *  unit-granular address bits, mapped onto a 64-bit mask. */
     static std::uint64_t
     signatureBitOf(Addr unitAddr)
     {
@@ -132,7 +129,8 @@ class WritebackBuffer
     const std::deque<WbEntry> &entries() const { return entries_; }
 
   private:
-    /** Recompute the signature from the live entries (<= capacity). */
+    /** Recompute the signature as the OR of signatureBitOf over the
+     *  live entries (<= capacity). */
     void rebuildSignature();
 
     std::deque<WbEntry> entries_;

@@ -130,8 +130,6 @@ SmpSystem::run()
     for (auto &node : nodes_)
         node->bank->beginDeferred();
     deferActive_ = true;
-    chunkBus_.assign(interconnect_.buses(), BusStats{});
-    chunkBusProbes_.assign(interconnect_.buses(), 0);
 
     /** One live processor of a chunk, resolved once so the
      *  per-reference loop does no unique_ptr chasing. */
@@ -199,26 +197,9 @@ SmpSystem::run()
 
         // Chunk boundary: replay every node's queued filter events
         // through the batched probe path before the queues grow past
-        // the cache-friendly chunk size, then fold the chunk's per-bus
-        // occupancy deltas in ascending bus order.
+        // the cache-friendly chunk size.
         for (auto &node : nodes_)
             node->bank->flushDeferred();
-        // Accumulate first, clear in a separate pass: mixing the adds
-        // and the resets in one loop trips a GCC 12 -O3
-        // loop-distribution misordering (the generated memset lands
-        // before the accumulation reads it feeds).
-        for (unsigned b = 0; b < interconnect_.buses(); ++b) {
-            BusStats &dst = stats_.perBus[b];
-            const BusStats &src = chunkBus_[b];
-            dst.transactions += src.transactions;
-            dst.reads += src.reads;
-            dst.readXs += src.readXs;
-            dst.upgrades += src.upgrades;
-            stats_.busSnoopTagProbes[b] += chunkBusProbes_[b];
-        }
-        std::fill(chunkBus_.begin(), chunkBus_.end(), BusStats{});
-        std::fill(chunkBusProbes_.begin(), chunkBusProbes_.end(),
-                  std::uint64_t{0});
     }
 
     deferActive_ = false;
@@ -275,31 +256,24 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
     BusResponse resp;
     ++stats_.snoopTransactions;
 
-    // Route to the unit's home bus and count its occupancy. While the
-    // hot loop runs the counts land in the chunk-local deltas and fold
-    // into SimStats bus-major at the chunk boundary.
+    // Route to the unit's home bus and count its occupancy.
     const unsigned bus = interconnect_.busOf(unitAddr);
-    {
-        BusStats &bs =
-            deferActive_ ? chunkBus_[bus] : stats_.perBus[bus];
-        std::uint64_t &probes = deferActive_ ? chunkBusProbes_[bus]
-                                             : stats_.busSnoopTagProbes[bus];
-        ++bs.transactions;
-        switch (op) {
-          case BusOp::BusRead:
-            ++bs.reads;
-            break;
-          case BusOp::BusReadX:
-            ++bs.readXs;
-            break;
-          case BusOp::BusUpgrade:
-            ++bs.upgrades;
-            break;
-          case BusOp::BusWriteback:
-            break;
-        }
-        probes += nodes_.size() - 1;
+    BusStats &bs = stats_.perBus[bus];
+    ++bs.transactions;
+    switch (op) {
+      case BusOp::BusRead:
+        ++bs.reads;
+        break;
+      case BusOp::BusReadX:
+        ++bs.readXs;
+        break;
+      case BusOp::BusUpgrade:
+        ++bs.upgrades;
+        break;
+      case BusOp::BusWriteback:
+        break;
     }
+    stats_.busSnoopTagProbes[bus] += nodes_.size() - 1;
 
     if (deferActive_) {
         // The batched hot path: identical coherence transitions, but the

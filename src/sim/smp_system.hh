@@ -201,13 +201,6 @@ class SmpSystem
     SimObserver *observer_ = nullptr;
     bool probeObserved_ = false;  //!< any bank has a probe observer
     bool deferActive_ = false;    //!< run() hot loop: banks are queueing
-
-    /** Chunk-local per-bus occupancy deltas: while the hot loop runs,
-     *  broadcast() accumulates here and run() folds into SimStats
-     *  bus-major at each chunk boundary — commutative sums, so the
-     *  fold is bit-identical to immediate accounting. */
-    std::vector<BusStats> chunkBus_;
-    std::vector<std::uint64_t> chunkBusProbes_;
 };
 
 } // namespace jetty::sim

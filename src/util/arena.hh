@@ -1,27 +1,18 @@
 /**
  * @file
- * Cache-line-aligned arena storage for the batched snoop-replay path.
+ * Cache-line-aligned vector storage.
  *
- * Two pieces:
- *  - AlignedVec<T>: std::vector over a cache-line-aligned allocator, for
- *    the packed tag/p-bit arrays the SIMD kernels (util/simd.hh) scan —
- *    a 64-byte-aligned base keeps a whole L2 set's packed words, or a
- *    full vector step, inside one host cache line.
- *  - ArenaQueue<T>: a chunked FIFO arena for the per-bus deferred event
- *    queues. push() bump-allocates into fixed-size aligned chunks;
- *    clear() retires the chunks back to the queue's own free pool
- *    instead of the heap, so the chunk-end flush/refill cycle of the
- *    simulation hot loop does zero allocator work after warmup. Events
- *    stay contiguous within a chunk, which is what the batched
- *    applyBatch replay wants to stream over.
+ * AlignedVec<T> is a std::vector over a cache-line-aligned allocator. It
+ * backs the packed tag/p-bit arrays the probe paths scan (a 64-byte-
+ * aligned base keeps a whole L2 set's packed words, or a full vector
+ * step of util/simd.hh, inside one host cache line) and the per-bus
+ * deferred event queues of core/filter_bank.hh.
  */
 
 #ifndef JETTY_UTIL_ARENA_HH
 #define JETTY_UTIL_ARENA_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <new>
 #include <vector>
 
@@ -78,72 +69,6 @@ struct AlignedAllocator
 /** A std::vector whose storage starts on a cache-line boundary. */
 template <typename T>
 using AlignedVec = std::vector<T, AlignedAllocator<T>>;
-
-/**
- * Chunked FIFO arena. Not a general container: append, stream, reset —
- * the life cycle of one deferred-replay queue.
- */
-template <typename T, std::size_t kChunkItems = 1024>
-class ArenaQueue
-{
-  public:
-    /** Append one item. */
-    void
-    push(const T &v)
-    {
-        if (lastLen_ == kChunkItems || used_ == 0) {
-            if (used_ == chunks_.size())
-                chunks_.push_back(std::make_unique<Chunk>());
-            ++used_;
-            lastLen_ = 0;
-        }
-        chunks_[used_ - 1]->items[lastLen_++] = v;
-    }
-
-    /** Items pushed since the last clear(). */
-    std::size_t
-    size() const
-    {
-        return used_ == 0 ? 0 : (used_ - 1) * kChunkItems + lastLen_;
-    }
-
-    bool empty() const { return used_ == 0; }
-
-    /**
-     * Stream every contiguous run in push order: fn(ptr, len) once per
-     * in-use chunk. Batch boundaries are a storage artifact — callers
-     * must treat consecutive runs as one logical sequence.
-     */
-    template <typename Fn>
-    void
-    forEachRun(Fn &&fn) const
-    {
-        for (std::size_t c = 0; c < used_; ++c) {
-            const std::size_t len =
-                c + 1 == used_ ? lastLen_ : kChunkItems;
-            if (len > 0)
-                fn(chunks_[c]->items, len);
-        }
-    }
-
-    /** Forget the contents; the chunks are kept for reuse. */
-    void
-    clear()
-    {
-        used_ = 0;
-        lastLen_ = 0;
-    }
-
-  private:
-    struct alignas(64) Chunk
-    {
-        T items[kChunkItems];
-    };
-
-    std::vector<std::unique_ptr<Chunk>> chunks_;  //!< allocated (reused)
-    std::size_t used_ = 0;     //!< chunks holding live items
-    std::size_t lastLen_ = 0;  //!< items in the last in-use chunk
-};
 
 } // namespace jetty::util
 

@@ -1,33 +1,27 @@
 /**
  * @file
- * Width-agnostic SIMD kernels for the packed snoop-probe data paths.
+ * Width-agnostic SIMD kernel for the packed snoop-probe data paths.
  *
- * The hot filter state lives in contiguous packed words — the L2's
- * (tag << 1) | valid frame words, the exclude-JETTY's (tag << 1) |
- * present entry words, the include-JETTY's 64-per-word p-bit array, the
- * write-back buffer's 64-bit Bloom signature — so the batched replay
- * loops can scan it more than one element per step. This header holds
- * those steps: three tiny kernels (equality scan, p-bit
- * gather-accumulate, one-hot multiplicative hash) with one
- * implementation per ISA tier and a portable scalar reference.
+ * The hot tag state lives in contiguous packed words — the L2's
+ * (tag << 1) | valid frame words and the exclude-JETTY's (tag << 1) |
+ * present entry words — so a set lookup can compare more than one way
+ * per step. This header holds that step, the findEqU64 equality scan,
+ * with one implementation per ISA tier and a portable scalar reference.
  *
  * Tier selection is two-level. The configure-time level picks the
  * family: the CMake option `JETTY_SIMD=OFF` defines JETTY_SIMD_DISABLED
  * and forces the scalar tier everywhere; otherwise the compiler target
- * decides between x86 (SSE2 baseline), NEON, and scalar. On x86 the
- * batch kernels additionally carry an AVX2 variant compiled with the
- * `target("avx2")` function attribute and selected once at run time via
- * cpuid — x86-64 builds with default flags (no -march) still run the
- * gather/variable-shift kernels at full width on AVX2 hardware, while
- * the same binary falls back to SSE2/scalar elsewhere. The per-element
- * findEqU64 scan stays a compile-time choice: its inputs are a handful
- * of ways, where an out-of-line dispatch call would cost more than the
- * scan.
+ * decides between x86 (SSE2 baseline), NEON, and scalar. On x86 an AVX2
+ * variant is also compiled with the `target("avx2")` function attribute;
+ * haveAvx2() detects it once at run time via cpuid, and isaName() /
+ * lanesU64() report the tier in every Report's provenance. The scan
+ * itself stays a compile-time choice: its inputs are a handful of ways,
+ * where an out-of-line dispatch call would cost more than the scan.
  *
- * Every kernel is semantically identical across tiers —
- * tests/test_simd.cc asserts the dispatch tier against the scalar
- * reference over alignments, tail lengths and 56-bit addresses — so the
- * simulated numbers never depend on the tier, only the wall clock does.
+ * The kernel is semantically identical across tiers — tests/test_simd.cc
+ * asserts each tier against the scalar reference over alignments, tail
+ * lengths and duplicate keys — so the simulated numbers never depend on
+ * the tier, only the wall clock does.
  *
  * The scalar namespace is always compiled, whatever the active tier: it
  * is both the fallback and the test oracle.
@@ -53,9 +47,8 @@
 #  endif
 #endif
 
-// The AVX2 batch kernels are compiled as target("avx2") functions and
-// picked at run time, so they exist whenever the compiler can emit them
-// for x86 — not only under -mavx2.
+// The AVX2 kernel is compiled as a target("avx2") function, so it exists
+// whenever the compiler can emit it for x86 — not only under -mavx2.
 #if defined(JETTY_SIMD_X86) && (defined(__GNUC__) || defined(__clang__))
 #  define JETTY_SIMD_AVX2_KERNELS 1
 #  if defined(JETTY_SIMD_AVX2_NATIVE)
@@ -82,7 +75,7 @@ haveAvx2()
 #endif
 }
 
-/** 64-bit lanes of one batch-kernel step on this run (1 = scalar). */
+/** 64-bit lanes of one vector step on this run (1 = scalar). */
 inline unsigned
 lanesU64()
 {
@@ -109,17 +102,6 @@ isaName()
 #endif
 }
 
-/** Read-prefetch @p p into a near cache level; a hint, never semantics. */
-inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0, 1);
-#else
-    (void)p;
-#endif
-}
-
 // ---- portable reference kernels (always compiled: fallback + oracle) --
 
 namespace scalar
@@ -136,43 +118,9 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
     return -1;
 }
 
-/**
- * Include-JETTY p-bit lookup for one sub-array over @p n addresses:
- * slot = ((addr >> shift) & mask) | base, and absent[k] |= 1 when the
- * slot's packed p-bit is clear. Accumulating |= lets the caller fold
- * the N sub-arrays into one per-address "guaranteed absent" verdict.
- */
-inline void
-pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
-                std::size_t n, unsigned shift, std::uint64_t mask,
-                std::uint64_t base, std::uint8_t *absent)
-{
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint64_t slot = ((addrs[k] >> shift) & mask) | base;
-        const std::uint64_t bit = (pbits[slot >> 6] >> (slot & 63)) & 1;
-        absent[k] |= static_cast<std::uint8_t>(bit ^ 1);
-    }
-}
-
-/**
- * One-hot multiplicative hash (the write-back buffer's Bloom-signature
- * bit) over @p n keys: out[k] = 1 << (((keys[k] >> preShift) * mul)
- * >> postShift). @p postShift must be >= 58 so the shift amount fits a
- * 64-bit mask.
- */
-inline void
-oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
-           std::uint64_t mul, unsigned postShift, std::uint64_t *out)
-{
-    for (std::size_t k = 0; k < n; ++k) {
-        out[k] = std::uint64_t{1}
-                 << (((keys[k] >> preShift) * mul) >> postShift);
-    }
-}
-
 } // namespace scalar
 
-// ---- AVX2 batch kernels (x86: run-time selected) ----------------------
+// ---- AVX2 kernel (x86) ------------------------------------------------
 
 #if defined(JETTY_SIMD_AVX2_KERNELS)
 
@@ -195,70 +143,6 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
     }
     const int tail = scalar::findEqU64(words + i, n - i, key);
     return tail < 0 ? -1 : static_cast<int>(i) + tail;
-}
-
-JETTY_SIMD_TARGET_AVX2 inline void
-pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
-                std::size_t n, unsigned shift, std::uint64_t mask,
-                std::uint64_t base, std::uint8_t *absent)
-{
-    const __m128i shiftv = _mm_cvtsi32_si128(static_cast<int>(shift));
-    const __m256i maskv =
-        _mm256_set1_epi64x(static_cast<long long>(mask));
-    const __m256i basev =
-        _mm256_set1_epi64x(static_cast<long long>(base));
-    const __m256i onev = _mm256_set1_epi64x(1);
-    const __m256i c63 = _mm256_set1_epi64x(63);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(addrs + k));
-        const __m256i slot = _mm256_or_si256(
-            _mm256_and_si256(_mm256_srl_epi64(av, shiftv), maskv), basev);
-        const __m256i word = _mm256_i64gather_epi64(
-            reinterpret_cast<const long long *>(pbits),
-            _mm256_srli_epi64(slot, 6), 8);
-        const __m256i bit = _mm256_and_si256(
-            _mm256_srlv_epi64(word, _mm256_and_si256(slot, c63)), onev);
-        alignas(32) std::uint64_t lane[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lane),
-                           _mm256_xor_si256(bit, onev));
-        absent[k + 0] |= static_cast<std::uint8_t>(lane[0]);
-        absent[k + 1] |= static_cast<std::uint8_t>(lane[1]);
-        absent[k + 2] |= static_cast<std::uint8_t>(lane[2]);
-        absent[k + 3] |= static_cast<std::uint8_t>(lane[3]);
-    }
-    scalar::pbitAbsentAccum(pbits, addrs + k, n - k, shift, mask, base,
-                            absent + k);
-}
-
-JETTY_SIMD_TARGET_AVX2 inline void
-oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
-           std::uint64_t mul, unsigned postShift, std::uint64_t *out)
-{
-    const __m128i prev = _mm_cvtsi32_si128(static_cast<int>(preShift));
-    const __m128i postv = _mm_cvtsi32_si128(static_cast<int>(postShift));
-    const __m256i mulv =
-        _mm256_set1_epi64x(static_cast<long long>(mul));
-    const __m256i onev = _mm256_set1_epi64x(1);
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i a = _mm256_srl_epi64(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(keys + k)),
-            prev);
-        // 64x64 -> low 64 multiply from 32-bit partial products (no
-        // vpmullq below AVX-512): lo*lo + ((lo*hi + hi*lo) << 32).
-        const __m256i cross = _mm256_add_epi64(
-            _mm256_mul_epu32(a, _mm256_srli_epi64(mulv, 32)),
-            _mm256_mul_epu32(_mm256_srli_epi64(a, 32), mulv));
-        const __m256i prod = _mm256_add_epi64(
-            _mm256_mul_epu32(a, mulv), _mm256_slli_epi64(cross, 32));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + k),
-            _mm256_sllv_epi64(onev, _mm256_srl_epi64(prod, postv)));
-    }
-    scalar::oneHotHash(keys + k, n - k, preShift, mul, postShift, out + k);
 }
 
 } // namespace avx2
@@ -295,35 +179,6 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
 #endif
 }
 
-inline void
-pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
-                std::size_t n, unsigned shift, std::uint64_t mask,
-                std::uint64_t base, std::uint8_t *absent)
-{
-#if defined(JETTY_SIMD_AVX2_KERNELS)
-    if (haveAvx2()) {
-        avx2::pbitAbsentAccum(pbits, addrs, n, shift, mask, base, absent);
-        return;
-    }
-#endif
-    // No gather below AVX2: the p-bit lookup stays scalar.
-    scalar::pbitAbsentAccum(pbits, addrs, n, shift, mask, base, absent);
-}
-
-inline void
-oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
-           std::uint64_t mul, unsigned postShift, std::uint64_t *out)
-{
-#if defined(JETTY_SIMD_AVX2_KERNELS)
-    if (haveAvx2()) {
-        avx2::oneHotHash(keys, n, preShift, mul, postShift, out);
-        return;
-    }
-#endif
-    // 64-bit multiply and per-lane variable shift need AVX2: scalar.
-    scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
-}
-
 #elif defined(JETTY_SIMD_NEON)
 
 inline int
@@ -342,43 +197,12 @@ findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
     return tail < 0 ? -1 : static_cast<int>(i) + tail;
 }
 
-/** NEON has no gather: the p-bit lookup stays scalar on this tier. */
-inline void
-pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
-                std::size_t n, unsigned shift, std::uint64_t mask,
-                std::uint64_t base, std::uint8_t *absent)
-{
-    scalar::pbitAbsentAccum(pbits, addrs, n, shift, mask, base, absent);
-}
-
-inline void
-oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
-           std::uint64_t mul, unsigned postShift, std::uint64_t *out)
-{
-    scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
-}
-
 #else  // portable scalar tier
 
 inline int
 findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
 {
     return scalar::findEqU64(words, n, key);
-}
-
-inline void
-pbitAbsentAccum(const std::uint64_t *pbits, const std::uint64_t *addrs,
-                std::size_t n, unsigned shift, std::uint64_t mask,
-                std::uint64_t base, std::uint8_t *absent)
-{
-    scalar::pbitAbsentAccum(pbits, addrs, n, shift, mask, base, absent);
-}
-
-inline void
-oneHotHash(const std::uint64_t *keys, std::size_t n, unsigned preShift,
-           std::uint64_t mul, unsigned postShift, std::uint64_t *out)
-{
-    scalar::oneHotHash(keys, n, preShift, mul, postShift, out);
 }
 
 #endif

@@ -445,6 +445,45 @@ TEST(WritebackBuffer, EntriesExposeFifoView)
     EXPECT_EQ(wb.entries()[1].unitAddr, 0x200u);
 }
 
+TEST(WritebackBuffer, SignatureIsTheOrOfLiveEntryBits)
+{
+    // The snoop path skips the buffer scan when maybeContains() is
+    // false, so the signature must cover every live entry after every
+    // mutation. A seeded random push/pop/take/snoop sequence checks it
+    // is exactly the OR of signatureBitOf over entries() throughout.
+    Rng rng(2024);
+    WritebackBuffer wb(8);
+    for (int step = 0; step < 20000; ++step) {
+        // Half the targets are live entries, so removals really hit.
+        Addr a = (rng.below(64) << 5) | (rng.below(4) << 40);
+        if (!wb.empty() && rng.chance(0.5))
+            a = wb.entries()[rng.below(wb.size())].unitAddr;
+        bool found = false;
+        switch (rng.below(4)) {
+          case 0:
+            if (wb.hasRoom() && !wb.contains(a))
+                wb.push({a, State::Modified});
+            break;
+          case 1:
+            if (!wb.empty())
+                wb.pop();
+            break;
+          case 2:
+            wb.take(a, found);
+            break;
+          case 3:
+            wb.snoop(a, rng.chance(0.5));
+            break;
+        }
+        std::uint64_t want = 0;
+        for (const WbEntry &e : wb.entries()) {
+            want |= WritebackBuffer::signatureBitOf(e.unitAddr);
+            ASSERT_TRUE(wb.maybeContains(e.unitAddr)) << "step " << step;
+        }
+        ASSERT_EQ(wb.signature(), want) << "step " << step;
+    }
+}
+
 // ---------------------------------------- L1 fast path vs slow path ----
 
 namespace

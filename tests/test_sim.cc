@@ -358,11 +358,16 @@ struct RunOutcome
     std::vector<filter::FilterStats> filters;  //!< merged, bank order
 };
 
+/** The filter bank of runOutcomeWithBatch unless a test picks another. */
+const std::vector<std::string> kBatchFilters = {"NULL", "EJ-16x2",
+                                                "HJ(IJ-8x4x7,EJ-16x2)"};
+
 /** Run an lu-derived workload under the given delivery batch size. */
 RunOutcome
 runOutcomeWithBatch(unsigned batchRefs, bool stepDriven = false,
                     SimObserver *observer = nullptr,
-                    unsigned snoopBuses = 1)
+                    unsigned snoopBuses = 1,
+                    const std::vector<std::string> &filters = kBatchFilters)
 {
     SmpConfig cfg;
     cfg.nprocs = 4;
@@ -371,7 +376,7 @@ runOutcomeWithBatch(unsigned batchRefs, bool stepDriven = false,
     cfg.l2.sizeBytes = 64 * 1024;
     cfg.l2.blockBytes = 64;
     cfg.l2.subblocks = 2;
-    cfg.filterSpecs = {"NULL", "EJ-16x2", "HJ(IJ-8x4x7,EJ-16x2)"};
+    cfg.filterSpecs = filters;
     cfg.batchRefs = batchRefs;
     cfg.snoopBuses = snoopBuses;
 
@@ -448,12 +453,20 @@ TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
     // batched run's deferred, per-filter-batched bank replay must give
     // exactly the filter numbers of the immediate per-snoop observation
     // (the step-driven path), on top of identical architectural stats.
-    const RunOutcome immediate =
-        runOutcomeWithBatch(64, /*stepDriven=*/true);
-    const RunOutcome deferred =
-        runOutcomeWithBatch(64, /*stepDriven=*/false);
-    expectIdenticalStats(immediate.stats, deferred.stats);
-    expectIdenticalFilterStats(immediate.filters, deferred.filters);
+    // The second bank covers every family the first leaves out, and a
+    // hybrid with a vector-exclude side, so every replay path is pinned.
+    const std::vector<std::string> rest = {
+        "IJ-8x4x7", "IJ-8x4x7u", "VEJ-16x4-4", "RF-10x12",
+        "HJ(IJ-8x4x7,VEJ-16x4-4)"};
+    for (const auto &filters : {kBatchFilters, rest}) {
+        SCOPED_TRACE(filters.front());
+        const RunOutcome immediate = runOutcomeWithBatch(
+            64, /*stepDriven=*/true, nullptr, 1, filters);
+        const RunOutcome deferred = runOutcomeWithBatch(
+            64, /*stepDriven=*/false, nullptr, 1, filters);
+        expectIdenticalStats(immediate.stats, deferred.stats);
+        expectIdenticalFilterStats(immediate.filters, deferred.filters);
+    }
 }
 
 TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)

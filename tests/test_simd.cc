@@ -1,13 +1,13 @@
 /**
  * @file
- * Exhaustive scalar-vs-dispatch equivalence of the util/simd.hh kernels.
+ * Exhaustive scalar-vs-dispatch equivalence of the util/simd.hh kernel.
  *
  * The simulated numbers must never depend on the active SIMD tier
- * (DESIGN.md), so the dispatch kernels are checked bit-for-bit against
+ * (DESIGN.md), so the dispatch kernel is checked bit-for-bit against
  * the always-compiled scalar reference across the axes where vector
  * implementations classically diverge:
- *  - every misalignment of the input arrays within a cache line (the
- *    kernels use unaligned loads; nothing may assume 16/32 B bases);
+ *  - every misalignment of the input array within a cache line (the
+ *    vector scans use unaligned loads; nothing may assume 16/32 B bases);
  *  - every length around and below one vector width, including 0 and 1,
  *    so tail handling and the scalar fallback loop are both exercised;
  *  - full-width 56-bit physical addresses (the largest physAddrBits the
@@ -16,14 +16,13 @@
  *    scan must report the lowest index, as the replacement policies
  *    depend on it).
  *
- * On x86 the AVX2 batch variants are additionally tested directly
- * whenever the host offers AVX2, so a build whose compile-time tier is
- * SSE2 still verifies the gather/variable-shift kernels it will
- * dispatch to at run time.
+ * On x86 the AVX2 variant is additionally tested directly whenever the
+ * host offers AVX2, so a build whose compile-time tier is SSE2 still
+ * verifies it.
  */
 
 #include <cstdint>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,11 +55,6 @@ struct Misaligned
     }
 };
 
-using PbitFn = void (*)(const std::uint64_t *, const std::uint64_t *,
-                        std::size_t, unsigned, std::uint64_t,
-                        std::uint64_t, std::uint8_t *);
-using HashFn = void (*)(const std::uint64_t *, std::size_t, unsigned,
-                        std::uint64_t, unsigned, std::uint64_t *);
 using FindFn = int (*)(const std::uint64_t *, std::size_t,
                        std::uint64_t);
 
@@ -102,76 +96,6 @@ checkFindEq(FindFn fn, const char *what)
     }
 }
 
-void
-checkPbitAbsent(PbitFn fn, const char *what)
-{
-    Rng rng(777);
-    // A p-bit store shaped like IJ-10x4x7: 4 sub-arrays of 2^10 bits.
-    constexpr unsigned kEntryBits = 10;
-    constexpr std::uint64_t kMask = (std::uint64_t{1} << kEntryBits) - 1;
-    std::vector<std::uint64_t> pbits((4u << kEntryBits) / 64);
-    for (auto &w : pbits)
-        w = rng.next();
-
-    for (unsigned offset = 0; offset < 8; ++offset) {
-        for (std::size_t n = 0; n <= 17; ++n) {
-            Misaligned addrs(n, offset, rng);
-            for (std::size_t i = 0; i < n; ++i)
-                addrs.base[i] &= kAddrMask56;
-
-            for (unsigned arr = 0; arr < 4; ++arr) {
-                const unsigned shift = 6 + arr * 7;  // unit + skip walk
-                const std::uint64_t base =
-                    static_cast<std::uint64_t>(arr) << kEntryBits;
-
-                // Seed both accumulators identically (the kernel ORs
-                // into prior verdicts; that path must match too).
-                std::vector<std::uint8_t> got(n), want(n);
-                for (std::size_t i = 0; i < n; ++i)
-                    got[i] = want[i] = (i & 3) == 0 ? 1 : 0;
-
-                fn(pbits.data(), addrs.base, n, shift, kMask, base,
-                   got.data());
-                simd::scalar::pbitAbsentAccum(pbits.data(), addrs.base,
-                                              n, shift, kMask, base,
-                                              want.data());
-                EXPECT_EQ(got, want)
-                    << what << " off=" << offset << " n=" << n
-                    << " arr=" << arr;
-            }
-        }
-    }
-}
-
-void
-checkOneHotHash(HashFn fn, const char *what)
-{
-    Rng rng(4242);
-    // The write-back buffer's signature hash geometry.
-    constexpr unsigned kPreShift = 5;
-    constexpr unsigned kPostShift = 58;
-
-    for (unsigned offset = 0; offset < 8; ++offset) {
-        for (std::size_t n = 0; n <= 13; ++n) {
-            Misaligned keys(n, offset, rng);
-            for (std::size_t i = 0; i < n; ++i)
-                keys.base[i] &= kAddrMask56;
-
-            std::vector<std::uint64_t> got(n + 1, 0xdead),
-                want(n + 1, 0xdead);
-            fn(keys.base, n, kPreShift, kSeedMix, kPostShift, got.data());
-            simd::scalar::oneHotHash(keys.base, n, kPreShift, kSeedMix,
-                                     kPostShift, want.data());
-            EXPECT_EQ(got, want)
-                << what << " off=" << offset << " n=" << n;
-            // One set bit per produced word, and the sentinel intact.
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(__builtin_popcountll(got[i]), 1);
-            EXPECT_EQ(got[n], 0xdeadu) << what << " wrote past n";
-        }
-    }
-}
-
 } // namespace
 
 TEST(Simd, DispatchFindEqMatchesScalar)
@@ -179,26 +103,14 @@ TEST(Simd, DispatchFindEqMatchesScalar)
     checkFindEq(&simd::findEqU64, "dispatch");
 }
 
-TEST(Simd, DispatchPbitAbsentMatchesScalar)
-{
-    checkPbitAbsent(&simd::pbitAbsentAccum, "dispatch");
-}
-
-TEST(Simd, DispatchOneHotHashMatchesScalar)
-{
-    checkOneHotHash(&simd::oneHotHash, "dispatch");
-}
-
 #if defined(JETTY_SIMD_AVX2_KERNELS)
-// The run-time-dispatched AVX2 kernels, exercised directly whenever the
-// host supports them — even when the compile-time tier is SSE2.
-TEST(Simd, Avx2KernelsMatchScalar)
+// The AVX2 kernel, exercised directly whenever the host supports it —
+// even when the compile-time tier is SSE2.
+TEST(Simd, Avx2FindEqMatchesScalar)
 {
     if (!simd::haveAvx2())
         GTEST_SKIP() << "host lacks AVX2";
     checkFindEq(&simd::avx2::findEqU64, "avx2");
-    checkPbitAbsent(&simd::avx2::pbitAbsentAccum, "avx2");
-    checkOneHotHash(&simd::avx2::oneHotHash, "avx2");
 }
 #endif
 
