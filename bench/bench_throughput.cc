@@ -14,10 +14,14 @@
  * hit both sides alike, and `speedup_vs_step` divides step()'s median
  * time by run()'s: every ratio measures code the tree still runs.
  *
- * Workloads (all 4-processor, paper base system, default filter trio):
+ * Workloads (all 4-processor, paper base system, default filter trio
+ * unless noted):
  *  - delivery-bound: a cache-friendly synthetic profile whose references
  *    almost always hit the L1, isolating the delivery path itself;
- *  - fm / lu: the best- and mid-locality paper apps, lu snoop-bound.
+ *  - fm / lu: the best- and mid-locality paper apps, lu snoop-bound;
+ *  - em-fig4: em, the straggler of the Figure 4 campaign, under Figure
+ *    4's ten EJ/VEJ filters, so the deferred replay runs families of
+ *    many filters (the trio has one filter per family).
  *
  * Correctness gates, checked before any number is reported:
  *  - step() vs run() at each bus count: every architectural counter,
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "api/report.hh"
+#include "core/filter_spec.hh"
 #include "experiments/experiments.hh"
 #include "service/executor.hh"
 #include "sim/latency.hh"
@@ -172,14 +177,15 @@ struct Measurement
     std::vector<BusRow> rows;  //!< one per bus count, 1 bus first
 };
 
-/** Median-of-@p repeats measurement of one workload at every bus
- *  count, step() and run() alternating. */
+/** Median-of-@p repeats measurement of one workload under @p filters
+ *  at every bus count, step() and run() alternating. */
 Measurement
-measure(const trace::AppProfile &profile, unsigned repeats)
+measure(const trace::AppProfile &profile,
+        const std::vector<std::string> &filters, unsigned repeats)
 {
     experiments::SystemVariant variant;
     sim::SmpConfig cfg = variant.smpConfig();
-    cfg.filterSpecs = service::defaultFilterSpecs();
+    cfg.filterSpecs = filters;
     const trace::Workload workload(profile, cfg.nprocs, 1.0);
 
     Measurement m;
@@ -261,20 +267,31 @@ main(int argc, char **argv)
         static_cast<double>(smoke ? 400'000 : 8'000'000) * scale);
     const double appScale = (smoke ? 0.05 : 1.0) * scale;
 
-    struct Row
-    {
-        std::string name;
-        Measurement m;
-    };
-    std::vector<Row> rows;
-    rows.push_back({"delivery-bound",
-                    measure(deliveryBoundProfile(refsPerProc), repeats)});
-    for (const char *app : {"fm", "lu"}) {
+    const std::vector<std::string> trio = service::defaultFilterSpecs();
+    std::vector<std::string> figure4 = filter::paperExcludeSpecs();
+    for (const auto &spec : filter::paperVectorExcludeSpecs())
+        figure4.push_back(spec);
+    const auto scaledApp = [appScale](const char *app) {
         trace::AppProfile p = trace::appByName(app);
         p.accessesPerProc = static_cast<std::uint64_t>(
             static_cast<double>(p.accessesPerProc) * appScale);
-        rows.push_back({app, measure(p, repeats)});
-    }
+        return p;
+    };
+
+    struct Row
+    {
+        std::string name;
+        std::vector<std::string> filters;
+        Measurement m;
+    };
+    std::vector<Row> rows;
+    rows.push_back({"delivery-bound", trio,
+                    measure(deliveryBoundProfile(refsPerProc), trio,
+                            repeats)});
+    for (const char *app : {"fm", "lu"})
+        rows.push_back({app, trio, measure(scaledApp(app), trio, repeats)});
+    rows.push_back(
+        {"em-fig4", figure4, measure(scaledApp("em"), figure4, repeats)});
 
     TextTable table;
     table.header({"workload", "refs", "buses", "step Mrefs/s",
@@ -319,6 +336,10 @@ main(int argc, char **argv)
             const double refs = static_cast<double>(row.m.refs);
             json::Value w = json::Value::object();
             w.set("name", row.name);
+            json::Value filters = json::Value::array();
+            for (const auto &f : row.filters)
+                filters.push(f);
+            w.set("filters", std::move(filters));
             w.set("refs", row.m.refs);
             w.set("step_refs_per_sec",
                   api::Report::ratio(refs, row.m.rows.front().stepSeconds));

@@ -14,36 +14,88 @@ ExcludeJetty::ExcludeJetty(const ExcludeJettyConfig &cfg,
 {
     if (!isPowerOfTwo(cfg.sets) || cfg.assoc == 0)
         fatal("ExcludeJetty: sets must be a power of two, assoc non-zero");
+    if (cfg.vectorBits != 0 &&
+        (!isPowerOfTwo(cfg.vectorBits) || cfg.vectorBits > 64)) {
+        fatal("VectorExcludeJetty: bad geometry");
+    }
+    vecBits_ = cfg.vectorBits != 0 ? floorLog2(cfg.vectorBits) : 0;
     setBits_ = floorLog2(cfg.sets);
-    if (amap.physAddrBits <= amap.blockOffsetBits + setBits_)
+    const unsigned consumed = amap.blockOffsetBits + vecBits_ + setBits_;
+    if (amap.physAddrBits <= consumed)
         fatal("ExcludeJetty: address space too small");
-    tagBits_ = amap.physAddrBits - amap.blockOffsetBits - setBits_;
-    presTag_.assign(static_cast<std::size_t>(cfg.sets) * cfg.assoc, 0);
-    lastUse_.assign(presTag_.size(), 0);
+    tagBits_ = amap.physAddrBits - consumed;
+    tagValid_.assign(static_cast<std::size_t>(cfg.sets) * cfg.assoc, 0);
+    vector_.assign(tagValid_.size(), 0);
+    lastUse_.assign(tagValid_.size(), 0);
 }
 
-std::uint64_t
-ExcludeJetty::setIndex(Addr unitAddr) const
+inline ExcludeJetty::Slot
+ExcludeJetty::lookup(Addr blk) const
 {
-    return bitField(unitAddr, amap_.blockOffsetBits, setBits_);
+    // A VEJ's set index sits above its vector-selection bits; this is
+    // why a VEJ with the same sets/assoc as an EJ hashes addresses
+    // differently (the thrashing effect the paper observes on Barnes).
+    const std::size_t base =
+        static_cast<std::size_t>((blk >> vecBits_) & (cfg_.sets - 1)) *
+        cfg_.assoc;
+    const std::uint64_t key = ((blk >> (vecBits_ + setBits_)) << 1) | 1;
+    const std::uint64_t vecMask = (std::uint64_t{1} << vecBits_) - 1;
+    return {base, key, std::uint64_t{1} << (blk & vecMask),
+            simd::findEqU64(&tagValid_[base], cfg_.assoc, key)};
 }
 
-Addr
-ExcludeJetty::tagOf(Addr unitAddr) const
+inline bool
+ExcludeJetty::probeAt(const Slot &s)
 {
-    return unitAddr >> (amap_.blockOffsetBits + setBits_);
+    if (s.way < 0)
+        return false;
+    const std::size_t i = s.base + static_cast<unsigned>(s.way);
+    lastUse_[i] = ++useClock_;
+    return (vector_[i] & s.bit) != 0;
+}
+
+inline void
+ExcludeJetty::recordAt(const Slot &s)
+{
+    // The chunk's entry gains the block's bit. Without one, allocate:
+    // the first invalid way, else the least recently used (the first
+    // minimum of the clocks).
+    std::size_t i = s.base;
+    if (s.way >= 0) {
+        i += static_cast<unsigned>(s.way);
+        vector_[i] |= s.bit;
+    } else {
+        for (unsigned w = 0; w < cfg_.assoc; ++w) {
+            if (!(tagValid_[s.base + w] & 1)) {
+                i = s.base + w;
+                break;
+            }
+            if (lastUse_[s.base + w] < lastUse_[i])
+                i = s.base + w;
+        }
+        tagValid_[i] = s.key;
+        vector_[i] = s.bit;
+    }
+    lastUse_[i] = ++useClock_;
+}
+
+inline void
+ExcludeJetty::fillAt(const Slot &s)
+{
+    if (s.way < 0)
+        return;
+    // Part of the block is now cached: its guarantee is void, and an
+    // entry whose vector empties dies (the tag stays, invalid).
+    const std::size_t i = s.base + static_cast<unsigned>(s.way);
+    vector_[i] &= ~s.bit;
+    if (vector_[i] == 0)
+        tagValid_[i] &= ~std::uint64_t{1};
 }
 
 bool
 ExcludeJetty::probe(Addr unitAddr)
 {
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
-    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    if (w < 0)
-        return false;
-    lastUse_[base + static_cast<unsigned>(w)] = ++useClock_;
-    return true;
+    return probeAt(lookup(unitAddr >> amap_.blockOffsetBits));
 }
 
 void
@@ -53,69 +105,46 @@ ExcludeJetty::onSnoopMiss(Addr unitAddr, bool blockPresent)
     // guarantee an entry encodes; a tag-matching subblock miss does not.
     if (blockPresent)
         return;
-
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
-
-    const int hit = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    if (hit >= 0) {
-        lastUse_[base + static_cast<unsigned>(hit)] = ++useClock_;
-        return;
-    }
-
-    // Allocate: prefer a not-present way, else LRU.
-    std::size_t victim = base;
-    bool found_free = false;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (!(presTag_[base + w] & 1)) {
-            victim = base + w;
-            found_free = true;
-            break;
-        }
-    }
-    if (!found_free) {
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (lastUse_[base + w] < lastUse_[victim])
-                victim = base + w;
-        }
-    }
-    presTag_[victim] = key;
-    lastUse_[victim] = ++useClock_;
+    recordAt(lookup(unitAddr >> amap_.blockOffsetBits));
 }
 
 void
 ExcludeJetty::onFill(Addr unitAddr)
 {
-    const std::size_t base = setIndex(unitAddr) * cfg_.assoc;
-    const std::uint64_t key = (tagOf(unitAddr) << 1) | 1;
-    const int w = simd::findEqU64(&presTag_[base], cfg_.assoc, key);
-    // Part of the block is now cached: the guarantee is void. The tag
-    // stays (exactly the old Entry's cleared present bit).
-    if (w >= 0)
-        presTag_[base + static_cast<unsigned>(w)] &= ~std::uint64_t{1};
+    fillAt(lookup(unitAddr >> amap_.blockOffsetBits));
 }
 
 void
-ExcludeJetty::applyBatch(const BankEvent *evs, std::size_t n,
-                         FilterStats &st)
+ExcludeJetty::applyBatch(SnoopFilter *const *peers,
+                         FilterStats *const *stats, std::size_t nPeers,
+                         const BankEvent *evs, std::size_t n)
 {
-    // The shared protocol with qualified (direct, inlinable) calls.
+    // Peers share this filter's dynamic type, so the static downcast is
+    // exact.
+    const auto ej = [peers](std::size_t j) -> ExcludeJetty & {
+        return static_cast<ExcludeJetty &>(*peers[j]);
+    };
+    Slot s{};  // the probe's lookup, carried into the miss that follows
     replayBankEvents(
-        evs, n, st, [this](Addr a) { return ExcludeJetty::probe(a); },
-        [this](Addr a, bool blockPresent) {
-            ExcludeJetty::onSnoopMiss(a, blockPresent);
+        stats, nPeers, evs, n, amap_.blockOffsetBits,
+        [&](std::size_t j, Addr blk) {
+            s = ej(j).lookup(blk);
+            return ej(j).probeAt(s);
         },
-        [this](Addr a) { ExcludeJetty::onFill(a); },
-        [](Addr) {});  // the EJ ignores evictions
+        [&](std::size_t j, Addr, bool blockPresent) {
+            if (!blockPresent)
+                ej(j).recordAt(s);
+        },
+        [&](std::size_t j, Addr blk) { ej(j).fillAt(ej(j).lookup(blk)); },
+        [](std::size_t, Addr) {});  // exclude JETTYs ignore evictions
 }
 
 void
 ExcludeJetty::clear()
 {
-    for (auto &w : presTag_)
-        w = 0;
-    for (auto &u : lastUse_)
-        u = 0;
+    tagValid_.assign(tagValid_.size(), 0);
+    vector_.assign(vector_.size(), 0);
+    lastUse_.assign(lastUse_.size(), 0);
     useClock_ = 0;
 }
 
@@ -124,36 +153,42 @@ ExcludeJetty::storage() const
 {
     StorageBreakdown s;
     s.presenceBits = static_cast<std::uint64_t>(cfg_.sets) * cfg_.assoc *
-                     (tagBits_ + 1);
+                     (tagBits_ + (1u << vecBits_));
     return s;
 }
 
 energy::FilterEnergyCosts
 ExcludeJetty::energyCosts(const energy::Technology &tech) const
 {
-    // The EJ is a tiny tag array: one row per set, all ways side by side.
+    // A tiny tag array: one row per set, all ways side by side, each
+    // way a tag and its present vector (one bit for the EJ).
+    const unsigned vectorBits = 1u << vecBits_;
     const std::uint64_t cols =
-        static_cast<std::uint64_t>(cfg_.assoc) * (tagBits_ + 1);
+        static_cast<std::uint64_t>(cfg_.assoc) * (tagBits_ + vectorBits);
     energy::SramArray array(cfg_.sets, cols, 1, tech);
     const double comparators =
         static_cast<double>(cfg_.assoc) * tagBits_ * tech.eComparatorPerBit;
 
     energy::FilterEnergyCosts costs;
-    // The comparators sit beside the array (register-file scale), so no
-    // long output wires are driven: bitsOut = 0, comparator term added.
+    // The comparators (and a VEJ's vector-bit muxes) sit beside the
+    // array (register-file scale), so no long output wires are driven:
+    // bitsOut = 0, comparator term added.
     costs.probe = array.readEnergy(0) + comparators;
-    costs.snoopAlloc = array.writeEnergy(tagBits_ + 1);
-    // A local fill must search the EJ and clear a matching present bit.
-    costs.fillUpdate = costs.probe + array.writeEnergy(1);
-    costs.evictUpdate = 0.0;  // EJ ignores evictions
+    costs.snoopAlloc = array.writeEnergy(tagBits_ + vectorBits);
+    // A local fill must search the array and clear a matching bit.
+    costs.fillUpdate = costs.probe + array.writeEnergy(vectorBits);
+    costs.evictUpdate = 0.0;  // exclude JETTYs ignore evictions
     return costs;
 }
 
 std::string
 ExcludeJetty::name() const
 {
-    return "EJ-" + std::to_string(cfg_.sets) + "x" +
-           std::to_string(cfg_.assoc);
+    const std::string geometry =
+        std::to_string(cfg_.sets) + "x" + std::to_string(cfg_.assoc);
+    if (cfg_.vectorBits == 0)
+        return "EJ-" + geometry;
+    return "VEJ-" + geometry + "-" + std::to_string(cfg_.vectorBits);
 }
 
 } // namespace jetty::filter

@@ -14,6 +14,16 @@
  * safety an entry is only allocated when the snooping tag probe saw no
  * matching tag at all (whole block absent), and it is cleared the moment
  * a local miss fills any unit of the block.
+ *
+ * The Vector-Exclude-JETTY (Section 3.1, Figure 3a) widens the present
+ * bit to a vector over V consecutive blocks, exploiting spatial locality
+ * in the snoop miss stream: the stored tag covers the chunk, the low
+ * block-address bits select the vector bit, and a set bit means that
+ * whole block is absent (the EJ's semantics). An entry dies when its
+ * vector empties. This class is both: an EJ is the one-bit vector, so
+ * the two share the flat storage, the replacement rule and the
+ * event-major batch kernel, and every exclude filter of a bank replays
+ * as one family.
  */
 
 #ifndef JETTY_CORE_EXCLUDE_JETTY_HH
@@ -27,14 +37,17 @@
 namespace jetty::filter
 {
 
-/** Configuration of an EJ-SxA organization. */
+/** Configuration of an EJ-SxA or VEJ-SxA-V organization. */
 struct ExcludeJettyConfig
 {
     unsigned sets = 32;   //!< power of two
     unsigned assoc = 4;   //!< ways per set
+    /** VEJ: consecutive blocks per entry (a power of two, at most 64).
+     *  0 is the plain EJ, whose one present bit covers one block. */
+    unsigned vectorBits = 0;
 };
 
-/** The exclude-JETTY proper. */
+/** The exclude-JETTY and its vector variant. */
 class ExcludeJetty : public SnoopFilter
 {
   public:
@@ -46,10 +59,12 @@ class ExcludeJetty : public SnoopFilter
     void onEvict(Addr) override {}
     void clear() override;
 
-    /** Devirtualized batch replay for the deferred bank path: one call
-     *  per event run, direct (inlinable) probe/alloc/fill bodies. */
-    void applyBatch(const BankEvent *evs, std::size_t n,
-                    FilterStats &st) override;
+    /** Devirtualized event-major replay for the deferred bank path:
+     *  direct (inlinable) probe/record/fill bodies on block addresses,
+     *  and a miss reuses its probe's lookup instead of scanning again. */
+    void applyBatch(SnoopFilter *const *peers, FilterStats *const *stats,
+                    std::size_t nPeers, const BankEvent *evs,
+                    std::size_t n) override;
 
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts
@@ -60,22 +75,40 @@ class ExcludeJetty : public SnoopFilter
     unsigned storedTagBits() const { return tagBits_; }
 
   private:
-    std::uint64_t setIndex(Addr unitAddr) const;
-    Addr tagOf(Addr unitAddr) const;
+    /** Where a block (unitAddr >> blockOffsetBits) lives: its set's
+     *  first way, its entry key (tag << 1) | 1, its present-vector bit
+     *  and the way holding the key (-1: none). Shared by the immediate
+     *  hooks and the batch kernel. */
+    struct Slot
+    {
+        std::size_t base;
+        std::uint64_t key;
+        std::uint64_t bit;
+        int way;
+    };
+
+    Slot lookup(Addr blk) const;
+    bool probeAt(const Slot &s);
+    void recordAt(const Slot &s);
+    void fillAt(const Slot &s);
 
     ExcludeJettyConfig cfg_;
     AddressMap amap_;
+    unsigned vecBits_;  //!< log2(blocks per entry): 0 for the EJ
     unsigned setBits_;
     unsigned tagBits_;
     /**
-     * Packed entry words, flat [set * assoc + way]: (tag << 1) | present,
-     * cache-line aligned. A probe is one equality scan of a set's ways
-     * for (tag << 1) | 1 (a cleared present bit can never match — the
-     * key's low bit is set), which the SIMD kernel compares a whole
-     * vector of ways at a time. LRU clocks live in a parallel array so
+     * Flat [set * assoc + way] arrays, cache-line aligned: packed
+     * (tag << 1) | valid words, the present vectors (bit i set => block
+     * i of the entry's chunk is absent; an entry dies when its vector
+     * empties) and the LRU clocks. A lookup is one equality scan of a
+     * set's words for (tag << 1) | 1 (an invalid way can never match —
+     * the key's low bit is set), which the SIMD kernel compares a whole
+     * vector of ways at a time; the other arrays sit beside the words so
      * the scan stays dense.
      */
-    util::AlignedVec<std::uint64_t> presTag_;
+    util::AlignedVec<std::uint64_t> tagValid_;
+    util::AlignedVec<std::uint64_t> vector_;
     util::AlignedVec<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "core/filter_bank.hh"
 
+#include <typeinfo>
+
 #include "core/filter_spec.hh"
 #include "util/logging.hh"
 
@@ -17,6 +19,23 @@ FilterBank::FilterBank(const std::vector<std::string> &specs,
     for (const auto &spec : specs)
         filters_.push_back(makeFilter(spec, amap));
     stats_.resize(filters_.size());
+    // Group by dynamic type, in order of first appearance; each group
+    // keeps its members' bank order and stats slots.
+    for (std::size_t i = 0; i < filters_.size(); ++i) {
+        SnoopFilter &f = *filters_[i];
+        ReplayGroup *group = nullptr;
+        for (auto &g : groups_) {
+            const SnoopFilter &first = *g.filters.front();
+            if (typeid(first) == typeid(f)) {
+                group = &g;
+                break;
+            }
+        }
+        if (!group)
+            group = &groups_.emplace_back();
+        group->filters.push_back(&f);
+        group->stats.push_back(&stats_[i]);
+    }
 }
 
 void
@@ -27,50 +46,25 @@ FilterBank::observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
         return;
     }
 
-    // Hot path: one call per filter per snoop per remote node. The
-    // ground truth is identical for every filter, so the branch on it is
-    // hoisted out of the loop; the counters each arm bumps are exactly
-    // those of the straightforward per-filter version. The observer is
-    // likewise hoisted into one register-held pointer, so the unobserved
-    // bank pays a single never-taken branch per filter.
-    const std::size_t n = filters_.size();
+    // Immediate path: one call per filter per snoop per remote node,
+    // each verdict booked by the same applySnoopVerdict as the replay.
+    // The observer is hoisted into one register-held pointer, so the
+    // unobserved bank pays a single never-taken branch per filter.
+    const BankEvent ev{unitAddr, BankEvent::Kind::Snoop, unitInL2,
+                       blockInL2};
     FilterProbeObserver *const obs = probeObserver_;
-    if (unitInL2) {
-        // Cached here: no filter may claim "not cached".
-        for (std::size_t i = 0; i < n; ++i) {
-            FilterStats &st = stats_[i];
-            ++st.probes;
-            const bool filtered = filters_[i]->probe(unitAddr);
-            if (obs)
-                obs->onFilterProbe(
-                    {owner_, i, unitAddr, true, blockInL2, filtered});
-            if (filtered) {
-                ++st.filtered;
-                ++st.safetyViolations;
-                if (checkSafety_) {
-                    panic("JETTY safety violation: " + filters_[i]->name() +
-                          " filtered a snoop to a cached unit");
-                }
-            }
-        }
-        return;
-    }
-    // True miss everywhere: filtering is the win, and unfiltered misses
-    // feed the exclude components' allocation streams.
-    for (std::size_t i = 0; i < n; ++i) {
-        FilterStats &st = stats_[i];
-        ++st.probes;
-        ++st.wouldMiss;
-        const bool filtered = filters_[i]->probe(unitAddr);
+    for (std::size_t i = 0; i < filters_.size(); ++i) {
+        SnoopFilter &f = *filters_[i];
+        const bool filtered = f.probe(unitAddr);
         if (obs)
             obs->onFilterProbe(
-                {owner_, i, unitAddr, false, blockInL2, filtered});
-        if (filtered) {
-            ++st.filtered;
-            ++st.filteredWouldMiss;
-        } else {
-            filters_[i]->onSnoopMiss(unitAddr, blockInL2);
-            ++st.snoopAllocs;
+                {owner_, i, unitAddr, unitInL2, blockInL2, filtered});
+        applySnoopVerdict(stats_[i], ev, filtered,
+                          [&] { f.onSnoopMiss(unitAddr, blockInL2); });
+        // Cached here: no filter may claim "not cached".
+        if (filtered && unitInL2 && checkSafety_) {
+            panic("JETTY safety violation: " + f.name() +
+                  " filtered a snoop to a cached unit");
         }
     }
 }
@@ -109,28 +103,30 @@ FilterBank::flushDeferred()
     // Bus-major replay: each filter sees bus 0's events first, then bus
     // 1's, each queue in capture order — the deterministic cross-bus
     // order the split-bus contract documents (DESIGN.md); with one bus
-    // this is the original total order. The filter loop is outermost so
-    // one filter's arrays stay hot across every bus queue of the flush
-    // (filters are independent, so this ordering is result-identical to
-    // flushing queue by queue).
-    bool any = false;
-    for (const auto &queue : busQueues_)
-        any = any || !queue.empty();
-    if (!any)
+    // this is the original total order. Within a queue each family
+    // walks the events once, event-major over its filters; filters are
+    // independent, so this is result-identical to replaying every
+    // filter alone.
+    for (auto &queue : busQueues_) {
+        if (queue.empty())
+            continue;
+        for (const auto &g : groups_) {
+            g.filters.front()->applyBatch(g.filters.data(), g.stats.data(),
+                                          g.filters.size(), queue.data(),
+                                          queue.size());
+        }
+        queue.clear();
+    }
+    // A checking bank panics on its first violation, so any counted one
+    // is new in this flush.
+    if (!checkSafety_)
         return;
     for (std::size_t i = 0; i < filters_.size(); ++i) {
-        FilterStats &st = stats_[i];
-        SnoopFilter *const f = filters_[i].get();
-        const std::uint64_t violations_before = st.safetyViolations;
-        for (const auto &queue : busQueues_)
-            f->applyBatch(queue.data(), queue.size(), st);
-        if (checkSafety_ && st.safetyViolations != violations_before) {
-            panic("JETTY safety violation: " + f->name() +
+        if (stats_[i].safetyViolations != 0) {
+            panic("JETTY safety violation: " + filters_[i]->name() +
                   " filtered a snoop to a cached unit");
         }
     }
-    for (auto &queue : busQueues_)
-        queue.clear();
 }
 
 void

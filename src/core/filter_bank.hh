@@ -9,7 +9,9 @@
  * subscribes to the L2's fill/evict events, receives every snoop with its
  * ground-truth outcome, checks the safety invariant (a filtered snoop must
  * be a true miss), and accumulates per-filter coverage statistics that the
- * energy accountant later combines with per-event filter energies.
+ * energy accountant later combines with per-event filter energies. The
+ * simulator's hot loop queues the events instead and has the bank replay
+ * them in batches, once per filter family (the deferred path below).
  */
 
 #ifndef JETTY_CORE_FILTER_BANK_HH
@@ -82,14 +84,18 @@ class FilterBank : public mem::CacheEventListener
     // The simulation hot loop defers filter work: snoops and the L2's
     // fill/evict notifications are queued per home snoop bus (the same
     // block interleave the interconnect routes transactions by), and a
-    // chunk-end flush replays every queue through each filter in one
-    // batched pass. Per bus the replay order is exactly the capture
-    // order, and all events of one L2 block share a bus, so every
-    // block-granular (EJ/VEJ entries, IJ slices) or counting (IJ, RF)
-    // structure sees a per-structure totally ordered stream — the
-    // no-false-negative guarantee survives deferral for any bus count,
-    // and with one bus the replay is the original total order, making
-    // the deferred path bit-identical to immediate observation.
+    // chunk-end flush replays every queue, bus by bus, once per filter
+    // family: the bank groups its filters by dynamic type at
+    // construction, and each group walks a queue event-major through
+    // one SnoopFilter::applyBatch call, decoding each event once for
+    // all its filters. Filters are independent, so every filter sees
+    // exactly the stream it would see alone. Per bus the replay order
+    // is the capture order, and all events of one L2 block share a bus,
+    // so every block-granular (EJ/VEJ entries, IJ slices) or counting
+    // (IJ, RF) structure sees a per-structure totally ordered stream —
+    // the no-false-negative guarantee survives deferral for any bus
+    // count, and with one bus the replay is the original total order,
+    // making the deferred path bit-identical to immediate observation.
 
     /** Enter deferred mode: observeSnoop and the L2 listener hooks queue
      *  instead of applying. Requires no probe observer (the instrumented
@@ -154,11 +160,20 @@ class FilterBank : public mem::CacheEventListener
             (unitAddr >> amap_.blockOffsetBits) % snoopBuses_);
     }
 
+    /** The filters of one dynamic type (one family), in bank order,
+     *  with their stats slots: one applyBatch call per queue. */
+    struct ReplayGroup
+    {
+        std::vector<SnoopFilter *> filters;
+        std::vector<FilterStats *> stats;
+    };
+    std::vector<ReplayGroup> groups_;
+
     bool deferred_ = false;
     unsigned snoopBuses_ = 1;
     /** [bus] -> captured events in capture order. clear() keeps the
      *  capacity, so steady-state deferral does no allocator work, and
-     *  each queue replays as one contiguous applyBatch run. */
+     *  each queue replays as one contiguous run per group. */
     std::vector<util::AlignedVec<BankEvent>> busQueues_;
 };
 

@@ -7,7 +7,6 @@
 #include "core/include_jetty.hh"
 #include "core/null_filter.hh"
 #include "core/region_filter.hh"
-#include "core/vector_exclude_jetty.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 
@@ -159,12 +158,14 @@ parseVectorExclude(const std::string &spec, const AddressMap &amap,
         !parseUnsigned(parts[1], vec)) {
         return false;
     }
-    VectorExcludeJettyConfig cfg;
+    ExcludeJettyConfig cfg;
     cfg.sets = t[0];
     cfg.assoc = t[1];
     cfg.vectorBits = vec;
+    if (out && vec == 0)  // width 0 would be the plain EJ
+        fatal("VectorExcludeJetty: bad geometry");
     if (out)
-        *out = std::make_unique<VectorExcludeJetty>(cfg, amap);
+        *out = std::make_unique<ExcludeJetty>(cfg, amap);
     return true;
 }
 

@@ -17,15 +17,21 @@ FilterStats::merge(const FilterStats &o)
 }
 
 void
-SnoopFilter::applyBatch(const BankEvent *evs, std::size_t n, FilterStats &st)
+SnoopFilter::applyBatch(SnoopFilter *const *peers, FilterStats *const *stats,
+                        std::size_t nPeers, const BankEvent *evs,
+                        std::size_t n)
 {
     // Generic batch path: the shared protocol over the virtual hooks,
     // so a deferred replay is bit-identical to immediate observation of
     // the same sequence for any filter type.
     replayBankEvents(
-        evs, n, st, [this](Addr a) { return probe(a); },
-        [this](Addr a, bool blockPresent) { onSnoopMiss(a, blockPresent); },
-        [this](Addr a) { onFill(a); }, [this](Addr a) { onEvict(a); });
+        stats, nPeers, evs, n, 0,
+        [peers](std::size_t j, Addr a) { return peers[j]->probe(a); },
+        [peers](std::size_t j, Addr a, bool blockPresent) {
+            peers[j]->onSnoopMiss(a, blockPresent);
+        },
+        [peers](std::size_t j, Addr a) { peers[j]->onFill(a); },
+        [peers](std::size_t j, Addr a) { peers[j]->onEvict(a); });
 }
 
 } // namespace jetty::filter

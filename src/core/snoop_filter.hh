@@ -17,6 +17,11 @@
  *  - onFill/onEvict(addr): the L2 gained/lost a valid coherence unit
  *    (this is how Include-JETTY counters and EJ present bits stay
  *    coherent; the information is free at the L2, Section 3.2).
+ *
+ * The simulator's hot loop defers these events and replays them in
+ * batches (core/filter_bank.hh): applyBatch walks a run of BankEvents
+ * once for a whole family of filters of one type, event-major, through
+ * the one protocol walk below (replayBankEvents / applySnoopVerdict).
  */
 
 #ifndef JETTY_CORE_SNOOP_FILTER_HH
@@ -107,9 +112,9 @@ struct FilterStats
  * One deferred filter-bank event (core/filter_bank.hh). The batched
  * simulation hot path queues these per logical snoop bus instead of
  * walking every filter on every snoop; FilterBank::flushDeferred later
- * replays each queue through each filter in one pass. Snoop events
- * carry their ground truth *as captured at snoop time*, so the deferred
- * safety check judges every verdict against the true cache state.
+ * replays each queue once per filter family. Snoop events carry their
+ * ground truth *as captured at snoop time*, so the deferred safety
+ * check judges every verdict against the true cache state.
  */
 struct BankEvent
 {
@@ -130,10 +135,10 @@ struct BankEvent
 /**
  * The single copy of the snoop-arm bookkeeping: which counters a
  * verdict bumps, when the safety violation is counted, and when the
- * miss hook (exclude-side allocation) fires. The replay walk below —
- * and through it every applyBatch in the tree — folds each snoop
- * verdict through this one function, so the protocol cannot drift
- * between the generic and the devirtualized paths.
+ * miss hook (exclude-side allocation) fires. FilterBank::observeSnoop
+ * and the replay walk below — through it every applyBatch in the tree —
+ * fold each snoop verdict through this one function, so the protocol
+ * cannot drift between the immediate, generic and devirtualized paths.
  */
 template <typename MissFn>
 inline void
@@ -152,39 +157,54 @@ applySnoopVerdict(FilterStats &st, const BankEvent &ev, bool filtered,
             ++st.filtered;
             ++st.filteredWouldMiss;
         } else {
-            missFn(ev.unitAddr, ev.blockInL2);
+            missFn();
             ++st.snoopAllocs;
         }
     }
 }
 
 /**
- * The batch-replay protocol walk: one event at a time, probe verdicts
- * through applySnoopVerdict. Every applyBatch — the generic virtual
- * walk and the devirtualized EJ override — instantiates this with its
- * own probe/miss/fill/evict callables, so the protocol stays in one
- * place while the inner calls stay direct.
+ * The batch-replay protocol walk, event-major over one family's
+ * filters: each event is decoded once (kind, ground truth and
+ * `unitAddr >> addrShift`) and then applied to every peer in turn, each
+ * snoop verdict folded through applySnoopVerdict. Every applyBatch —
+ * the generic virtual walk and the devirtualized EJ/VEJ kernels —
+ * instantiates this with its own callables, called as probe(j, a),
+ * miss(j, a, blockPresent), fill(j, a) and evict(j, a) for peer j and
+ * decoded address a; a miss always directly follows the probe of the
+ * same peer, so a kernel may carry the probe's set lookup into it. Each
+ * peer sees the events in order, so the result equals replaying the
+ * run through each peer alone.
  */
 template <typename ProbeFn, typename MissFn, typename FillFn,
           typename EvictFn>
 inline void
-replayBankEvents(const BankEvent *evs, std::size_t n, FilterStats &st,
+replayBankEvents(FilterStats *const *stats, std::size_t peers,
+                 const BankEvent *evs, std::size_t n, unsigned addrShift,
                  ProbeFn &&probeFn, MissFn &&missFn, FillFn &&fillFn,
                  EvictFn &&evictFn)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        const BankEvent &ev = evs[i];
+        const BankEvent ev = evs[i];
+        const Addr a = ev.unitAddr >> addrShift;
         switch (ev.kind) {
           case BankEvent::Kind::Snoop:
-            applySnoopVerdict(st, ev, probeFn(ev.unitAddr), missFn);
+            for (std::size_t j = 0; j < peers; ++j) {
+                applySnoopVerdict(*stats[j], ev, probeFn(j, a),
+                                  [&] { missFn(j, a, ev.blockInL2); });
+            }
             break;
           case BankEvent::Kind::Fill:
-            fillFn(ev.unitAddr);
-            ++st.fillUpdates;
+            for (std::size_t j = 0; j < peers; ++j) {
+                fillFn(j, a);
+                ++stats[j]->fillUpdates;
+            }
             break;
           case BankEvent::Kind::Evict:
-            evictFn(ev.unitAddr);
-            ++st.evictUpdates;
+            for (std::size_t j = 0; j < peers; ++j) {
+                evictFn(j, a);
+                ++stats[j]->evictUpdates;
+            }
             break;
         }
     }
@@ -235,17 +255,21 @@ class SnoopFilter
     virtual std::string name() const = 0;
 
     /**
-     * Replay a run of deferred bank events through this filter,
-     * accumulating into @p st — the batched path behind
-     * FilterBank::flushDeferred. The base implementation walks the
-     * events through the virtual probe/onSnoopMiss/onFill/onEvict hooks
-     * with exactly the bookkeeping of FilterBank::observeSnoop, so every
-     * family is batch-correct by construction; EJ overrides it with a
-     * devirtualized inner loop. Safety violations are *counted* here
-     * (st.safetyViolations); the bank decides whether to panic.
+     * Replay a run of deferred bank events through @p peers, one family's
+     * filters, accumulating peer j's counts into *stats[j] — the batched
+     * path behind FilterBank::flushDeferred. Every peer must have this
+     * filter's dynamic type and all must share one AddressMap (a bank's
+     * filters do). The base implementation walks the events through the
+     * virtual probe/onSnoopMiss/onFill/onEvict hooks with exactly the
+     * bookkeeping of FilterBank::observeSnoop, so every family is
+     * batch-correct by construction; ExcludeJetty (EJ and VEJ alike)
+     * overrides it with a direct, inlinable kernel. Safety violations
+     * are *counted* here (safetyViolations); the bank decides whether
+     * to panic.
      */
-    virtual void applyBatch(const BankEvent *evs, std::size_t n,
-                            FilterStats &st);
+    virtual void applyBatch(SnoopFilter *const *peers,
+                            FilterStats *const *stats, std::size_t nPeers,
+                            const BankEvent *evs, std::size_t n);
 };
 
 using SnoopFilterPtr = std::unique_ptr<SnoopFilter>;

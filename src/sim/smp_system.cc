@@ -117,8 +117,8 @@ SmpSystem::run()
     //
     // The filter banks run deferred throughout: every snoop observation
     // and L2 fill/evict notification is queued per home snoop bus and
-    // replayed through the per-filter batched probe path at chunk
-    // boundaries (FilterBank::flushDeferred). Both routes make
+    // replayed once per filter family at chunk boundaries
+    // (FilterBank::flushDeferred). Both routes make
     // identical coherence state changes, so run(), step()-driven loops,
     // and every batchRefs value produce bit-identical statistics (and
     // with snoopBuses == 1 the deferred replay is the exact

@@ -11,7 +11,6 @@
 #include "core/hybrid_jetty.hh"
 #include "core/include_jetty.hh"
 #include "core/null_filter.hh"
-#include "core/vector_exclude_jetty.hh"
 
 using namespace jetty;
 using namespace jetty::filter;
@@ -141,7 +140,7 @@ TEST(ExcludeJetty, EnergyCostsSane)
 
 TEST(VectorExcludeJetty, PerBlockBits)
 {
-    VectorExcludeJetty vej({32, 4, 8}, baseMap());
+    ExcludeJetty vej({32, 4, 8}, baseMap());
     vej.onSnoopMiss(kUnit0, false);
     EXPECT_TRUE(vej.probe(kUnit0));
     EXPECT_TRUE(vej.probe(kUnit1));  // same block
@@ -151,7 +150,7 @@ TEST(VectorExcludeJetty, PerBlockBits)
 
 TEST(VectorExcludeJetty, SpatialAccumulation)
 {
-    VectorExcludeJetty vej({32, 4, 8}, baseMap());
+    ExcludeJetty vej({32, 4, 8}, baseMap());
     // Record all 8 blocks of one chunk.
     const Addr chunk = 0x40000;  // 8*64 aligned
     for (int b = 0; b < 8; ++b)
@@ -162,7 +161,7 @@ TEST(VectorExcludeJetty, SpatialAccumulation)
 
 TEST(VectorExcludeJetty, FillClearsOnlyItsBlockBit)
 {
-    VectorExcludeJetty vej({32, 4, 8}, baseMap());
+    ExcludeJetty vej({32, 4, 8}, baseMap());
     const Addr chunk = 0x40000;
     vej.onSnoopMiss(chunk, false);
     vej.onSnoopMiss(chunk + 64, false);
@@ -173,7 +172,7 @@ TEST(VectorExcludeJetty, FillClearsOnlyItsBlockBit)
 
 TEST(VectorExcludeJetty, EntryDiesWhenVectorEmpties)
 {
-    VectorExcludeJetty vej({4, 1, 4}, baseMap());
+    ExcludeJetty vej({4, 1, 4}, baseMap());
     const Addr chunk = 0x40000;
     vej.onSnoopMiss(chunk, false);
     vej.onFill(chunk);
@@ -185,18 +184,88 @@ TEST(VectorExcludeJetty, EntryDiesWhenVectorEmpties)
 
 TEST(VectorExcludeJetty, BlockPresentMissNotRecorded)
 {
-    VectorExcludeJetty vej({32, 4, 8}, baseMap());
+    ExcludeJetty vej({32, 4, 8}, baseMap());
     vej.onSnoopMiss(kUnit0, true);
     EXPECT_FALSE(vej.probe(kUnit0));
 }
 
 TEST(VectorExcludeJetty, NameAndStorage)
 {
-    VectorExcludeJetty vej({32, 4, 8}, baseMap());
+    ExcludeJetty vej({32, 4, 8}, baseMap());
     EXPECT_EQ(vej.name(), "VEJ-32x4-8");
     // Tag bits: 40 - 6 - 3 (vector) - 5 (sets) = 26; +8 vector bits.
     EXPECT_EQ(vej.storedTagBits(), 26u);
     EXPECT_EQ(vej.storage().presenceBits, 32u * 4u * 34u);
+}
+
+TEST(VectorExcludeJettyDeathTest, BadVectorWidthIsFatal)
+{
+    // Width 0 must not fall back to the plain EJ the config's 0 means.
+    EXPECT_EXIT(makeFilter("VEJ-32x4-0", baseMap()),
+                ::testing::ExitedWithCode(1), "bad geometry");
+    EXPECT_EXIT(makeFilter("VEJ-32x4-3", baseMap()),
+                ::testing::ExitedWithCode(1), "bad geometry");
+    EXPECT_EQ(makeFilter("VEJ-32x4-1", baseMap())->name(), "VEJ-32x4-1");
+}
+
+TEST(VectorExcludeJetty, LruReplacementWithinSet)
+{
+    // One set of two ways, four blocks per entry: chunk k covers blocks
+    // 4k..4k+3, and every chunk maps to the single set.
+    const Addr chunk = 4 * 64;
+    const auto vej = [] {
+        return ExcludeJetty({1, 2, 4}, baseMap());
+    };
+
+    // Without a free way the least recently used entry goes, and a
+    // probe hit counts as a use: A is refreshed, so C evicts B.
+    {
+        auto f = vej();
+        f.onSnoopMiss(0 * chunk, false);  // A
+        f.onSnoopMiss(1 * chunk, false);  // B
+        f.probe(0 * chunk);
+        f.onSnoopMiss(2 * chunk, false);  // C
+        EXPECT_TRUE(f.probe(0 * chunk));
+        EXPECT_FALSE(f.probe(1 * chunk));
+        EXPECT_TRUE(f.probe(2 * chunk));
+    }
+    // A probe that hits the tag but finds the block's bit clear is a
+    // use too (A's second block is not recorded, yet A is refreshed).
+    {
+        auto f = vej();
+        f.onSnoopMiss(0 * chunk, false);
+        f.onSnoopMiss(1 * chunk, false);
+        EXPECT_FALSE(f.probe(0 * chunk + 64));
+        f.onSnoopMiss(2 * chunk, false);
+        EXPECT_TRUE(f.probe(0 * chunk));
+        EXPECT_FALSE(f.probe(1 * chunk));
+    }
+    // An allocation that hits an existing entry (another block of A's
+    // chunk) is a use as well.
+    {
+        auto f = vej();
+        f.onSnoopMiss(0 * chunk, false);
+        f.onSnoopMiss(1 * chunk, false);
+        f.onSnoopMiss(0 * chunk + 64, false);
+        f.onSnoopMiss(2 * chunk, false);
+        EXPECT_TRUE(f.probe(0 * chunk + 64));
+        EXPECT_FALSE(f.probe(1 * chunk));
+        EXPECT_TRUE(f.probe(2 * chunk));
+    }
+    // A free way is preferred over the LRU one: A is refreshed and then
+    // dies when its only block is filled, so C takes A's way although B
+    // is the least recently used entry.
+    {
+        auto f = vej();
+        f.onSnoopMiss(0 * chunk, false);
+        f.onSnoopMiss(1 * chunk, false);
+        f.probe(0 * chunk);
+        f.onFill(0 * chunk);
+        f.onSnoopMiss(2 * chunk, false);
+        EXPECT_TRUE(f.probe(1 * chunk));
+        EXPECT_TRUE(f.probe(2 * chunk));
+        EXPECT_FALSE(f.probe(0 * chunk));
+    }
 }
 
 TEST(VectorExcludeJetty, DifferentIndexingThanEj)
@@ -206,7 +275,7 @@ TEST(VectorExcludeJetty, DifferentIndexingThanEj)
     // land in different VEJ sets and vice versa.
     AddressMap amap = baseMap();
     ExcludeJetty ej({32, 4}, amap);
-    VectorExcludeJetty vej({32, 4, 8}, amap);
+    ExcludeJetty vej({32, 4, 8}, amap);
     // Blocks 0 and 32 blocks apart share an EJ set but differ in VEJ set.
     const Addr a = 0, b = 32 * 64;
     ej.onSnoopMiss(a, false);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/filter_spec.hh"
 #include "sim/observer.hh"
 #include "sim/smp_system.hh"
 #include "trace/apps.hh"
@@ -450,15 +451,21 @@ TEST(SmpSystem, StepDrivenAndRunAreBitIdentical)
 TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
 {
     // The pre-interconnect bit-identity anchor: at snoopBuses == 1 the
-    // batched run's deferred, per-filter-batched bank replay must give
+    // batched run's deferred, family-grouped bank replay must give
     // exactly the filter numbers of the immediate per-snoop observation
     // (the step-driven path), on top of identical architectural stats.
     // The second bank covers every family the first leaves out, and a
-    // hybrid with a vector-exclude side, so every replay path is pinned.
+    // hybrid with a vector-exclude side, so every replay path is pinned;
+    // the third is Figure 4's, six EJs and four VEJs replayed as one
+    // group, so a group of many filters is compared with immediate
+    // observation too.
     const std::vector<std::string> rest = {
         "IJ-8x4x7", "IJ-8x4x7u", "VEJ-16x4-4", "RF-10x12",
         "HJ(IJ-8x4x7,VEJ-16x4-4)"};
-    for (const auto &filters : {kBatchFilters, rest}) {
+    std::vector<std::string> figure4 = filter::paperExcludeSpecs();
+    for (const auto &spec : filter::paperVectorExcludeSpecs())
+        figure4.push_back(spec);
+    for (const auto &filters : {kBatchFilters, rest, figure4}) {
         SCOPED_TRACE(filters.front());
         const RunOutcome immediate = runOutcomeWithBatch(
             64, /*stepDriven=*/true, nullptr, 1, filters);
@@ -466,6 +473,30 @@ TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
             64, /*stepDriven=*/false, nullptr, 1, filters);
         expectIdenticalStats(immediate.stats, deferred.stats);
         expectIdenticalFilterStats(immediate.filters, deferred.filters);
+    }
+}
+
+TEST(SmpSystem, FilterStatsDoNotDependOnBankMates)
+{
+    // The deferred replay groups a bank's filters by family and walks
+    // each group event-major. Grouping must neither map a filter's
+    // counts to another slot nor change the order in which it sees the
+    // events: at every bus count, each filter of an interleaved bank
+    // scores exactly what it scores alone in its bank.
+    const std::vector<std::string> bank = {
+        "EJ-16x2", "VEJ-16x4-4", "IJ-8x4x7", "EJ-8x4",
+        "NULL",    "VEJ-32x4-8", "HJ(IJ-8x4x7,EJ-16x2)"};
+    for (const unsigned buses : {1u, 2u, 4u}) {
+        const RunOutcome mixed =
+            runOutcomeWithBatch(64, false, nullptr, buses, bank);
+        ASSERT_EQ(mixed.filters.size(), bank.size());
+        for (std::size_t f = 0; f < bank.size(); ++f) {
+            SCOPED_TRACE(bank[f] + " at " + std::to_string(buses) +
+                         " bus(es)");
+            const RunOutcome alone =
+                runOutcomeWithBatch(64, false, nullptr, buses, {bank[f]});
+            expectIdenticalFilterStats(alone.filters, {mixed.filters[f]});
+        }
     }
 }
 
