@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <set>
 #include <utility>
 
 #include "service/executor.hh"
@@ -377,16 +378,24 @@ Coordinator::run(const api::ExperimentSpec &spec, CampaignResult &out)
         if (!lerr.empty())
             return lerr;
     }
+    // A journaled cell resumes only if it holds a row for every filter
+    // this campaign reports; a cell journaled under another filter list
+    // is dispatched again (and its new answer re-journaled).
+    const std::set<std::string> wanted(out.filterNames.begin(),
+                                       out.filterNames.end());
     for (std::size_t s = 0; s < n; ++s) {
         ShardResponse resumed;
-        if (ledger_.isOpen() && ledger_.lookup(keys_[s], resumed) &&
-            resumed.ok && table_->apply(resumed, nullptr).empty()) {
+        std::set<std::string> covered;
+        if (ledger_.isOpen() &&
+            ledger_.lookup(keys_[s], resumed, &covered) &&
+            std::includes(covered.begin(), covered.end(), wanted.begin(),
+                          wanted.end()) &&
+            table_->apply(resumed, nullptr).empty()) {
             shards_[s].done = true;
             ++out.resumed;
             ShardEvent ev;
             ev.type = "resumed";
             ev.shardId = s;
-            ev.wallSeconds = resumed.wallSeconds;
             ev.detail = "loaded from ledger " + ledger_.dir();
             emit(std::move(ev));
             continue;

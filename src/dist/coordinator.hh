@@ -19,12 +19,15 @@
  *    time including mid-shard) or an ok=false response re-queues the
  *    shard, up to `maxRetries` failures per shard; the factory (when
  *    provided) respawns up to `maxRespawns` replacement workers.
- *  - **Resume ledger**: with `ledgerDir` set, every completed shard is
- *    journaled atomically (dist/ledger.hh); a later campaign over the
- *    same spec loads finished cells from the ledger without
- *    dispatching them ("resumed" events). Disk-tier RunCache entries
- *    complement this: a re-dispatched cell that is already in the
- *    shared cache answers as a disk hit, not a re-simulation.
+ *  - **Resume ledger**: with `ledgerDir` set, every completed cell is
+ *    journaled atomically (dist/ledger.hh, a disk RunCache tier rooted
+ *    at that directory); a later campaign loads a finished cell from
+ *    the ledger without dispatching it ("resumed" events) when the
+ *    journaled cell covers every filter the campaign reports, and
+ *    dispatches it otherwise. Disk-tier RunCache entries complement
+ *    this: a re-dispatched cell that is already in the shared cache
+ *    answers as a disk hit, not a re-simulation — and since a ledger
+ *    is a cache root, `ledgerDir` may be the workers' cache root.
  *  - **Observability**: every state change emits a structured
  *    ShardEvent (assigned / started / completed / stolen / retried /
  *    resumed / duplicate / worker_died) with wall time and

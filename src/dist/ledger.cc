@@ -1,103 +1,60 @@
 #include "dist/ledger.hh"
 
 #include <sys/stat.h>
-#include <sys/types.h>
 
-#include <cerrno>
-#include <cstring>
-
-#include "experiments/disk_cache.hh"
+#include <limits>
 
 namespace jetty::dist
 {
-
-namespace
-{
-
-/** mkdir -p; @return "" or the first failure (EEXIST is success). */
-std::string
-makeDirs(const std::string &path)
-{
-    std::string partial;
-    for (std::size_t i = 0; i <= path.size(); ++i) {
-        if (i < path.size() && path[i] != '/') {
-            partial += path[i];
-            continue;
-        }
-        if (!partial.empty() && ::mkdir(partial.c_str(), 0755) != 0 &&
-            errno != EEXIST) {
-            return "mkdir " + partial + ": " + std::strerror(errno);
-        }
-        if (i < path.size())
-            partial += '/';
-    }
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        return path + " is not a directory";
-    return "";
-}
-
-} // namespace
 
 std::string
 Ledger::open(const std::string &dir)
 {
     if (dir.empty())
         return "ledger: empty directory path";
-    const std::string err = makeDirs(dir);
-    if (!err.empty())
-        return "ledger: " + err;
+    // Every entry is a finished cell a later campaign may resume, so a
+    // ledger's own publishes never evict.
+    auto store = std::make_unique<experiments::DiskCache>(
+        dir, std::numeric_limits<std::uint64_t>::max());
+    struct stat st;
+    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
+        return "ledger: cannot create directory " + dir;
     dir_ = dir;
+    store_ = std::move(store);
     return "";
 }
 
-std::string
-Ledger::entryFileFor(const std::string &key)
-{
-    // Same 16-hex FNV-1a naming as the disk RunCache tier, so the two
-    // resume stores stay visually and structurally parallel on disk.
-    return experiments::DiskCache::entryFileFor(key);
-}
-
 bool
-Ledger::lookup(const std::string &key, ShardResponse &out) const
+Ledger::lookup(const std::string &key, ShardResponse &out,
+               std::set<std::string> *covered)
 {
-    if (!isOpen())
+    ShardCell cell;
+    std::set<std::string> cov;
+    if (!isOpen() || !store_->lookup(key, cell.result, cov))
         return false;
-    std::string err;
-    const json::Value v =
-        json::parseFile(dir_ + "/" + entryFileFor(key), &err);
-    if (!err.empty() || !v.isObject())
-        return false;
-    const json::Value *ver = v.find("jetty_shard_ledger");
-    if (!ver || !ver->isNumber() || !ver->fitsU64() ||
-        ver->asU64() != kLedgerVersion)
-        return false;
-    // A filename-hash collision surfaces as an embedded-key mismatch:
-    // a miss, never the wrong cell.
-    const json::Value *embedded = v.find("key");
-    if (!embedded || !embedded->isString() || embedded->asString() != key)
-        return false;
-    const json::Value *resp = v.find("response");
-    if (!resp)
-        return false;
-    ShardResponse parsed;
-    if (!shardResponseFromJson(*resp, parsed).empty())
-        return false;
-    out = std::move(parsed);
+    cell.key = key;
+    out = ShardResponse();
+    out.ok = true;
+    out.results.push_back(std::move(cell));
+    if (covered)
+        *covered = std::move(cov);
     return true;
 }
 
 std::string
-Ledger::publish(const std::string &key, const ShardResponse &resp) const
+Ledger::publish(const std::string &key, const ShardResponse &resp)
 {
     if (!isOpen())
         return "ledger: not open";
-    json::Value v = json::Value::object();
-    v.set("jetty_shard_ledger", kLedgerVersion);
-    v.set("key", key);
-    v.set("response", shardResponseToJson(resp));
-    return json::writeFileErr(dir_ + "/" + entryFileFor(key), v);
+    for (const auto &cell : resp.results) {
+        if (cell.key == key) {
+            const auto &names = cell.result.filterNames;
+            return store_->publish(
+                key, cell.result,
+                std::set<std::string>(names.begin(), names.end()));
+        }
+    }
+    return "ledger: response carries no cell for the key";
 }
 
 } // namespace jetty::dist

@@ -1,39 +1,33 @@
 /**
  * @file
- * The campaign resume ledger: a directory journaling one completed
- * shard response per file, so an interrupted distributed sweep resumes
- * without re-simulating (or even re-dispatching) finished cells.
+ * The campaign resume ledger: a directory journaling every completed
+ * cell, so an interrupted distributed sweep resumes without
+ * re-simulating (or even re-dispatching) finished cells.
  *
- * Layout mirrors the disk RunCache tier on purpose — one atomic JSON
- * file per canonical cell key, named by the same 16-hex FNV-1a hash:
- *
- *   <dir>/<16-hex-fnv64-of-key>.json
- *     {"jetty_shard_ledger": 1, "key": "<full canonical key>",
- *      "response": {...shard_response...}}
- *
- * The embedded key detects filename-hash collisions, and the embedded
- * shard-envelope version (inside "response") invalidates entries a
- * newer build no longer speaks. Robustness contract matches the disk
- * cache: the ledger is an accelerator, never an authority — corrupt,
- * truncated, or wrong-version entries read as misses, every publish is
- * atomic (util/atomic_file.hh via json::writeFileErr), and no failure
- * here is ever fatal to the campaign.
+ * The ledger *is* a disk RunCache tier (experiments/disk_cache.hh)
+ * rooted at the ledger directory: one atomic entry per canonical cell
+ * key, whose `covered` set names the filters the journaled result
+ * holds. A ledger directory and a `--cache-dir` root are therefore the
+ * same kind of store, and one directory can serve as both. The
+ * robustness contract is the disk tier's: corrupt, truncated, or
+ * wrong-version entries — including entries in the ledger's earlier
+ * shard-response envelope — read as misses and are unlinked, and no
+ * failure here is ever fatal to the campaign. A ledger never evicts on
+ * its own publishes.
  */
 
 #ifndef JETTY_DIST_LEDGER_HH
 #define JETTY_DIST_LEDGER_HH
 
-#include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 
 #include "dist/shard.hh"
+#include "experiments/disk_cache.hh"
 
 namespace jetty::dist
 {
-
-/** Ledger entry-format version; bump when the shard response schema or
- *  the simulator's semantics change so stale entries read as misses. */
-constexpr std::uint64_t kLedgerVersion = 1;
 
 class Ledger
 {
@@ -45,28 +39,25 @@ class Ledger
      *  @return "" on success, else the diagnostic. */
     std::string open(const std::string &dir);
 
-    bool isOpen() const { return !dir_.empty(); }
+    bool isOpen() const { return store_ != nullptr; }
     const std::string &dir() const { return dir_; }
 
-    /** Entry filename (relative to the ledger dir) for a canonical
-     *  cell key. Exposed for tests. */
-    static std::string entryFileFor(const std::string &key);
-
     /**
-     * Load the journaled response for canonical key @p key. Corrupt,
-     * wrong-version, or collision entries (embedded key differs) are
-     * misses. @return true with @p out filled on a hit.
+     * Load the journaled cell for canonical key @p key as a one-cell ok
+     * ShardResponse; @p covered, when non-null, receives the filter
+     * names the cell holds. @return true with @p out filled on a hit.
      */
-    bool lookup(const std::string &key, ShardResponse &out) const;
+    bool lookup(const std::string &key, ShardResponse &out,
+                std::set<std::string> *covered = nullptr);
 
-    /** Journal @p resp for @p key atomically. Best effort: an I/O
-     *  failure is returned for logging but must not stop the campaign.
-     *  @return "" on success. */
-    std::string publish(const std::string &key,
-                        const ShardResponse &resp) const;
+    /** Journal @p resp's cell for @p key atomically. Best effort: an
+     *  I/O failure is returned for logging but must not stop the
+     *  campaign. @return "" on success. */
+    std::string publish(const std::string &key, const ShardResponse &resp);
 
   private:
     std::string dir_;
+    std::unique_ptr<experiments::DiskCache> store_;
 };
 
 } // namespace jetty::dist

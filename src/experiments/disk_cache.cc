@@ -1,26 +1,27 @@
 #include "experiments/disk_cache.hh"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
+#include <ctime>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <dirent.h>
 
 #include "experiments/run_result_json.hh"
+#include "util/json.hh"
 
 namespace jetty::experiments
 {
 
 namespace
 {
-
-constexpr const char *kIndexFile = "index.json";
 
 /** mkdir -p. Best effort: the cache degrades to all-miss if it fails. */
 void
@@ -50,67 +51,26 @@ fnv1a64(const std::string &s)
     return h;
 }
 
-std::uint64_t
-fileBytes(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return 0;
-    return static_cast<std::uint64_t>(st.st_size);
-}
-
-/** One row of the recency index. */
-struct IndexRow
-{
-    std::string file;
-    std::uint64_t bytes = 0;
-    std::uint64_t seq = 0;
-};
-
+/** Entry files are exactly 16 hex digits + ".json"; nothing else in a
+ *  root (temp files, a legacy index.json) is the tier's to touch. */
 bool
-parseIndex(const json::Value &v, std::vector<IndexRow> &rows,
-           std::uint64_t &seq)
+isEntryFile(const std::string &name)
 {
-    const json::Value *ver = v.find("jetty_cache_index");
-    if (!ver || !ver->isNumber() || !ver->fitsU64() || ver->asU64() != 1)
-        return false;
-    const json::Value *s = v.find("seq");
-    if (!s || !s->isNumber() || !s->fitsU64())
-        return false;
-    seq = s->asU64();
-    const json::Value *entries = v.find("entries");
-    if (!entries || !entries->isArray())
-        return false;
-    for (const auto &e : entries->items()) {
-        const json::Value *file = e.find("file");
-        const json::Value *bytes = e.find("bytes");
-        const json::Value *rowSeq = e.find("seq");
-        if (!file || !file->isString() || !bytes || !bytes->isNumber() ||
-            !bytes->fitsU64() || !rowSeq || !rowSeq->isNumber() ||
-            !rowSeq->fitsU64())
-            return false;
-        rows.push_back(
-            {file->asString(), bytes->asU64(), rowSeq->asU64()});
-    }
-    return true;
+    return name.size() == 21 && name.compare(16, 5, ".json") == 0 &&
+           name.find_first_not_of("0123456789abcdef") == 16;
 }
 
-json::Value
-buildIndex(const std::vector<IndexRow> &rows, std::uint64_t seq)
+/** Stamp @p path's mtime with CLOCK_REALTIME at full precision (the
+ *  kernel's own timestamps can be a tick coarse, which would tie
+ *  back-to-back uses). Best effort: a lost stamp only ages the entry. */
+void
+stampRecent(const std::string &path)
 {
-    json::Value v = json::Value::object();
-    v.set("jetty_cache_index", std::uint64_t{1});
-    v.set("seq", seq);
-    json::Value entries = json::Value::array();
-    for (const auto &row : rows) {
-        json::Value e = json::Value::object();
-        e.set("file", row.file);
-        e.set("bytes", row.bytes);
-        e.set("seq", row.seq);
-        entries.push(std::move(e));
-    }
-    v.set("entries", std::move(entries));
-    return v;
+    struct timespec times[2];
+    times[0].tv_sec = 0;
+    times[0].tv_nsec = UTIME_OMIT;  // atime untouched
+    ::clock_gettime(CLOCK_REALTIME, &times[1]);
+    ::utimensat(AT_FDCWD, path.c_str(), times, 0);
 }
 
 } // namespace
@@ -130,61 +90,16 @@ DiskCache::entryFileFor(const std::string &key)
     return std::string(hex) + ".json";
 }
 
-json::Value
-DiskCache::loadIndexLocked()
-{
-    std::string err;
-    json::Value v = json::parseFile(root_ + "/" + kIndexFile, &err);
-    std::vector<IndexRow> rows;
-    std::uint64_t seq = 0;
-    if (err.empty() && parseIndex(v, rows, seq))
-        return v;
-    return rebuildIndexLocked();
-}
-
-void
-DiskCache::storeIndexLocked(const json::Value &index)
-{
-    // Best effort: a lost index only costs recency precision — it is
-    // rebuilt from a directory scan on the next load.
-    json::writeFileErr(root_ + "/" + kIndexFile, index);
-}
-
-json::Value
-DiskCache::rebuildIndexLocked()
-{
-    std::vector<IndexRow> rows;
-    std::uint64_t seq = 0;
-    DIR *dir = ::opendir(root_.c_str());
-    if (dir) {
-        while (const dirent *ent = ::readdir(dir)) {
-            const std::string name = ent->d_name;
-            // Entry files are exactly 16 hex digits + ".json".
-            if (name.size() != 21 || name.substr(16) != ".json")
-                continue;
-            if (name.find_first_not_of("0123456789abcdef") != 16)
-                continue;
-            rows.push_back({name, fileBytes(root_ + "/" + name), ++seq});
-        }
-        ::closedir(dir);
-    }
-    return buildIndex(rows, seq);
-}
-
 bool
 DiskCache::lookup(const std::string &key, AppRunResult &result,
                   std::set<std::string> &covered)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string file = entryFileFor(key);
-    const std::string path = root_ + "/" + file;
+    const std::string path = root_ + "/" + entryFileFor(key);
 
     std::string err;
     json::Value v = json::parseFile(path, &err);
     if (!err.empty()) {
-        struct stat st;
-        if (::stat(path.c_str(), &st) == 0)
-            ::unlink(path.c_str());  // readable-but-corrupt: evict
+        ::unlink(path.c_str());  // readable-but-corrupt: evict (or absent)
         return false;
     }
 
@@ -202,48 +117,33 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
     if (storedKey->asString() != key)
         return false;  // filename hash collision: miss, leave in place
 
-    std::set<std::string> cov;
-    for (const auto &item : coveredArr->items()) {
-        if (!item.isString()) {
-            ::unlink(path.c_str());
-            return false;
-        }
-        cov.insert(item.asString());
-    }
     AppRunResult res;
-    const std::string why = runResultFromJson(*resultObj, res);
-    if (!why.empty()) {
+    std::set<std::string> cov;
+    bool ok = runResultFromJson(*resultObj, res).empty();
+    for (const auto &item : coveredArr->items()) {
+        // Every covered name must have its row, or a caller projecting
+        // onto covered names would ask the result for a missing filter.
+        ok = ok && item.isString() &&
+             std::find(res.filterNames.begin(), res.filterNames.end(),
+                       item.asString()) != res.filterNames.end();
+        if (ok)
+            cov.insert(item.asString());
+    }
+    if (!ok) {
         ::unlink(path.c_str());
         return false;
     }
 
-    // Hit: bump recency in the index.
-    json::Value index = loadIndexLocked();
-    std::vector<IndexRow> rows;
-    std::uint64_t seq = 0;
-    parseIndex(index, rows, seq);
-    ++seq;
-    bool found = false;
-    for (auto &row : rows) {
-        if (row.file == file) {
-            row.seq = seq;
-            found = true;
-        }
-    }
-    if (!found)
-        rows.push_back({file, fileBytes(path), seq});
-    storeIndexLocked(buildIndex(rows, seq));
-
+    stampRecent(path);
     result = std::move(res);
     covered = std::move(cov);
     return true;
 }
 
-void
+std::string
 DiskCache::publish(const std::string &key, const AppRunResult &result,
                    const std::set<std::string> &covered)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     const std::string file = entryFileFor(key);
     const std::string path = root_ + "/" + file;
 
@@ -258,42 +158,57 @@ DiskCache::publish(const std::string &key, const AppRunResult &result,
 
     const std::string why = json::writeFileErr(path, entry);
     if (!why.empty())
-        return;  // best effort: the tier just misses next time
+        return why;
+    // rename(2) keeps the temp file's (coarse) write time: restamp.
+    stampRecent(path);
+    evictOver(file);
+    return "";
+}
 
-    json::Value index = loadIndexLocked();
-    std::vector<IndexRow> rows;
-    std::uint64_t seq = 0;
-    parseIndex(index, rows, seq);
-    ++seq;
-    bool found = false;
-    for (auto &row : rows) {
-        if (row.file == file) {
-            row.seq = seq;
-            row.bytes = fileBytes(path);
-            found = true;
-        }
-    }
-    if (!found)
-        rows.push_back({file, fileBytes(path), seq});
-
-    // LRU eviction by byte budget; never evict the entry just published.
+void
+DiskCache::evictOver(const std::string &keep)
+{
+    struct Entry
+    {
+        struct timespec mtime;
+        std::string name;
+        std::uint64_t bytes;
+    };
+    std::vector<Entry> entries;
     std::uint64_t total = 0;
-    for (const auto &row : rows)
-        total += row.bytes;
-    std::sort(rows.begin(), rows.end(),
-              [](const IndexRow &a, const IndexRow &b) {
-                  return a.seq < b.seq;
-              });
-    std::vector<IndexRow> kept;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (total > budget_ && rows[i].file != file) {
-            ::unlink((root_ + "/" + rows[i].file).c_str());
-            total -= rows[i].bytes;
+    DIR *dir = ::opendir(root_.c_str());
+    if (!dir)
+        return;
+    while (const dirent *ent = ::readdir(dir)) {
+        const std::string name = ent->d_name;
+        struct stat st;
+        // A failed stat is an entry another publisher just evicted.
+        if (!isEntryFile(name) ||
+            ::fstatat(::dirfd(dir), ent->d_name, &st, 0) != 0)
             continue;
-        }
-        kept.push_back(rows[i]);
+        const auto bytes = static_cast<std::uint64_t>(st.st_size);
+        entries.push_back({st.st_mtim, name, bytes});
+        total += bytes;
     }
-    storeIndexLocked(buildIndex(kept, seq));
+    ::closedir(dir);
+    if (total <= budget_)
+        return;
+
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry &a, const Entry &b) {
+                  return std::tie(a.mtime.tv_sec, a.mtime.tv_nsec, a.name) <
+                         std::tie(b.mtime.tv_sec, b.mtime.tv_nsec, b.name);
+              });
+    for (const auto &e : entries) {
+        if (total <= budget_)
+            break;
+        if (e.name == keep)
+            continue;
+        // ENOENT means a concurrent publisher evicted it first; the
+        // bytes are gone either way.
+        ::unlink((root_ + "/" + e.name).c_str());
+        total -= e.bytes;
+    }
 }
 
 } // namespace jetty::experiments

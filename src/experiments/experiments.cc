@@ -276,6 +276,23 @@ project(const AppRunResult &full, const std::vector<std::string> &names)
     return out;
 }
 
+/** Append to @p into every filter row of @p from that it lacks. Exact
+ *  for two results of one key: filters are passive observers, so the
+ *  simulations agree on every row they share. */
+void
+foldFilterRows(AppRunResult &into, const AppRunResult &from)
+{
+    auto &names = into.filterNames;
+    for (std::size_t f = 0; f < from.filterNames.size(); ++f) {
+        if (std::find(names.begin(), names.end(), from.filterNames[f]) ==
+            names.end()) {
+            names.push_back(from.filterNames[f]);
+            into.filterStats.push_back(from.filterStats[f]);
+            into.filterCosts.push_back(from.filterCosts[f]);
+        }
+    }
+}
+
 } // namespace
 
 std::uint64_t
@@ -583,19 +600,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                         } else {
                             // Merge, never overwrite: tier 0 may hold
                             // filters the disk entry predates.
-                            auto &names = entry.result.filterNames;
-                            for (std::size_t f = 0;
-                                 f < dres.filterNames.size(); ++f) {
-                                const auto &name = dres.filterNames[f];
-                                if (std::find(names.begin(), names.end(),
-                                              name) == names.end()) {
-                                    names.push_back(name);
-                                    entry.result.filterStats.push_back(
-                                        dres.filterStats[f]);
-                                    entry.result.filterCosts.push_back(
-                                        dres.filterCosts[f]);
-                                }
-                            }
+                            foldFilterRows(entry.result, dres);
                             entry.covered.insert(dcov.begin(), dcov.end());
                         }
                         it = cache.entries.find(p.key);
@@ -677,17 +682,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
             // what keeps the projection below (and other threads')
             // lookups safe.
             CacheEntry &entry = cache.entries[key];
-            for (std::size_t f = 0; f < entry.result.filterNames.size();
-                 ++f) {
-                const auto &name = entry.result.filterNames[f];
-                if (std::find(merged.filterNames.begin(),
-                              merged.filterNames.end(),
-                              name) == merged.filterNames.end()) {
-                    merged.filterNames.push_back(name);
-                    merged.filterStats.push_back(entry.result.filterStats[f]);
-                    merged.filterCosts.push_back(entry.result.filterCosts[f]);
-                }
-            }
+            foldFilterRows(merged, entry.result);
             entry.result = std::move(merged);
             entry.covered.insert(entry.result.filterNames.begin(),
                                  entry.result.filterNames.end());

@@ -3,7 +3,8 @@
 # processes — one killed mid-shard — must complete the campaign, the
 # same ledger must resume it without re-simulating anything, and both
 # the resumed and the plain single-process Report must be byte-identical
-# to the distributed one. Run as:
+# to the distributed one. One directory given as both --ledger and
+# --cache-dir must resume the same way. Run as:
 #   cmake -DCLI=<jetty_cli> -DSPEC=<distributed.spec.json> -DWORK=<dir>
 #         -P dist_smoke.cmake
 foreach(var CLI SPEC WORK)
@@ -78,5 +79,23 @@ run_cli(direct sweep --spec ${SPEC} --cache-dir ${WORK}/cache
         --json ${WORK}/direct.json)
 expect_identical(${WORK}/dist.json ${WORK}/direct.json
                  "single-process Report")
+
+# ---- 4. one directory as both stores ----------------------------------
+# A ledger directory is a disk-cache root, so one directory can serve as
+# both: the workers' cache entries and the coordinator's journal share
+# it, and a resume with the cache off still finds every cell.
+run_cli(one sweep --spec ${SPEC} --workers 2
+        --ledger ${WORK}/one --cache-dir ${WORK}/one
+        --json ${WORK}/one.json)
+run_cli(one_resumed sweep --spec ${SPEC} --workers 2
+        --ledger ${WORK}/one --cache-dir off
+        --json ${WORK}/one_resumed.json)
+if(NOT one_resumed MATCHES "resumed 4")
+  message(FATAL_ERROR
+          "resume from a shared ledger/cache root re-dispatched "
+          "finished shards:\n${one_resumed}")
+endif()
+expect_identical(${WORK}/one.json ${WORK}/one_resumed.json
+                 "shared-root resumed Report")
 
 message(STATUS "distributed sweep smoke OK")

@@ -3,8 +3,10 @@
  * Tests for the RunCache's persistent tier (experiments/disk_cache.hh)
  * and its AppRunResult JSON payload (run_result_json.hh): lossless
  * round-trip, publish/lookup, the corrupt-entries-are-misses contract,
- * LRU eviction under a byte budget, cross-"process" reuse (tier 0
- * dropped via clear(), everything answered from disk), and a
+ * LRU eviction under a byte budget (recency kept in file mtimes, so it
+ * holds across DiskCache objects and across concurrent publishers on
+ * one root), a legacy index.json left alone, cross-"process" reuse
+ * (tier 0 dropped via clear(), everything answered from disk), and a
  * multi-threaded subset/superset stress over the shared cache.
  */
 
@@ -14,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -82,6 +85,34 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
+/** Bytes of @p result's published entry, measured from a real publish
+ *  (the envelope is pretty-printed, so the canonical text undercounts). */
+std::uint64_t
+entryBytes(const AppRunResult &result, const std::set<std::string> &covered)
+{
+    const std::string root = freshRoot("jetty_dc_probe");
+    DiskCache(root, experiments::kDefaultDiskBudgetBytes)
+        .publish("probe", result, covered);
+    struct stat st = {};
+    EXPECT_EQ(
+        ::stat((root + "/" + DiskCache::entryFileFor("probe")).c_str(), &st),
+        0);
+    return static_cast<std::uint64_t>(st.st_size);
+}
+
+/** Total bytes of the entry files (16 hex digits + ".json") in @p root. */
+std::uint64_t
+rootEntryBytes(const std::string &root)
+{
+    std::uint64_t total = 0;
+    for (const auto &ent : std::filesystem::directory_iterator(root)) {
+        const std::string name = ent.path().filename().string();
+        if (name.size() == 21 && name.substr(16) == ".json")
+            total += ent.file_size();
+    }
+    return total;
+}
+
 } // namespace
 
 TEST(RunResultJson, RoundTripIsLossless)
@@ -122,7 +153,7 @@ TEST(DiskCacheTest, PublishThenLookupRoundTrips)
 
     const AppRunResult result = sampleResult();
     const std::set<std::string> covered = {"EJ-16x2", "IJ-8x4x7"};
-    cache.publish("key-a", result, covered);
+    EXPECT_EQ(cache.publish("key-a", result, covered), "");
 
     AppRunResult got;
     std::set<std::string> gotCovered;
@@ -171,6 +202,12 @@ TEST(DiskCacheTest, CorruptEntriesAreEvictedMisses)
     EXPECT_FALSE(cache.lookup("key-a", got, covered));
     EXPECT_FALSE(fileExists(file));
 
+    // A covered name without its filter row: same contract, so no
+    // caller ever projects onto a row the result lacks.
+    cache.publish("key-a", result, {"EJ-16x2", "EJ-32x4"});
+    EXPECT_FALSE(cache.lookup("key-a", got, covered));
+    EXPECT_FALSE(fileExists(file));
+
     // Filename collision (embedded key differs): miss, but the foreign
     // entry is left in place — it is some other key's valid data.
     cache.publish("key-a", result, {"EJ-16x2"});
@@ -192,56 +229,90 @@ TEST(DiskCacheTest, LruEvictionHonorsRecencyAndBudget)
     const std::string root = freshRoot("jetty_dc_lru");
     const AppRunResult result = sampleResult();
     const std::set<std::string> covered = {"EJ-16x2"};
+    // Budget for roughly two entries. Every operation goes through its
+    // own DiskCache, as separate processes sharing the root would: the
+    // recency lives in the directory, not in any one object.
+    const std::uint64_t budget = entryBytes(result, covered) * 5 / 2;
+    const auto publish = [&](const std::string &key) {
+        EXPECT_EQ(DiskCache(root, budget).publish(key, result, covered),
+                  "");
+    };
+    const auto found = [&](const std::string &key) {
+        AppRunResult got;
+        std::set<std::string> gotCovered;
+        return DiskCache(root, budget).lookup(key, got, gotCovered);
+    };
 
-    // Budget sized for roughly two entries of this payload, measured
-    // from a real published entry (the envelope is pretty-printed, so
-    // the canonical text undercounts).
-    std::uint64_t entryBytes = 0;
-    {
-        DiskCache probe(root, experiments::kDefaultDiskBudgetBytes);
-        probe.publish("probe", result, covered);
-        struct stat st = {};
-        ASSERT_EQ(::stat((root + "/" + DiskCache::entryFileFor("probe"))
-                             .c_str(),
-                         &st),
-                  0);
-        entryBytes = static_cast<std::uint64_t>(st.st_size);
-    }
-    freshRoot("jetty_dc_lru");
-    DiskCache cache(root, entryBytes * 5 / 2);
-
-    cache.publish("key-1", result, covered);
-    cache.publish("key-2", result, covered);
+    publish("key-1");
+    publish("key-2");
 
     // Touch key-1 so key-2 becomes the least recently used...
-    AppRunResult got;
-    std::set<std::string> gotCovered;
-    ASSERT_TRUE(cache.lookup("key-1", got, gotCovered));
+    ASSERT_TRUE(found("key-1"));
 
     // ...then publishing key-3 must evict key-2, not key-1.
-    cache.publish("key-3", result, covered);
-    EXPECT_TRUE(cache.lookup("key-1", got, gotCovered));
-    EXPECT_FALSE(cache.lookup("key-2", got, gotCovered));
-    EXPECT_TRUE(cache.lookup("key-3", got, gotCovered));
+    publish("key-3");
+    EXPECT_TRUE(found("key-1"));
+    EXPECT_FALSE(found("key-2"));
+    EXPECT_TRUE(found("key-3"));
 }
 
-TEST(DiskCacheTest, RebuildsFromDirectoryScanWhenIndexIsCorrupt)
+TEST(DiskCacheTest, LegacyIndexFileIsNeitherReadNorEvicted)
 {
+    // A root written by a build that kept an index.json beside the
+    // entries: the file is garbage to this build, and larger than the
+    // whole budget. Lookups still answer, and eviction neither counts
+    // its bytes (which would evict live entries) nor unlinks it.
     const std::string root = freshRoot("jetty_dc_index");
     const AppRunResult result = sampleResult();
+    const std::set<std::string> covered = {"EJ-16x2"};
+    const std::uint64_t budget = entryBytes(result, covered) * 5 / 2;
+    DiskCache cache(root, budget);
+    ASSERT_EQ(cache.publish("key-a", result, covered), "");
+    const std::string index = root + "/index.json";
     {
-        DiskCache cache(root, experiments::kDefaultDiskBudgetBytes);
-        cache.publish("key-a", result, {"EJ-16x2"});
+        std::ofstream out(index, std::ios::binary | std::ios::trunc);
+        out << "{{{ not json" << std::string(budget * 2, ' ');
     }
-    {
-        std::ofstream out(root + "/index.json",
-                          std::ios::binary | std::ios::trunc);
-        out << "{{{ not json";
-    }
-    DiskCache cache(root, experiments::kDefaultDiskBudgetBytes);
+    const std::string legacy = slurp(index);
+
     AppRunResult got;
-    std::set<std::string> covered;
-    EXPECT_TRUE(cache.lookup("key-a", got, covered));
+    std::set<std::string> gotCovered;
+    EXPECT_TRUE(cache.lookup("key-a", got, gotCovered));
+    ASSERT_EQ(cache.publish("key-b", result, covered), "");
+    EXPECT_TRUE(cache.lookup("key-a", got, gotCovered));
+    EXPECT_TRUE(cache.lookup("key-b", got, gotCovered));
+    EXPECT_EQ(slurp(index), legacy);
+}
+
+TEST(DiskCacheTest, SharedRootKeepsItsBudget)
+{
+    // Four publishers on one root, each with its own DiskCache, as
+    // `sweep --workers 4` runs them. Whatever the interleaving, the
+    // next publish scans the directory itself and trims it to budget.
+    const std::string root = freshRoot("jetty_dc_shared");
+    const AppRunResult result = sampleResult();
+    const std::set<std::string> covered = {"EJ-16x2"};
+    const std::uint64_t budget = entryBytes(result, covered) * 20;
+
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t]() {
+            DiskCache cache(root, budget);
+            for (unsigned i = 0; i < 40; ++i) {
+                cache.publish("key-" + std::to_string(t) + "-" +
+                                  std::to_string(i),
+                              result, covered);
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    DiskCache(root, budget).publish("key-last", result, covered);
+    EXPECT_LE(rootEntryBytes(root), budget);
+    AppRunResult got;
+    std::set<std::string> gotCovered;
+    EXPECT_TRUE(DiskCache(root, budget).lookup("key-last", got, gotCovered));
 }
 
 TEST(RunCacheDiskTier, FreshProcessAnswersEntirelyFromDisk)

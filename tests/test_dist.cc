@@ -7,7 +7,8 @@
  * coordinator campaigns over thread workers produce Reports
  * byte-identical to the single-process sweep at any worker count —
  * including under an injected mid-shard worker death — and the resume
- * ledger replays finished cells losslessly.
+ * ledger replays finished cells losslessly, but only cells that cover
+ * the campaign's filters.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +49,7 @@ ignoreSigpipe()
 /** A four-cell sweep (2 apps x 2 bus counts), cheap enough to simulate
  *  in a unit test, resolved exactly as `jetty_cli sweep` would. */
 api::ExperimentSpec
-tinySweepSpec()
+tinySweepSpec(const std::string &filters = R"(["EJ-16x2"])")
 {
     std::string err;
     api::ExperimentSpec spec = api::ExperimentSpec::parse(
@@ -56,7 +57,8 @@ tinySweepSpec()
             "machine": {"procs": 4, "buses": 1, "subblocked": true},
             "workload": {"apps": ["lu", "ff"], "scale": 0.01},
             "sweep": {"buses": [1, 2]},
-            "filters": ["EJ-16x2"]})",
+            "filters": )" +
+            filters + "}",
         &err);
     EXPECT_EQ(err, "");
     EXPECT_EQ(service::resolveSpec(spec, "sweep"), "");
@@ -394,6 +396,30 @@ TEST(DistCampaign, LedgerResumeReplaysEveryCellLosslessly)
     EXPECT_EQ(second.resumed, 4u);
     EXPECT_EQ(second.simulated, 0u);
     EXPECT_EQ(second.report.dump(), first.report.dump());
+
+    // Campaign 3: same ledger, a filter list the journaled cells do not
+    // cover. Nothing may resume — a journaled cell lacks the new
+    // filter's row — so every cell is dispatched and simulated, and the
+    // Report matches the single-process sweep of the new spec.
+    const api::ExperimentSpec wider =
+        tinySweepSpec(R"(["EJ-16x2", "IJ-10x4x7"])");
+    experiments::RunCache::instance().clear();
+    dist::CampaignResult third;
+    {
+        ThreadWorker tw;
+        dist::CoordinatorConfig cfg;
+        cfg.ledgerDir = ledgerDir;
+        dist::Coordinator coordinator(cfg);
+        startThreadWorker(tw, dist::WorkerOptions());
+        coordinator.attachWorker(tw.endpoint);
+        ASSERT_EQ(coordinator.run(wider, third), "");
+        tw.thread.join();
+    }
+    EXPECT_EQ(third.resumed, 0u);
+    EXPECT_EQ(third.simulated, 4u);
+    service::ExecuteResult direct;
+    ASSERT_EQ(service::executeResolved(wider, "sweep", 1, direct), "");
+    EXPECT_EQ(third.report.dump(), direct.report.dump());
 
     std::filesystem::remove_all(ledgerDir);
     experiments::RunCache::instance().clear();

@@ -31,7 +31,10 @@
  *                     --workers N shards the campaign across N local
  *                     worker processes via the dist coordinator —
  *                     same Report bytes, plus work stealing, bounded
- *                     retry, and --ledger crash resume.
+ *                     retry, and --ledger crash resume. The ledger is
+ *                     a disk-cache root: a cell resumes only if it
+ *                     covers every --filters name, and DIR may also be
+ *                     the --cache-dir.
  *                     --kill-worker-after K is fault injection: the
  *                     first worker dies mid-shard after K requests)
  *   jetty_cli apps
@@ -504,7 +507,7 @@ printShardEvent(const dist::ShardEvent &ev)
  * single-process path (same service::buildReport, cells keyed by the
  * canonical runCacheKey); what changes is the execution fabric — work
  * stealing for stragglers, bounded retry on worker death, and an
- * optional on-disk resume ledger.
+ * optional on-disk resume ledger (a disk-cache root; see dist/ledger.hh).
  */
 int
 runDistributedSweep(const api::ExperimentSpec &spec,
