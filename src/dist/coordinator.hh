@@ -1,8 +1,8 @@
 /**
  * @file
  * The coordinator half of the distributed sweep subsystem: expand a
- * resolved sweep spec into one-cell shards, dispatch them to workers
- * over the shard envelope (dist/shard.hh), and merge the responses into
+ * resolved sweep spec into one-cell shards, send them to worker
+ * sessions as `shard` requests (dist/shard.hh), and merge the answers into
  * a Report byte-identical to what a single-process `sweep` of the same
  * spec would have written (service::buildReport is the shared
  * constructor, and every result cell is keyed by the canonical

@@ -3,6 +3,8 @@
 #include <utility>
 
 #include "experiments/run_result_json.hh"
+#include "service/executor.hh"
+#include "service/protocol.hh"
 
 namespace jetty::dist
 {
@@ -28,119 +30,29 @@ namespace
     X(memHits, u64)                                                          \
     X(wallSeconds, dbl)
 
-/** Validating field reader with dotted-path diagnostics: records the
- *  first failure and turns every later access into a no-op. */
-struct Reader
-{
-    std::string path;  //!< message name, e.g. "shard_response"
-    std::string err;
-
-    explicit Reader(std::string p) : path(std::move(p)) {}
-
-    bool ok() const { return err.empty(); }
-
-    void
-    fail(const std::string &field, const std::string &what)
-    {
-        if (err.empty())
-            err = path + "." + field + ": " + what;
-    }
-
-    const json::Value *
-    get(const json::Value &o, const char *key)
-    {
-        if (!err.empty())
-            return nullptr;
-        const json::Value *v = o.isObject() ? o.find(key) : nullptr;
-        if (!v)
-            fail(key, "missing field");
-        return v;
-    }
-
-    void
-    u64(const json::Value &o, const char *key, std::uint64_t &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isNumber() || !v->fitsU64()) {
-            fail(key, "not a u64");
-            return;
-        }
-        out = v->asU64();
-    }
-
-    void
-    dbl(const json::Value &o, const char *key, double &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isNumber()) {
-            fail(key, "not a number");
-            return;
-        }
-        out = v->asDouble();
-    }
-
-    void
-    boolean(const json::Value &o, const char *key, bool &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isBool()) {
-            fail(key, "not a bool");
-            return;
-        }
-        out = v->asBool();
-    }
-
-    void
-    str(const json::Value &o, const char *key, std::string &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isString()) {
-            fail(key, "not a string");
-            return;
-        }
-        out = v->asString();
-    }
-};
-
-/** Envelope preamble shared by every message type. @return "" or the
- *  dotted-path diagnostic. */
+/** The envelope check of a shard message: the protocol version under
+ *  @p versionKey and @p tag under @p tagKey ("verb" for the request,
+ *  "type" for a response). @return "" or the dotted-path diagnostic. */
 std::string
-checkEnvelope(const json::Value &v, const char *type)
+checkShardEnvelope(const json::Value &v, const char *path,
+                   const char *versionKey, const char *tagKey,
+                   const char *tag)
 {
-    const std::string path = type;
-    if (!v.isObject())
-        return path + ": not a JSON object";
-    const json::Value *ver = v.find("jetty_shard");
-    if (!ver || !ver->isNumber() || !ver->fitsU64())
-        return path + ".jetty_shard: missing version";
-    if (ver->asU64() != kShardVersion) {
-        return path + ".jetty_shard: version " +
-               std::to_string(ver->asU64()) +
-               " not supported (this build speaks " +
-               std::to_string(kShardVersion) + ")";
-    }
-    const json::Value *ty = v.find("type");
-    if (!ty || !ty->isString() || ty->asString() != type) {
-        return path + ".type: expected '" + std::string(type) + "', got " +
-               (ty && ty->isString() ? "'" + ty->asString() + "'"
-                                     : std::string("none"));
-    }
-    return "";
+    std::string got;
+    const std::string err =
+        service::readEnvelope(v, path, versionKey, tagKey, got);
+    if (!err.empty() || got == tag)
+        return err;
+    return std::string(path) + "." + tagKey + ": expected '" + tag +
+           "', got '" + got + "'";
 }
 
+/** A response line's envelope, tagged with its message @p type. */
 json::Value
-envelope(const char *type)
+responseEnvelope(const char *type)
 {
     json::Value v = json::Value::object();
-    v.set("jetty_shard", kShardVersion);
+    v.set("jetty_response", service::kProtocolVersion);
     v.set("type", type);
     return v;
 }
@@ -183,7 +95,9 @@ shardMessageType(const json::Value &v)
 json::Value
 shardRequestToJson(const ShardRequest &req)
 {
-    json::Value v = envelope("shard_request");
+    json::Value v = json::Value::object();
+    v.set("jetty_request", service::kProtocolVersion);
+    v.set("verb", "shard");
 #define X(f, kind) v.set(#f, req.f);
     JETTY_SHARD_REQUEST_FIELDS(X)
 #undef X
@@ -194,7 +108,8 @@ shardRequestToJson(const ShardRequest &req)
 json::Value
 shardStartedToJson(std::uint64_t shardId, std::uint64_t attempt)
 {
-    json::Value v = envelope("shard_started");
+    json::Value v = responseEnvelope("shard_started");
+    v.set("ok", true);
     v.set("shardId", shardId);
     v.set("attempt", attempt);
     return v;
@@ -203,7 +118,7 @@ shardStartedToJson(std::uint64_t shardId, std::uint64_t attempt)
 json::Value
 shardResponseToJson(const ShardResponse &resp)
 {
-    json::Value v = envelope("shard_response");
+    json::Value v = responseEnvelope("shard_response");
 #define X(f, kind) v.set(#f, resp.f);
     JETTY_SHARD_RESPONSE_FIELDS(X)
 #undef X
@@ -221,20 +136,19 @@ shardResponseToJson(const ShardResponse &resp)
 std::string
 shardRequestFromJson(const json::Value &v, ShardRequest &out)
 {
-    std::string err = checkEnvelope(v, "shard_request");
+    std::string err = checkShardEnvelope(v, "shard_request",
+                                         "jetty_request", "verb", "shard");
     if (!err.empty())
         return err;
-    Reader rd("shard_request");
+    json::FieldReader rd("shard_request");
     ShardRequest req;
 #define X(f, kind) rd.kind(v, #f, req.f);
     JETTY_SHARD_REQUEST_FIELDS(X)
 #undef X
-    const json::Value *spec = rd.get(v, "spec");
-    if (spec && !spec->isObject())
-        rd.fail("spec", "not an object");
+    if (const json::Value *spec = rd.obj(v, "spec"))
+        req.spec = *spec;
     if (!rd.ok())
-        return rd.err;
-    req.spec = *spec;
+        return rd.error();
     out = std::move(req);
     return "";
 }
@@ -242,39 +156,84 @@ shardRequestFromJson(const json::Value &v, ShardRequest &out)
 std::string
 shardResponseFromJson(const json::Value &v, ShardResponse &out)
 {
-    std::string err = checkEnvelope(v, "shard_response");
+    std::string err = checkShardEnvelope(v, "shard_response",
+                                         "jetty_response", "type",
+                                         "shard_response");
     if (!err.empty())
         return err;
-    Reader rd("shard_response");
+    json::FieldReader rd("shard_response");
     ShardResponse resp;
 #define X(f, kind) rd.kind(v, #f, resp.f);
     JETTY_SHARD_RESPONSE_FIELDS(X)
 #undef X
-    const json::Value *results = rd.get(v, "results");
-    if (results && !results->isArray())
-        rd.fail("results", "not an array");
+    const json::Value *results = rd.arr(v, "results");
     if (!rd.ok())
-        return rd.err;
+        return rd.error();
     for (std::size_t i = 0; i < results->items().size(); ++i) {
         const json::Value &item = results->items()[i];
-        const std::string at = "results[" + std::to_string(i) + "]";
-        if (!item.isObject())
-            return "shard_response." + at + ": not an object";
+        const std::string at =
+            "shard_response.results[" + std::to_string(i) + "]";
+        json::FieldReader cellRd(at);
         ShardCell cell;
-        const json::Value *key = item.find("key");
-        if (!key || !key->isString())
-            return "shard_response." + at + ".key: not a string";
-        cell.key = key->asString();
-        const json::Value *result = item.find("result");
-        if (!result)
-            return "shard_response." + at + ".result: missing field";
-        err = experiments::runResultFromJson(*result, cell.result);
+        cellRd.str(item, "key", cell.key);
+        const json::Value *result = cellRd.get(item, "result");
+        if (!cellRd.ok())
+            return cellRd.error();
+        err = experiments::runResultFromJson(*result, cell.result,
+                                             at + ".result");
         if (!err.empty())
-            return "shard_response." + at + ".result: " + err;
+            return err;
         resp.results.push_back(std::move(cell));
     }
     out = std::move(resp);
     return "";
+}
+
+ShardResponse
+executeShard(const ShardRequest &req, unsigned jobs)
+{
+    ShardResponse resp;
+    resp.shardId = req.shardId;
+    resp.attempt = req.attempt;
+
+    // Every shard spec is a one-cell sweep; resolving it under the
+    // sweep verb validates it through the same schema round-trip the
+    // coordinator's own spec went through.
+    std::string err;
+    api::ExperimentSpec spec = api::ExperimentSpec::fromJson(req.spec, &err);
+    if (err.empty())
+        err = service::resolveSpec(spec, "sweep");
+    service::ExecuteResult run;
+    if (err.empty())
+        err = service::runResolved(spec, "sweep", jobs, run);
+    if (!err.empty()) {
+        resp.error = "shard_request.spec: " + err;
+        return resp;
+    }
+
+    // The coordinator derived the key from ITS expansion of the same
+    // spec text; a mismatch means the two processes disagree on the
+    // canonical identity of the cell and merging would be unsound. (An
+    // empty shard is legal: it answers ok with no result cells.)
+    std::vector<std::string> keys;
+    for (const auto &r : run.requests)
+        keys.push_back(cellCacheKey(r));
+    if (keys.size() == 1 && !req.cacheKey.empty() &&
+        keys[0] != req.cacheKey) {
+        resp.error = "shard_request.cacheKey: coordinator and worker "
+                     "disagree on the canonical cell key (coordinator '" +
+                     req.cacheKey + "', worker '" + keys[0] +
+                     "') — cross-process determinism violation";
+        return resp;
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        resp.results.push_back({keys[i], std::move(run.runs[i])});
+    resp.simulated = run.simulated;
+    resp.diskHits = run.diskHits;
+    resp.memHits = run.memHits;
+    resp.wallSeconds = run.sweepSeconds;
+    resp.ok = true;
+    return resp;
 }
 
 } // namespace jetty::dist

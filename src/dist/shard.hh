@@ -1,17 +1,17 @@
 /**
  * @file
- * Wire envelope of the distributed sweep subsystem: the versioned
- * shard_request / shard_started / shard_response messages a coordinator
- * exchanges with its workers over any newline-delimited JSON stream
- * (service/protocol.hh framing — locally a pipe pair to a forked
- * `jetty_cli worker`, but nothing here assumes a transport).
+ * The distributed sweep's unit of work: one sweep cell as a "shard"
+ * request of the one wire protocol (service/protocol.hh), and its
+ * execution. A coordinator sends it to any session — the stdin of a
+ * forked `jetty_cli worker`, or a `jetty_cli serve` socket — and
+ * service::serveSession answers with two response lines.
  *
- *   request:  {"jetty_shard": 1, "type": "shard_request",
+ *   request:  {"jetty_request": 1, "verb": "shard",
  *              "shardId": N, "attempt": N, "cacheKey": "...",
  *              "spec": {...standalone ExperimentSpec...}}
- *   started:  {"jetty_shard": 1, "type": "shard_started",
+ *   started:  {"jetty_response": 1, "type": "shard_started", "ok": true,
  *              "shardId": N, "attempt": N}
- *   response: {"jetty_shard": 1, "type": "shard_response",
+ *   response: {"jetty_response": 1, "type": "shard_response",
  *              "shardId": N, "attempt": N, "ok": true/false,
  *              "error": "...", "simulated": N, "diskHits": N,
  *              "memHits": N, "wallSeconds": S,
@@ -24,10 +24,10 @@
  * cross-process determinism violation instead of silently merging the
  * wrong cell.
  *
- * Readers are validating (run_result_json.cc pattern) and report the
- * first failure with a dotted path ("shard_response.jetty_shard:
- * version 2 not supported ..."), so a schema-version mismatch or a
- * malformed field names exactly where the wire and this build disagree.
+ * Readers are validating (json::FieldReader) and report the first
+ * failure with a dotted path ("shard_response.jetty_response: version
+ * 2 not supported ..."), so a protocol-version mismatch or a malformed
+ * field names exactly where the wire and this build disagree.
  */
 
 #ifndef JETTY_DIST_SHARD_HH
@@ -43,11 +43,6 @@
 
 namespace jetty::dist
 {
-
-/** Shard envelope version; both directions check it and reject what
- *  they do not speak (the payload spec/results carry their own schema
- *  versions, so this only guards the shard framing). */
-constexpr std::uint64_t kShardVersion = 1;
 
 /** One unit of distributable work: a standalone one-cell spec. */
 struct ShardRequest
@@ -96,7 +91,7 @@ api::ExperimentSpec shardSpec(const api::ExperimentSpec &sweep,
                               const std::vector<std::string> &canonicalFilters,
                               const experiments::RunRequest &req);
 
-/** The "type" discriminator of a parsed shard line ("" when absent). */
+/** The "type" tag of a parsed response line ("" when absent). */
 std::string shardMessageType(const json::Value &v);
 
 json::Value shardRequestToJson(const ShardRequest &req);
@@ -108,6 +103,14 @@ json::Value shardResponseToJson(const ShardResponse &resp);
  *  assigned on success. */
 std::string shardRequestFromJson(const json::Value &v, ShardRequest &out);
 std::string shardResponseFromJson(const json::Value &v, ShardResponse &out);
+
+/** Execute one shard through the shared RunCache: the shard spec is
+ *  resolved and run exactly like a single-process sweep cell
+ *  (service::runResolved), so its AppRunResults are value-identical to
+ *  what the coordinator's own process would have computed. Failures —
+ *  including a cell key that disagrees with the coordinator's — are
+ *  returned as an ok=false response, never raised. */
+ShardResponse executeShard(const ShardRequest &req, unsigned jobs);
 
 } // namespace jetty::dist
 

@@ -67,125 +67,6 @@ namespace
     X(readXs)                                                                \
     X(upgrades)
 
-/** Validating field reader: records the first failure and turns every
- *  later access into a no-op, so call sites stay linear. */
-struct Reader
-{
-    std::string err;
-
-    bool ok() const { return err.empty(); }
-
-    void
-    fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what;
-    }
-
-    const json::Value *
-    get(const json::Value &o, const char *key)
-    {
-        if (!err.empty())
-            return nullptr;
-        const json::Value *v = o.isObject() ? o.find(key) : nullptr;
-        if (!v)
-            fail("missing field '" + std::string(key) + "'");
-        return v;
-    }
-
-    void
-    u64(const json::Value &o, const char *key, std::uint64_t &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isNumber() || !v->fitsU64()) {
-            fail("field '" + std::string(key) + "' is not a u64");
-            return;
-        }
-        out = v->asU64();
-    }
-
-    void
-    dbl(const json::Value &o, const char *key, double &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isNumber()) {
-            fail("field '" + std::string(key) + "' is not a number");
-            return;
-        }
-        out = v->asDouble();
-    }
-
-    void
-    boolean(const json::Value &o, const char *key, bool &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isBool()) {
-            fail("field '" + std::string(key) + "' is not a bool");
-            return;
-        }
-        out = v->asBool();
-    }
-
-    void
-    str(const json::Value &o, const char *key, std::string &out)
-    {
-        const json::Value *v = get(o, key);
-        if (!v)
-            return;
-        if (!v->isString()) {
-            fail("field '" + std::string(key) + "' is not a string");
-            return;
-        }
-        out = v->asString();
-    }
-
-    const json::Value *
-    arr(const json::Value &o, const char *key)
-    {
-        const json::Value *v = get(o, key);
-        if (v && !v->isArray()) {
-            fail("field '" + std::string(key) + "' is not an array");
-            return nullptr;
-        }
-        return v;
-    }
-
-    const json::Value *
-    obj(const json::Value &o, const char *key)
-    {
-        const json::Value *v = get(o, key);
-        if (v && !v->isObject()) {
-            fail("field '" + std::string(key) + "' is not an object");
-            return nullptr;
-        }
-        return v;
-    }
-
-    void
-    u64Vector(const json::Value &o, const char *key,
-              std::vector<std::uint64_t> &out)
-    {
-        const json::Value *v = arr(o, key);
-        if (!v)
-            return;
-        out.clear();
-        for (const auto &item : v->items()) {
-            if (!item.isNumber() || !item.fitsU64()) {
-                fail("array '" + std::string(key) +
-                     "' holds a non-u64 element");
-                return;
-            }
-            out.push_back(item.asU64());
-        }
-    }
-};
-
 json::Value
 trafficToJson(const energy::L2Traffic &t)
 {
@@ -197,7 +78,8 @@ trafficToJson(const energy::L2Traffic &t)
 }
 
 void
-trafficFromJson(Reader &rd, const json::Value &v, energy::L2Traffic &t)
+trafficFromJson(json::FieldReader &rd, const json::Value &v,
+                energy::L2Traffic &t)
 {
 #define X(f) rd.u64(v, #f, t.f);
     JETTY_L2_TRAFFIC_FIELDS(X)
@@ -216,7 +98,8 @@ procToJson(const sim::ProcStats &p)
 }
 
 void
-procFromJson(Reader &rd, const json::Value &v, sim::ProcStats &p)
+procFromJson(json::FieldReader &rd, const json::Value &v,
+             sim::ProcStats &p)
 {
 #define X(f) rd.u64(v, #f, p.f);
     JETTY_PROC_STAT_FIELDS(X)
@@ -262,7 +145,8 @@ statsToJson(const sim::SimStats &s)
 }
 
 void
-statsFromJson(Reader &rd, const json::Value &v, sim::SimStats &out)
+statsFromJson(json::FieldReader &rd, const json::Value &v,
+              sim::SimStats &out)
 {
     const json::Value *procs = rd.arr(v, "procs");
     if (!procs)
@@ -333,11 +217,12 @@ runResultToJson(const AppRunResult &result)
 }
 
 std::string
-runResultFromJson(const json::Value &v, AppRunResult &out)
+runResultFromJson(const json::Value &v, AppRunResult &out,
+                  const std::string &path)
 {
-    Reader rd;
     if (!v.isObject())
-        return "result is not an object";
+        return path + ": not an object";
+    json::FieldReader rd(path);
 
     AppRunResult res;
     rd.str(v, "appName", res.appName);
@@ -376,7 +261,7 @@ runResultFromJson(const json::Value &v, AppRunResult &out)
         trafficFromJson(rd, *traffic, res.traffic);
 
     if (!rd.ok())
-        return rd.err;
+        return rd.error();
     out = std::move(res);
     return "";
 }

@@ -28,11 +28,12 @@ namespace jetty::experiments
 json::Value runResultToJson(const AppRunResult &result);
 
 /**
- * Rebuild @p out from @p v.
- * @return "" on success; otherwise a description of the first missing
- *         or ill-typed field, with @p out unspecified.
+ * Rebuild @p out from @p v, the document at dotted @p path.
+ * @return "" on success; otherwise the first missing or ill-typed
+ *         field ("<path>.<field>: <what>"), with @p out unchanged.
  */
-std::string runResultFromJson(const json::Value &v, AppRunResult &out);
+std::string runResultFromJson(const json::Value &v, AppRunResult &out,
+                              const std::string &path = "result");
 
 } // namespace jetty::experiments
 

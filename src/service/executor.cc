@@ -241,14 +241,13 @@ buildReport(const api::ExperimentSpec &spec, const std::string &kind,
 }
 
 std::string
-executeResolved(const api::ExperimentSpec &spec, const std::string &kind,
-                unsigned jobs, ExecuteResult &out)
+runResolved(const api::ExperimentSpec &spec, const std::string &kind,
+            unsigned jobs, ExecuteResult &out)
 {
     using Clock = std::chrono::steady_clock;
 
     out = ExecuteResult();
     out.kind = kind;
-    out.spec = spec;
 
     const experiments::SystemVariant variant = spec.machine.toVariant();
     out.filterNames = canonicalFilterNames(spec);
@@ -289,10 +288,18 @@ executeResolved(const api::ExperimentSpec &spec, const std::string &kind,
     out.simulated = cache.simulations() - sims0;
     out.diskHits = cache.diskHits() - disk0;
     out.memHits = cache.hits() - hits0 - out.diskHits;
-
-    out.report = buildReport(spec, kind, out.filterNames, out.requests,
-                             out.runs);
     return "";
+}
+
+std::string
+executeResolved(const api::ExperimentSpec &spec, const std::string &kind,
+                unsigned jobs, ExecuteResult &out)
+{
+    const std::string err = runResolved(spec, kind, jobs, out);
+    if (err.empty())
+        out.report = buildReport(spec, kind, out.filterNames, out.requests,
+                                 out.runs);
+    return err;
 }
 
 std::string

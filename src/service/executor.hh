@@ -6,11 +6,14 @@
  *
  * Both front ends hand a loaded ExperimentSpec to resolveSpec() (fill
  * the verb's defaults, validate through the spec's own schema, check
- * variant compatibility) and then executeResolved() (expand to
- * RunRequests, answer them through the shared two-tier RunCache, build
- * the api::Report tree). Because the report tree is built once, here, a
- * report served over the wire is bit-identical to the file the direct
- * CLI invocation would have written for the same spec.
+ * variant compatibility) and then executeResolved(): runResolved()
+ * expands it to RunRequests and answers them through the shared
+ * two-tier RunCache, and buildReport() assembles the api::Report tree.
+ * A distributed worker's shard (dist::executeShard) is runResolved()
+ * alone — the coordinator builds the one report from the merged cells.
+ * Because the report tree is built once, here, a report served over
+ * the wire or merged from workers is bit-identical to the file the
+ * direct CLI invocation would have written for the same spec.
  *
  * Everything reports failure as a returned string instead of fatal():
  * the CLI turns it into its usual fatal() diagnostic, the server into
@@ -64,7 +67,6 @@ std::string resolveSpec(api::ExperimentSpec &spec, const std::string &kind);
 struct ExecuteResult
 {
     std::string kind;
-    api::ExperimentSpec spec;  //!< as executed (resolved)
 
     /** Canonical filter names, report column order. */
     std::vector<std::string> filterNames;
@@ -73,7 +75,8 @@ struct ExecuteResult
     std::vector<experiments::RunRequest> requests;
     std::vector<experiments::AppRunResult> runs;
 
-    /** The full api::Report tree ("run"/"sweep"/"replay" schema). */
+    /** The full api::Report tree ("run"/"sweep"/"replay" schema);
+     *  null after runResolved() alone. */
     json::Value report;
 
     /** RunCache counter deltas over this execution. */
@@ -86,11 +89,17 @@ struct ExecuteResult
 };
 
 /**
- * Execute a spec already resolved for @p kind through the shared
- * RunCache, filling @p out.
+ * Answer a spec already resolved for @p kind through the shared
+ * RunCache: expand it to RunRequests and run them, filling @p out
+ * except for its report (the distributed worker's whole job).
  * @param jobs SweepRunner worker override (0 = shared default pool).
  * @return "" on success, else the diagnostic (@p out unspecified).
  */
+std::string runResolved(const api::ExperimentSpec &spec,
+                        const std::string &kind, unsigned jobs,
+                        ExecuteResult &out);
+
+/** runResolved() followed by buildReport() into @p out.report. */
 std::string executeResolved(const api::ExperimentSpec &spec,
                             const std::string &kind, unsigned jobs,
                             ExecuteResult &out);

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -22,9 +23,11 @@ errnoString()
     return std::strerror(errno);
 }
 
-/** Fill a sockaddr_un; unix socket paths are limited to ~107 bytes. */
-bool
-fillAddr(const std::string &path, sockaddr_un &addr, std::string *err)
+/** A unix stream socket and its address for @p path (unix socket
+ *  paths are limited to ~107 bytes). @return the fd, or -1 with @p err
+ *  set. */
+int
+unixSocket(const std::string &path, sockaddr_un &addr, std::string *err)
 {
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
@@ -33,10 +36,23 @@ fillAddr(const std::string &path, sockaddr_un &addr, std::string *err)
             *err = "socket path too long (" + std::to_string(path.size()) +
                    " bytes, max " +
                    std::to_string(sizeof(addr.sun_path) - 1) + "): " + path;
-        return false;
+        return -1;
     }
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    return true;
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0 && err)
+        *err = "socket: " + errnoString();
+    return fd;
+}
+
+/** Close @p fd after @p call failed on it. @return -1. */
+int
+closeFailed(int fd, const std::string &call, std::string *err)
+{
+    if (err)
+        *err = call + ": " + errnoString();
+    ::close(fd);
+    return -1;
 }
 
 } // namespace
@@ -45,30 +61,17 @@ int
 listenUnix(const std::string &path, std::string *err)
 {
     sockaddr_un addr;
-    if (!fillAddr(path, addr, err))
+    const int fd = unixSocket(path, addr, err);
+    if (fd < 0)
         return -1;
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (err)
-            *err = "socket: " + errnoString();
-        return -1;
-    }
     // A previous daemon's socket file blocks bind(); it is only a
     // rendezvous point, so replacing it is always right.
     ::unlink(path.c_str());
     if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        if (err)
-            *err = "bind " + path + ": " + errnoString();
-        ::close(fd);
-        return -1;
-    }
-    if (::listen(fd, 64) != 0) {
-        if (err)
-            *err = "listen " + path + ": " + errnoString();
-        ::close(fd);
-        return -1;
-    }
+               sizeof(addr)) != 0)
+        return closeFailed(fd, "bind " + path, err);
+    if (::listen(fd, 64) != 0)
+        return closeFailed(fd, "listen " + path, err);
     return fd;
 }
 
@@ -76,21 +79,10 @@ int
 connectUnix(const std::string &path, std::string *err)
 {
     sockaddr_un addr;
-    if (!fillAddr(path, addr, err))
-        return -1;
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (err)
-            *err = "socket: " + errnoString();
-        return -1;
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        if (err)
-            *err = "connect " + path + ": " + errnoString();
-        ::close(fd);
-        return -1;
-    }
+    const int fd = unixSocket(path, addr, err);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                             sizeof(addr)) != 0)
+        return closeFailed(fd, "connect " + path, err);
     return fd;
 }
 
@@ -147,19 +139,16 @@ LineReader::takeBuffered(std::string &line, std::string *err)
 }
 
 int
-LineReader::readLine(std::string &line, std::string *err)
+LineReader::fill(std::string *err)
 {
+    char chunk[64 * 1024];
     for (;;) {
-        const int buffered = takeBuffered(line, err);
-        if (buffered != 0)
-            return buffered;
-        char chunk[64 * 1024];
         // read(), not recv(): the reader also serves non-socket
-        // transports (worker pipes).
+        // transports (a worker's stdin).
         const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n < 0) {
-            if (errno == EINTR)
-                continue;
             if (err)
                 *err = "read: " + errnoString();
             return -1;
@@ -172,6 +161,7 @@ LineReader::readLine(std::string &line, std::string *err)
             return -1;
         }
         buf_.append(chunk, static_cast<std::size_t>(n));
+        return 1;
     }
 }
 
@@ -180,20 +170,22 @@ LineReader::readLineTimeout(std::string &line, int timeoutMs,
                             std::string *err)
 {
     using Clock = std::chrono::steady_clock;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(
-                                             timeoutMs < 0 ? 0 : timeoutMs);
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(std::max(timeoutMs, 0));
     for (;;) {
         const int buffered = takeBuffered(line, err);
         if (buffered != 0)
             return buffered;
-        const auto left = std::chrono::duration_cast<
-                              std::chrono::milliseconds>(deadline -
-                                                         Clock::now())
-                              .count();
-        if (left <= 0)
-            return kReadTimedOut;
+        long wait = -1;  // poll() without a deadline
+        if (timeoutMs >= 0) {
+            wait = std::chrono::duration_cast<std::chrono::milliseconds>(
+                       deadline - Clock::now())
+                       .count();
+            if (wait <= 0)
+                return kReadTimedOut;
+        }
         struct pollfd pfd = {fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, static_cast<int>(left));
+        const int ready = ::poll(&pfd, 1, static_cast<int>(wait));
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -203,36 +195,28 @@ LineReader::readLineTimeout(std::string &line, int timeoutMs,
         }
         if (ready == 0)
             return kReadTimedOut;
-        char chunk[64 * 1024];
-        // read(), not recv(): the reader also serves non-socket
-        // transports (worker pipes).
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = "read: " + errnoString();
-            return -1;
-        }
-        if (n == 0) {
-            if (buf_.empty())
-                return 0;
-            if (err)
-                *err = "connection closed mid-line";
-            return -1;
-        }
-        buf_.append(chunk, static_cast<std::size_t>(n));
+        const int got = fill(err);
+        if (got <= 0)
+            return got;
     }
 }
 
-json::Value
-makeRunRequest(json::Value spec)
+std::string
+readEnvelope(const json::Value &msg, const std::string &path,
+             const char *versionKey, const char *tagKey, std::string &tag)
 {
-    json::Value req = json::Value::object();
-    req.set("jetty_request", kProtocolVersion);
-    req.set("verb", "run");
-    req.set("spec", std::move(spec));
-    return req;
+    if (!msg.isObject())
+        return path + ": not a JSON object";
+    json::FieldReader rd(path);
+    std::uint64_t version = 0;
+    rd.u64(msg, versionKey, version);
+    if (rd.ok() && version != kProtocolVersion) {
+        rd.fail(versionKey, "version " + std::to_string(version) +
+                                " not supported (this build speaks " +
+                                std::to_string(kProtocolVersion) + ")");
+    }
+    rd.str(msg, tagKey, tag);
+    return rd.error();
 }
 
 json::Value
@@ -241,6 +225,14 @@ makeRequest(const std::string &verb)
     json::Value req = json::Value::object();
     req.set("jetty_request", kProtocolVersion);
     req.set("verb", verb);
+    return req;
+}
+
+json::Value
+makeRunRequest(json::Value spec)
+{
+    json::Value req = makeRequest("run");
+    req.set("spec", std::move(spec));
     return req;
 }
 

@@ -1,13 +1,21 @@
 /**
  * @file
- * Wire protocol of the experiment service (`jetty_cli serve`): unix
- * stream sockets carrying newline-delimited compact JSON, one value per
- * line in each direction.
+ * The one wire protocol: newline-delimited compact JSON, one value per
+ * line in each direction, over any stream — a unix socket to `jetty_cli
+ * serve`, or the stdin/stdout of a `jetty_cli worker` the distributed
+ * coordinator forked. Both ends run the same session loop
+ * (service::serveSession, server.hh), so they answer the same verbs.
  *
- * Request:  {"jetty_request": 1, "verb": "run|ping|stats|shutdown",
- *            "spec": {...}}              (spec only for "run")
+ * Request:  {"jetty_request": 1,
+ *            "verb": "run|shard|ping|stats|shutdown", ...}
+ *              run:   "spec": {...}
+ *              shard: the shard fields of dist/shard.hh
  * Response: {"jetty_response": 1, "ok": true, ...}
  *        or {"jetty_response": 1, "ok": false, "error": "..."}
+ *
+ * Every verb answers one response line, except "shard", which answers
+ * two, tagged "type": "shard_started" (sent before the shard runs),
+ * then "shard_response".
  *
  * Values are framed with json::Value::dumpCompact() — no interior
  * newlines, insertion order preserved — so parse(line) on the far side
@@ -15,11 +23,11 @@
  * still dump()s to the exact bytes the producing process would have
  * written (the serve/submit bit-identity contract).
  *
- * Versioning: kProtocolVersion is echoed in both directions; a server
- * answering a request with a version it does not speak responds
- * ok=false naming both versions. The payload spec/report carry their
- * own schema versions (jetty_spec / jetty_report), so the protocol
- * version only guards the framing.
+ * Versioning: kProtocolVersion is echoed in both directions and checked
+ * by readEnvelope(); a message with a version this build does not
+ * speak is answered ok=false naming both versions. The payload
+ * spec/report/results carry their own schema versions (jetty_spec /
+ * jetty_report), so the protocol version only guards the framing.
  */
 
 #ifndef JETTY_SERVICE_PROTOCOL_HH
@@ -66,15 +74,19 @@ class LineReader
   public:
     explicit LineReader(int fd) : fd_(fd) {}
 
-    /** Read one line (without the newline) into @p line.
-     *  @return 1 on a line, 0 on clean EOF, -1 with @p err set. */
-    int readLine(std::string &line, std::string *err);
-
-    /** As readLine(), but waits at most @p timeoutMs for the line to
-     *  complete (buffered data is served without waiting). @return as
-     *  readLine(), or kReadTimedOut when the deadline passed — partial
-     *  data stays buffered, so retrying is always safe. */
+    /** Read one line (without the newline) into @p line, waiting at
+     *  most @p timeoutMs (< 0: no limit) for it to complete; buffered
+     *  data is served without waiting.
+     *  @return 1 on a line, 0 on clean EOF, -1 with @p err set, or
+     *  kReadTimedOut when the deadline passed — partial data stays
+     *  buffered, so retrying is always safe. */
     int readLineTimeout(std::string &line, int timeoutMs, std::string *err);
+
+    /** readLineTimeout() without a deadline. */
+    int readLine(std::string &line, std::string *err)
+    {
+        return readLineTimeout(line, -1, err);
+    }
 
     /** A complete line is already buffered: readLine() would return
      *  without touching the fd. Poll-driven callers MUST check this
@@ -86,6 +98,10 @@ class LineReader
     }
 
   private:
+    /** Append one read() of the fd to the buffer. @return 1 on data,
+     *  0 on clean EOF, -1 with @p err set (EOF mid-line included). */
+    int fill(std::string *err);
+
     /** Pop a buffered line if one is complete; enforce kMaxLineBytes.
      *  @return 1 (line), -1 (too long), 0 (need more data). */
     int takeBuffered(std::string &line, std::string *err);
@@ -93,6 +109,14 @@ class LineReader
     int fd_;
     std::string buf_;
 };
+
+/** Read the envelope of a parsed message: an object whose
+ *  @p versionKey ("jetty_request" / "jetty_response") is
+ *  kProtocolVersion and whose @p tagKey ("verb" / "type") is a string,
+ *  stored in @p tag. @return "" or "<path>.<field>: <what>". */
+std::string readEnvelope(const json::Value &msg, const std::string &path,
+                         const char *versionKey, const char *tagKey,
+                         std::string &tag);
 
 /** Build the envelope of a "run" request around @p spec. */
 json::Value makeRunRequest(json::Value spec);

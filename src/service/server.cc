@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "api/experiment_spec.hh"
+#include "dist/shard.hh"
 #include "service/executor.hh"
 #include "service/protocol.hh"
 #include "util/logging.hh"
@@ -18,35 +19,26 @@ namespace jetty::service
 namespace
 {
 
-/** Answer one parsed request; never throws, never fatal()s on bad
- *  input — the response carries the failure instead. */
+/** Answer one parsed single-response request; never throws, never
+ *  fatal()s on bad input — the response carries the failure instead. */
 json::Value
 handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
 {
-    if (!req.isObject())
-        return makeErrorResponse("request is not a JSON object");
-    const json::Value *ver = req.find("jetty_request");
-    if (!ver || !ver->isNumber() || !ver->fitsU64())
-        return makeErrorResponse("missing jetty_request version");
-    if (ver->asU64() != kProtocolVersion) {
-        return makeErrorResponse(
-            "protocol version " + std::to_string(ver->asU64()) +
-            " not supported (this server speaks " +
-            std::to_string(kProtocolVersion) + ")");
-    }
-    const json::Value *verb = req.find("verb");
-    if (!verb || !verb->isString())
-        return makeErrorResponse("missing verb");
+    std::string verb;
+    std::string err =
+        readEnvelope(req, "request", "jetty_request", "verb", verb);
+    if (!err.empty())
+        return makeErrorResponse(err);
 
     json::Value resp = json::Value::object();
     resp.set("jetty_response", kProtocolVersion);
 
-    if (verb->asString() == "ping") {
+    if (verb == "ping") {
         resp.set("ok", true);
         resp.set("pong", true);
         return resp;
     }
-    if (verb->asString() == "stats") {
+    if (verb == "stats") {
         auto &cache = experiments::RunCache::instance();
         resp.set("ok", true);
         resp.set("simulations", cache.simulations());
@@ -55,21 +47,19 @@ handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
         resp.set("disk_root", cache.diskRoot());
         return resp;
     }
-    if (verb->asString() == "shutdown") {
+    if (verb == "shutdown") {
         shutdown = true;
         resp.set("ok", true);
         resp.set("stopping", true);
         return resp;
     }
-    if (verb->asString() != "run") {
-        return makeErrorResponse("unknown verb '" + verb->asString() +
+    if (verb != "run")
+        return makeErrorResponse("request.verb: unknown verb '" + verb +
                                  "'");
-    }
 
     const json::Value *specNode = req.find("spec");
     if (!specNode)
-        return makeErrorResponse("run request carries no spec");
-    std::string err;
+        return makeErrorResponse("request.spec: missing field");
     api::ExperimentSpec spec = api::ExperimentSpec::fromJson(*specNode,
                                                             &err);
     if (!err.empty())
@@ -89,7 +79,90 @@ handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
     return resp;
 }
 
+/** serveShard() result: the session goes on. */
+constexpr int kKeepServing = -1;
+
+/** The "shard" verb: shard_started, then the shard_response. A request
+ *  that does not read (wrong version, malformed field) is answered by
+ *  an ok=false shard_response carrying its best-effort id, so the
+ *  coordinator decides whether to retry or abort.
+ *  @return kKeepServing, or serveSession()'s exit code. */
+int
+serveShard(const json::Value &req, unsigned jobs, int outFd,
+           std::uint64_t received, const SessionFault &fault)
+{
+    std::string err;
+    dist::ShardRequest shard;
+    dist::ShardResponse resp;
+    resp.error = dist::shardRequestFromJson(req, shard);
+    if (resp.error.empty()) {
+        if (!sendValue(outFd,
+                       dist::shardStartedToJson(shard.shardId,
+                                                shard.attempt),
+                       &err))
+            return 1;
+        if (fault && fault(received))
+            return 2;
+        resp = dist::executeShard(shard, jobs);
+    } else {
+        const auto id = [&req](const char *key) {
+            const json::Value *v = req.find(key);
+            return v && v->fitsU64() ? v->asU64() : 0;
+        };
+        resp.shardId = id("shardId");
+        resp.attempt = id("attempt");
+    }
+    return sendValue(outFd, dist::shardResponseToJson(resp), &err)
+               ? kKeepServing
+               : 1;
+}
+
 } // namespace
+
+int
+serveSession(int inFd, int outFd, unsigned jobs, std::atomic<bool> &stop,
+             const SessionFault &fault)
+{
+    LineReader reader(inFd);
+    std::string line;
+    std::string err;
+    std::uint64_t received = 0;
+    for (;;) {
+        // A bounded read keeps an idle (or wedged) peer from pinning
+        // the session open across a stop request: a request already
+        // being executed always finishes and gets its response, but
+        // between requests the stop flag wins.
+        const int got = reader.readLineTimeout(line, 200, &err);
+        if (got == kReadTimedOut) {
+            if (stop.load())
+                return 0;
+            continue;
+        }
+        if (got <= 0)
+            return got == 0 ? 0 : 1;  // EOF, or a framing error
+        ++received;
+
+        const json::Value req = json::parse(line, &err);
+        const json::Value *verb = req.find("verb");
+        if (err.empty() && verb && verb->isString() &&
+            verb->asString() == "shard") {
+            const int rc = serveShard(req, jobs, outFd, received, fault);
+            if (rc != kKeepServing)
+                return rc;
+            continue;
+        }
+        bool shutdown = false;
+        const json::Value resp =
+            err.empty() ? handleRequest(req, jobs, shutdown)
+                        : makeErrorResponse("request parse error: " + err);
+        if (!sendValue(outFd, resp, &err))
+            return 1;
+        if (shutdown) {
+            stop.store(true);
+            return 0;
+        }
+    }
+}
 
 ExperimentServer::ExperimentServer(ServerConfig cfg) : cfg_(std::move(cfg))
 {
@@ -98,14 +171,7 @@ ExperimentServer::ExperimentServer(ServerConfig cfg) : cfg_(std::move(cfg))
 ExperimentServer::~ExperimentServer()
 {
     requestStop();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto &t : workers_) {
-            if (t.joinable())
-                t.join();
-        }
-        workers_.clear();
-    }
+    reap(true);
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         ::unlink(cfg_.socketPath.c_str());
@@ -121,11 +187,25 @@ ExperimentServer::start()
 }
 
 void
+ExperimentServer::reap(bool all)
+{
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        if (all || it->done.load()) {
+            it->thread.join();
+            it = connections_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+}
+
+void
 ExperimentServer::run()
 {
     if (listenFd_ < 0)
         panic("ExperimentServer::run() before a successful start()");
     while (!stop_.load()) {
+        reap(false);
         // A short poll timeout bounds how long a stop request (signal
         // or shutdown verb) waits for the accept loop to notice.
         struct pollfd pfd = {listenFd_, POLLIN, 0};
@@ -141,61 +221,23 @@ ExperimentServer::run()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
-        std::lock_guard<std::mutex> lock(mu_);
-        workers_.emplace_back(
-            [this, fd]() { serveClient(fd); });
+        Connection &conn = connections_.emplace_back();
+        conn.thread = std::thread([this, fd, &conn]() {
+            serveSession(fd, fd, cfg_.jobs, stop_);
+            ::close(fd);
+            conn.done.store(true);
+        });
     }
     // Drain: refuse new connections immediately (close and unlink the
-    // listening socket), then let every connection thread finish its
-    // in-flight request — serveClient() notices stop_ between requests
-    // via its read timeout, so the join below is bounded by one job.
+    // listening socket), then let every session finish its in-flight
+    // request — serveSession() notices stop_ between requests via its
+    // read timeout, so the join below is bounded by one job.
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         ::unlink(cfg_.socketPath.c_str());
         listenFd_ = -1;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &t : workers_) {
-        if (t.joinable())
-            t.join();
-    }
-    workers_.clear();
-}
-
-void
-ExperimentServer::serveClient(int fd)
-{
-    LineReader reader(fd);
-    std::string line;
-    std::string err;
-    for (;;) {
-        // A bounded read keeps an idle (or wedged) client from pinning
-        // the daemon open across a stop request: a request already
-        // being executed always finishes and gets its response, but
-        // between requests the stop flag wins.
-        const int got = reader.readLineTimeout(line, 200, &err);
-        if (got == kReadTimedOut) {
-            if (stop_.load())
-                break;
-            continue;
-        }
-        if (got <= 0)
-            break;  // EOF or a framing error: the client is gone
-        json::Value req = json::parse(line, &err);
-        json::Value resp;
-        bool shutdown = false;
-        if (!err.empty())
-            resp = makeErrorResponse("request parse error: " + err);
-        else
-            resp = handleRequest(req, cfg_.jobs, shutdown);
-        if (!sendValue(fd, resp, &err))
-            break;
-        if (shutdown) {
-            requestStop();
-            break;
-        }
-    }
-    ::close(fd);
+    reap(true);
 }
 
 } // namespace jetty::service

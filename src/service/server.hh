@@ -1,41 +1,62 @@
 /**
  * @file
- * The experiment service daemon behind `jetty_cli serve`: a unix-socket
- * server answering ExperimentSpec jobs (service/protocol.hh framing)
- * through the shared spec executor, so every client of one daemon
- * shares one two-tier RunCache and one SweepRunner pool — N clients
- * asking for overlapping sweeps simulate each distinct cell once.
+ * The experiment service: serveSession(), the one loop that answers
+ * protocol.hh requests on an fd pair, and the daemon behind `jetty_cli
+ * serve`, which runs one session per unix-socket connection. A forked
+ * `jetty_cli worker` is the same session on its stdin/stdout, so the
+ * daemon and a distributed-sweep worker answer the same verbs through
+ * one shared two-tier RunCache and SweepRunner pool — N clients asking
+ * for overlapping sweeps simulate each distinct cell once.
+ *
+ * Verbs: "run" (execute a spec, stream the report back), "shard" (one
+ * distributed-sweep cell, dist/shard.hh), "ping", "stats" (cache
+ * counters), "shutdown" (acknowledge, then stop). Any malformed request
+ * gets ok=false; nothing a peer sends can take the process down.
  *
  * Concurrency model: one accept loop (poll with a short timeout so
  * requestStop() is honoured promptly), one thread per connection, each
- * connection serving any number of newline-delimited requests in order.
- * runMany() is safe to call from many threads at once — concurrent
- * jobs interleave on the shared cache exactly like the multi-threaded
- * bench harness does.
- *
- * Verbs: "run" (execute a spec, stream the report back), "ping",
- * "stats" (cache counters), "shutdown" (acknowledge, then stop the
- * daemon). Any malformed request gets ok=false; nothing a client sends
- * can take the daemon down.
+ * serving any number of requests in order; finished connection threads
+ * are joined by the accept loop as it goes. runMany() is safe to call
+ * from many threads at once — concurrent jobs interleave on the shared
+ * cache exactly like the multi-threaded bench harness does.
  *
  * Graceful drain: requestStop() (SIGTERM/SIGINT path) first closes and
  * unlinks the listening socket — new connections are refused — then
- * every connection thread finishes its in-flight request, sends the
- * response, and exits at its next bounded read; run() returns once all
- * of them have joined.
+ * every session finishes its in-flight request, sends the response, and
+ * exits at its next bounded read; run() returns once all of them have
+ * joined.
  */
 
 #ifndef JETTY_SERVICE_SERVER_HH
 #define JETTY_SERVICE_SERVER_HH
 
 #include <atomic>
-#include <mutex>
+#include <cstdint>
+#include <functional>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace jetty::service
 {
+
+/** Fault injection for a session: called with the 1-based count of
+ *  requests the session has received, after a shard's shard_started is
+ *  sent and before the shard runs; returning true abandons the session
+ *  without responding (a worker dying mid-shard, as the coordinator
+ *  observes it). */
+using SessionFault = std::function<bool(std::uint64_t)>;
+
+/**
+ * Answer requests read from @p inFd on @p outFd until EOF, a transport
+ * error, the "shutdown" verb (which sets @p stop), or @p stop — checked
+ * between requests, so a request already read is always answered.
+ * @param jobs SweepRunner override (0 = shared default).
+ * @return 0 on EOF or stop, 1 on a transport error, 2 when @p fault
+ *         abandoned a shard.
+ */
+int serveSession(int inFd, int outFd, unsigned jobs,
+                 std::atomic<bool> &stop, const SessionFault &fault = {});
 
 struct ServerConfig
 {
@@ -63,16 +84,21 @@ class ExperimentServer
      *  handler — only an atomic store). */
     void requestStop() { stop_.store(true); }
 
-    const std::string &socketPath() const { return cfg_.socketPath; }
-
   private:
-    void serveClient(int fd);
+    struct Connection
+    {
+        std::atomic<bool> done{false};  //!< set by the thread as it ends
+        std::thread thread;
+    };
+
+    /** Join the finished connection threads, or every one when @p all
+     *  (a joinable thread keeps its stack mapped until joined). */
+    void reap(bool all);
 
     ServerConfig cfg_;
     int listenFd_ = -1;
     std::atomic<bool> stop_{false};
-    std::mutex mu_;
-    std::vector<std::thread> workers_;
+    std::list<Connection> connections_;  //!< run() and ~ only
 };
 
 } // namespace jetty::service

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -280,16 +281,115 @@ formatDouble(double v)
         v < std::numeric_limits<double>::lowest()) {
         panic("json: cannot emit a non-finite number");
     }
+    // The output is the shortest "%.*g" form that parses back exactly
+    // ("1e+06"-style, deterministic, which is what the canonical key
+    // needs). No shorter precision can round-trip than the digit count
+    // of the shortest round-trip form, so start there; at a power of
+    // two the correctly rounded "%.*g" of that length can still miss
+    // the narrower lower half-interval, hence the check.
     char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::scientific);
+    int prec = 0;
+    for (const char *p = buf; p != res.ptr && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    for (;; ++prec) {
+        res = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, prec);
+        double back = 0;
+        std::from_chars(buf, res.ptr, back);
+        if (back == v || prec >= 17)
             break;
     }
-    // "1e+06"-style output parses back exactly but "1.0" reads better;
-    // leave the %g form as-is — it is deterministic, which is what the
-    // canonical key needs.
-    return buf;
+    return std::string(buf, res.ptr);
+}
+
+void
+FieldReader::fail(const std::string &field, const std::string &what)
+{
+    if (err_.empty())
+        err_ = path_ + "." + field + ": " + what;
+}
+
+const Value *
+FieldReader::get(const Value &o, const char *key)
+{
+    if (!err_.empty())
+        return nullptr;
+    const Value *v = o.isObject() ? o.find(key) : nullptr;
+    if (!v)
+        fail(key, "missing field");
+    return v;
+}
+
+const Value *
+FieldReader::typed(const Value &o, const char *key,
+                   bool (Value::*is)() const, const char *what)
+{
+    const Value *v = get(o, key);
+    if (v && !(v->*is)()) {
+        fail(key, what);
+        return nullptr;
+    }
+    return v;
+}
+
+void
+FieldReader::u64(const Value &o, const char *key, std::uint64_t &out)
+{
+    if (const Value *v = typed(o, key, &Value::fitsU64, "not a u64"))
+        out = v->asU64();
+}
+
+void
+FieldReader::dbl(const Value &o, const char *key, double &out)
+{
+    if (const Value *v = typed(o, key, &Value::isNumber, "not a number"))
+        out = v->asDouble();
+}
+
+void
+FieldReader::boolean(const Value &o, const char *key, bool &out)
+{
+    if (const Value *v = typed(o, key, &Value::isBool, "not a bool"))
+        out = v->asBool();
+}
+
+void
+FieldReader::str(const Value &o, const char *key, std::string &out)
+{
+    if (const Value *v = typed(o, key, &Value::isString, "not a string"))
+        out = v->asString();
+}
+
+void
+FieldReader::u64Vector(const Value &o, const char *key,
+                       std::vector<std::uint64_t> &out)
+{
+    const Value *v = arr(o, key);
+    if (!v)
+        return;
+    std::vector<std::uint64_t> items;
+    for (const auto &item : v->items()) {
+        if (!item.fitsU64()) {
+            fail(key, "holds a non-u64 element");
+            return;
+        }
+        items.push_back(item.asU64());
+    }
+    out = std::move(items);
+}
+
+const Value *
+FieldReader::arr(const Value &o, const char *key)
+{
+    return typed(o, key, &Value::isArray, "not an array");
+}
+
+const Value *
+FieldReader::obj(const Value &o, const char *key)
+{
+    return typed(o, key, &Value::isObject, "not an object");
 }
 
 void

@@ -137,6 +137,50 @@ class Value
     std::vector<Member> members_;
 };
 
+/**
+ * Validating field reader for untrusted documents (disk-cache entries,
+ * wire messages): each accessor reads one member of an object and
+ * records the first failure as "<path>.<field>: <what>"; every later
+ * access is then a no-op, so call sites stay linear and report only
+ * the first problem. @p out arguments are left untouched on failure.
+ */
+class FieldReader
+{
+  public:
+    explicit FieldReader(std::string path) : path_(std::move(path)) {}
+
+    bool ok() const { return err_.empty(); }
+
+    /** "" or the first failure. */
+    const std::string &error() const { return err_; }
+
+    /** Record "<path>.<field>: <what>" unless a failure is recorded. */
+    void fail(const std::string &field, const std::string &what);
+
+    /** Member @p key of @p o; nullptr (failing) when absent. */
+    const Value *get(const Value &o, const char *key);
+
+    void u64(const Value &o, const char *key, std::uint64_t &out);
+    void dbl(const Value &o, const char *key, double &out);
+    void boolean(const Value &o, const char *key, bool &out);
+    void str(const Value &o, const char *key, std::string &out);
+    void u64Vector(const Value &o, const char *key,
+                   std::vector<std::uint64_t> &out);
+
+    /** Member @p key as an array / object; nullptr (failing) when it
+     *  is absent or of another type. */
+    const Value *arr(const Value &o, const char *key);
+    const Value *obj(const Value &o, const char *key);
+
+  private:
+    /** get(), failing with @p what unless (member->*is)(). */
+    const Value *typed(const Value &o, const char *key,
+                       bool (Value::*is)() const, const char *what);
+
+    std::string path_;
+    std::string err_;
+};
+
 /** Escape @p s for inclusion between JSON quotes. */
 std::string escape(const std::string &s);
 

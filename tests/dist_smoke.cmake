@@ -4,7 +4,8 @@
 # same ledger must resume it without re-simulating anything, and both
 # the resumed and the plain single-process Report must be byte-identical
 # to the distributed one. One directory given as both --ledger and
-# --cache-dir must resume the same way. Run as:
+# --cache-dir must resume the same way, and a worker must answer the
+# service verbs of a serve session on stdin/stdout. Run as:
 #   cmake -DCLI=<jetty_cli> -DSPEC=<distributed.spec.json> -DWORK=<dir>
 #         -P dist_smoke.cmake
 foreach(var CLI SPEC WORK)
@@ -97,5 +98,44 @@ if(NOT one_resumed MATCHES "resumed 4")
 endif()
 expect_identical(${WORK}/one.json ${WORK}/one_resumed.json
                  "shared-root resumed Report")
+
+# ---- 5. a worker is a service session --------------------------------
+# `jetty_cli worker` answers the serve verbs on stdin/stdout: a ping, a
+# stats and a malformed line get three jetty_response lines, and EOF on
+# stdin ends the session cleanly.
+file(WRITE ${WORK}/session.in
+  "{\"jetty_request\": 1, \"verb\": \"ping\"}\n"
+  "{\"jetty_request\": 1, \"verb\": \"stats\"}\n"
+  "this is not json\n")
+execute_process(
+  COMMAND ${CLI} worker --cache-dir off
+  INPUT_FILE ${WORK}/session.in
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE session
+  ERROR_VARIABLE session_err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "jetty_cli worker session failed (${rc}):\n${session}\n"
+          "${session_err}")
+endif()
+string(REGEX MATCHALL "[^\n]+" lines "${session}")
+list(LENGTH lines nlines)
+if(NOT nlines EQUAL 3)
+  message(FATAL_ERROR
+          "worker session: expected 3 response lines, got ${nlines}:\n"
+          "${session}")
+endif()
+set(want_0 "\"pong\":true")
+set(want_1 "\"ok\":true,\"simulations\":")
+set(want_2 "\"ok\":false,\"error\":\"request parse error")
+foreach(i 0 1 2)
+  list(GET lines ${i} line)
+  string(FIND "${line}" "{\"jetty_response\":1," at_envelope)
+  string(FIND "${line}" "${want_${i}}" at_want)
+  if(NOT at_envelope EQUAL 0 OR at_want EQUAL -1)
+    message(FATAL_ERROR
+            "worker session: response ${i} lacks '${want_${i}}':\n${line}")
+  endif()
+endforeach()
 
 message(STATUS "distributed sweep smoke OK")

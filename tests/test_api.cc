@@ -14,13 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "api/experiment_spec.hh"
 #include "api/report.hh"
 #include "util/json.hh"
+#include "util/random.hh"
 
 using namespace jetty;
 using api::ExperimentSpec;
@@ -97,6 +103,25 @@ TEST(Json, StringEscapingRoundTrips)
                               "c");
 }
 
+namespace
+{
+
+/** The reference json::formatDouble must reproduce byte for byte: the
+ *  shortest "%.*g" precision that strtod() parses back exactly. */
+std::string
+referenceFormatDouble(double v)
+{
+    char buf[40];
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+} // namespace
+
 TEST(Json, DoubleFormattingIsShortestExact)
 {
     EXPECT_EQ(json::formatDouble(0.25), "0.25");
@@ -104,6 +129,40 @@ TEST(Json, DoubleFormattingIsShortestExact)
     const double awkward = 0.1 + 0.2;  // 0.30000000000000004
     const std::string s = json::formatDouble(awkward);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), awkward);
+
+    // Edge values, every power of two (where the rounding interval is
+    // asymmetric), then a seeded sample of finite bit patterns, scaled
+    // uniforms and integers: the emitted bytes — and so every cache key
+    // and report — must not change.
+    std::vector<double> values = {0.0,      -0.0,     100.0,   1e21,
+                                  1e-7,     DBL_MAX,  -DBL_MAX, DBL_MIN,
+                                  -DBL_MIN, DBL_TRUE_MIN};
+    for (int e = -1074; e <= 1023; ++e) {
+        values.push_back(std::ldexp(1.0, e));
+        values.push_back(std::nextafter(std::ldexp(1.0, e), 0.0));
+    }
+    Rng rng(20261017);
+    while (values.size() < 150000) {
+        const std::uint64_t bits = rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        if (std::isfinite(d))
+            values.push_back(d);
+        values.push_back(rng.uniform() *
+                         std::pow(10.0, static_cast<int>(rng.below(40)) -
+                                            20));
+        values.push_back(static_cast<double>(
+            static_cast<std::int64_t>(rng.next()) >> rng.below(64)));
+    }
+    std::size_t mismatches = 0;
+    for (const double v : values) {
+        const std::string got = json::formatDouble(v);
+        const std::string want = referenceFormatDouble(v);
+        if (got != want && ++mismatches <= 5)
+            ADD_FAILURE() << std::hexfloat << v << ": " << got << " vs "
+                          << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size();
 }
 
 TEST(Json, CanonicalFormSortsKeysAndStripsWhitespace)

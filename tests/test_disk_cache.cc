@@ -144,6 +144,9 @@ TEST(RunResultJson, ReaderRejectsMalformedPayloads)
     json::Value half = experiments::runResultToJson(sampleResult());
     half.set("totalRefs", "not a number");
     EXPECT_NE(experiments::runResultFromJson(half, out), "");
+    // The first failure, named by its dotted path.
+    EXPECT_EQ(experiments::runResultFromJson(half, out, "entry.result"),
+              "entry.result.totalRefs: not a u64");
 }
 
 TEST(DiskCacheTest, PublishThenLookupRoundTrips)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the distributed sweep subsystem (src/dist/): the versioned
- * shard envelope round-trips and rejects what it does not speak with
+ * Tests for the distributed sweep subsystem (src/dist/): the shard
+ * verb's envelope round-trips and rejects what it does not speak with
  * dotted-path diagnostics, the MergeTable handles the edge cases
  * (empty shard, stolen-then-completed duplicate, unknown key), real
  * coordinator campaigns over thread workers produce Reports
@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <string>
@@ -25,11 +26,11 @@
 #include "dist/coordinator.hh"
 #include "dist/ledger.hh"
 #include "dist/shard.hh"
-#include "dist/worker.hh"
 #include "experiments/experiments.hh"
 #include "experiments/run_result_json.hh"
 #include "service/executor.hh"
 #include "service/protocol.hh"
+#include "service/server.hh"
 #include "util/json.hh"
 
 using namespace jetty;
@@ -65,18 +66,19 @@ tinySweepSpec(const std::string &filters = R"(["EJ-16x2"])")
     return spec;
 }
 
-/** One in-process worker: a thread running the real runWorkerLoop over
- *  a pipe pair, indistinguishable (to the coordinator) from a forked
- *  `jetty_cli worker`. */
+/** One in-process worker: a thread running the real service session
+ *  over a pipe pair, indistinguishable (to the coordinator) from a
+ *  forked `jetty_cli worker`. */
 struct ThreadWorker
 {
     dist::WorkerEndpoint endpoint;  //!< the coordinator's side
     std::thread thread;
+    std::atomic<bool> stop{false};
     int loopResult = -1;
 };
 
 void
-startThreadWorker(ThreadWorker &tw, const dist::WorkerOptions &wopts)
+startThreadWorker(ThreadWorker &tw, const service::SessionFault &fault = {})
 {
     int req[2];
     int resp[2];
@@ -85,8 +87,8 @@ startThreadWorker(ThreadWorker &tw, const dist::WorkerOptions &wopts)
     tw.endpoint.readFd = resp[0];
     tw.endpoint.writeFd = req[1];
     tw.endpoint.pid = -1;  // a thread, nothing to reap
-    tw.thread = std::thread([&tw, in = req[0], out = resp[1], wopts]() {
-        tw.loopResult = dist::runWorkerLoop(in, out, wopts);
+    tw.thread = std::thread([&tw, in = req[0], out = resp[1], fault]() {
+        tw.loopResult = service::serveSession(in, out, 0, tw.stop, fault);
         ::close(in);
         ::close(out);
     });
@@ -124,7 +126,10 @@ TEST(ShardEnvelope, RequestRoundTrips)
     req.spec.set("jetty_spec", 1);
 
     const json::Value wire = shardRequestToJson(req);
-    EXPECT_EQ(dist::shardMessageType(wire), "shard_request");
+    ASSERT_TRUE(wire.find("jetty_request") && wire.find("verb"));
+    EXPECT_EQ(wire.find("jetty_request")->asU64(),
+              service::kProtocolVersion);
+    EXPECT_EQ(wire.find("verb")->asString(), "shard");
 
     dist::ShardRequest back;
     ASSERT_EQ(dist::shardRequestFromJson(wire, back), "");
@@ -157,6 +162,9 @@ TEST(ShardEnvelope, ResponseRoundTripsThroughRealRunResult)
 
     const json::Value wire = shardResponseToJson(resp);
     EXPECT_EQ(dist::shardMessageType(wire), "shard_response");
+    ASSERT_TRUE(wire.find("jetty_response"));
+    EXPECT_EQ(wire.find("jetty_response")->asU64(),
+              service::kProtocolVersion);
 
     dist::ShardResponse back;
     ASSERT_EQ(dist::shardResponseFromJson(wire, back), "");
@@ -180,21 +188,21 @@ TEST(ShardEnvelope, VersionMismatchIsDottedPathError)
     dist::ShardResponse resp;
     resp.ok = true;
     json::Value wire = shardResponseToJson(resp);
-    wire.set("jetty_shard", 2);
+    wire.set("jetty_response", 2);
 
     dist::ShardResponse back;
     const std::string err = dist::shardResponseFromJson(wire, back);
-    EXPECT_NE(err.find("shard_response.jetty_shard"), std::string::npos)
+    EXPECT_NE(err.find("shard_response.jetty_response"), std::string::npos)
         << err;
     EXPECT_NE(err.find("version 2 not supported"), std::string::npos)
         << err;
 
     json::Value reqWire =
         dist::shardRequestToJson(dist::ShardRequest());
-    reqWire.set("jetty_shard", 99);
+    reqWire.set("jetty_request", 99);
     dist::ShardRequest reqBack;
     const std::string rerr = dist::shardRequestFromJson(reqWire, reqBack);
-    EXPECT_NE(rerr.find("shard_request.jetty_shard"), std::string::npos)
+    EXPECT_NE(rerr.find("shard_request.jetty_request"), std::string::npos)
         << rerr;
 }
 
@@ -280,7 +288,7 @@ TEST(DistCampaign, ReportIsByteIdenticalAtAnyWorkerCount)
         cfg.stealAfterSeconds = 0;  // nothing should straggle here
         dist::Coordinator coordinator(cfg);
         for (auto &tw : pool) {
-            startThreadWorker(tw, dist::WorkerOptions());
+            startThreadWorker(tw);
             coordinator.attachWorker(tw.endpoint);
         }
 
@@ -319,8 +327,9 @@ TEST(DistCampaign, MidShardWorkerDeathRetriesAndStaysByteIdentical)
 
     // Worker 0 dies mid-shard on its first request: shard_started goes
     // out, the response never comes, both pipe ends drop.
-    dist::WorkerOptions dying;
-    dying.faultHook = [](std::uint64_t received) { return received >= 1; };
+    const service::SessionFault dying = [](std::uint64_t received) {
+        return received >= 1;
+    };
 
     std::vector<ThreadWorker> pool(2);
     dist::CoordinatorConfig cfg;
@@ -328,7 +337,7 @@ TEST(DistCampaign, MidShardWorkerDeathRetriesAndStaysByteIdentical)
     cfg.stealAfterSeconds = 0;
     dist::Coordinator coordinator(cfg);
     startThreadWorker(pool[0], dying);
-    startThreadWorker(pool[1], dist::WorkerOptions());
+    startThreadWorker(pool[1]);
     coordinator.attachWorker(pool[0].endpoint);
     coordinator.attachWorker(pool[1].endpoint);
 
@@ -372,7 +381,7 @@ TEST(DistCampaign, LedgerResumeReplaysEveryCellLosslessly)
         cfg.stealAfterSeconds = 0;
         dist::Coordinator coordinator(cfg);
         for (auto &tw : pool) {
-            startThreadWorker(tw, dist::WorkerOptions());
+            startThreadWorker(tw);
             coordinator.attachWorker(tw.endpoint);
         }
         ASSERT_EQ(coordinator.run(spec, first), "");
@@ -410,7 +419,7 @@ TEST(DistCampaign, LedgerResumeReplaysEveryCellLosslessly)
         dist::CoordinatorConfig cfg;
         cfg.ledgerDir = ledgerDir;
         dist::Coordinator coordinator(cfg);
-        startThreadWorker(tw, dist::WorkerOptions());
+        startThreadWorker(tw);
         coordinator.attachWorker(tw.endpoint);
         ASSERT_EQ(coordinator.run(wider, third), "");
         tw.thread.join();

@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the experiment service: the shared spec executor
- * (chooseKind/resolveSpec/executeResolved) and a real unix-socket
- * round trip through ExperimentServer — the served report must be
+ * (chooseKind/resolveSpec/executeResolved) and real unix-socket round
+ * trips through ExperimentServer — the served report must be
  * byte-identical to what the direct executor produces for the same
- * spec, and no malformed request may take the daemon down.
+ * spec, a shard sent to the daemon must be answered exactly as a
+ * worker answers it, finished connection threads must not pile up,
+ * and no malformed request may take the daemon down.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +15,15 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstddef>
+#include <fstream>
 #include <string>
 #include <thread>
 
 #include "api/experiment_spec.hh"
+#include "dist/shard.hh"
 #include "experiments/experiments.hh"
+#include "experiments/run_result_json.hh"
 #include "service/client.hh"
 #include "service/executor.hh"
 #include "service/protocol.hh"
@@ -43,6 +49,22 @@ tinyRunSpec()
     if (!err.empty())
         ADD_FAILURE() << err;
     return spec;
+}
+
+/** This process's virtual size in kB (VmSize, /proc/self/status). */
+std::size_t
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string word;
+    while (in >> word) {
+        if (word == "VmSize:") {
+            std::size_t kb = 0;
+            in >> kb;
+            return kb;
+        }
+    }
+    return 0;
 }
 
 } // namespace
@@ -233,7 +255,7 @@ TEST(ExperimentService, GracefulDrainAnswersInFlightAndRefusesNew)
 
     // One answered round trip per connection first: connect() alone
     // only proves the kernel queued the handshake — a response proves
-    // serveClient() is running for the fd, which is what the drain
+    // a session is running for the fd, which is what the drain
     // contract covers (a never-accepted backlog entry is refused).
     std::string err;
     std::string line;
@@ -329,4 +351,118 @@ TEST(ServiceClient, ResponseWaitTimesOutAgainstAWedgedServer)
     wedged.join();
     ::close(listenFd);
     ::unlink(socket.c_str());
+}
+
+TEST(ExperimentService, ServeSocketAnswersTheShardVerbLikeAWorker)
+{
+    experiments::RunCache::instance().clear();
+
+    // A one-cell shard, built exactly as the coordinator builds one.
+    api::ExperimentSpec sweep = tinyRunSpec();
+    ASSERT_EQ(service::resolveSpec(sweep, "sweep"), "");
+    const auto names = service::canonicalFilterNames(sweep);
+    auto cells = sweep.expand();
+    ASSERT_EQ(cells.size(), 1u);
+    cells[0].filterSpecs = names;
+    dist::ShardRequest req;
+    req.shardId = 5;
+    req.attempt = 2;
+    req.cacheKey = dist::cellCacheKey(cells[0]);
+    req.spec = dist::shardSpec(sweep, names, cells[0]).toJson();
+    const dist::ShardResponse direct = dist::executeShard(req, 1);
+    ASSERT_TRUE(direct.ok) << direct.error;
+
+    const std::string socket =
+        ::testing::TempDir() + "jetty_test_shard.sock";
+    service::ServerConfig cfg;
+    cfg.socketPath = socket;
+    service::ExperimentServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    std::thread serverThread([&server]() { server.run(); });
+
+    std::string err;
+    const int fd = service::connectUnix(socket, &err);
+    ASSERT_GE(fd, 0) << err;
+    service::LineReader reader(fd);
+    const auto next = [&reader, &err]() {
+        std::string line;
+        EXPECT_EQ(reader.readLineTimeout(line, 30000, &err), 1) << err;
+        return json::parse(line, &err);
+    };
+
+    // shard_started, then a shard_response whose cells equal the
+    // worker's answer to the same request.
+    ASSERT_TRUE(
+        service::sendValue(fd, dist::shardRequestToJson(req), &err));
+    EXPECT_EQ(dist::shardMessageType(next()), "shard_started");
+    dist::ShardResponse served;
+    ASSERT_EQ(dist::shardResponseFromJson(next(), served), "");
+    EXPECT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served.shardId, 5u);
+    EXPECT_EQ(served.attempt, 2u);
+    ASSERT_EQ(served.results.size(), direct.results.size());
+    for (std::size_t i = 0; i < served.results.size(); ++i) {
+        EXPECT_EQ(served.results[i].key, direct.results[i].key);
+        EXPECT_EQ(experiments::runResultToJson(served.results[i].result)
+                      .dumpCanonical(),
+                  experiments::runResultToJson(direct.results[i].result)
+                      .dumpCanonical());
+    }
+
+    // A shard in a protocol version this build does not speak: one
+    // ok=false shard_response naming the field, carrying its id.
+    json::Value wrong = dist::shardRequestToJson(req);
+    wrong.set("jetty_request", 2);
+    ASSERT_TRUE(service::sendValue(fd, wrong, &err));
+    dist::ShardResponse refused;
+    ASSERT_EQ(dist::shardResponseFromJson(next(), refused), "");
+    EXPECT_FALSE(refused.ok);
+    EXPECT_NE(refused.error.find("shard_request.jetty_request"),
+              std::string::npos)
+        << refused.error;
+    EXPECT_EQ(refused.shardId, 5u);
+
+    // The same connection still answers ping.
+    ASSERT_TRUE(
+        service::sendValue(fd, service::makeRequest("ping"), &err));
+    const json::Value pong = next();
+    const json::Value *p = pong.find("pong");
+    EXPECT_TRUE(p && p->isBool() && p->asBool()) << pong.dumpCompact();
+
+    ::close(fd);
+    server.requestStop();
+    serverThread.join();
+    experiments::RunCache::instance().clear();
+}
+
+TEST(ExperimentService, FinishedConnectionThreadsAreReaped)
+{
+    const std::string socket =
+        ::testing::TempDir() + "jetty_test_reap.sock";
+    service::ServerConfig cfg;
+    cfg.socketPath = socket;
+    service::ExperimentServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    std::thread serverThread([&server]() { server.run(); });
+
+    const auto ping = [&socket]() {
+        json::Value resp;
+        return service::requestResponse(
+            socket, service::makeRequest("ping"), resp);
+    };
+    // Warm-up connections map what any thread of this process maps once
+    // (allocator arenas), so the measurement below sees only what each
+    // connection leaves behind — until joined, a finished thread keeps
+    // its whole stack mapped.
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(ping(), "");
+    const std::size_t before = vmSizeKb();
+    for (int i = 0; i < 64; ++i)
+        ASSERT_EQ(ping(), "");
+    const std::size_t after = vmSizeKb();
+    EXPECT_LT(after, before + 64 * 1024)
+        << "VmSize " << before << " kB -> " << after << " kB";
+
+    server.requestStop();
+    serverThread.join();
 }

@@ -68,10 +68,11 @@
  *                     would have written. --timeout/--retries bound the
  *                     connect backoff and the response wait)
  *   jetty_cli worker  [--jobs N] [--cache-dir DIR]
- *                     (distributed-sweep worker loop: serves shard
- *                     requests on stdin, answers on stdout; spawned by
- *                     `sweep --workers N`, or attach one over any
- *                     stream transport — ssh included)
+ *                     (a serve session on stdin/stdout: the same verbs
+ *                     as a serve socket, the distributed sweep's
+ *                     `shard` included; spawned by `sweep --workers N`,
+ *                     or attach one over any stream transport — ssh
+ *                     included)
  *   jetty_cli bench   [--spec FILE] [--app NAME | --in FILE[,FILE...]]
  *                     [--procs N] [--buses N] [--scale F]
  *                     [--filters SPEC[,...]] [--batch N] [--repeat K]
@@ -119,7 +120,6 @@
 #include "core/filter_registry.hh"
 #include "core/filter_spec.hh"
 #include "dist/coordinator.hh"
-#include "dist/worker.hh"
 #include "experiments/experiments.hh"
 #include "service/client.hh"
 #include "service/executor.hh"
@@ -1395,12 +1395,13 @@ cmdServe(const std::map<std::string, std::string> &opts)
     return 0;
 }
 
-/** The distributed-sweep worker loop over stdin/stdout. Spawned by
- *  `sweep --workers N` (pipes dup2'd onto fds 0/1), but any stream a
- *  caller can land on those fds works — the envelope is
- *  transport-agnostic. JETTY_WORKER_DIE_AFTER=K (fault injection for
- *  the kill tests and the CI smoke) makes the process die mid-shard —
- *  after shard_started, before the response — on the Kth request. */
+/** A service session (the `serve` verbs, `shard` included) over
+ *  stdin/stdout. Spawned by `sweep --workers N` (pipes dup2'd onto fds
+ *  0/1), but any stream a caller can land on those fds works — the
+ *  protocol is transport-agnostic. JETTY_WORKER_DIE_AFTER=K (fault
+ *  injection for the kill tests and the CI smoke) makes the process die
+ *  mid-shard — after shard_started, before the response — on the Kth
+ *  request. */
 int
 cmdWorker(const std::map<std::string, std::string> &opts)
 {
@@ -1408,16 +1409,13 @@ cmdWorker(const std::map<std::string, std::string> &opts)
     // on the write is the recoverable signal, SIGPIPE is not.
     std::signal(SIGPIPE, SIG_IGN);
 
-    dist::WorkerOptions wopts;
-    if (opts.count("jobs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("jobs"), v))
-            fatal("--jobs needs a non-negative count, got '" +
-                  opts.at("jobs") + "'");
-        wopts.jobs = v;
-    }
+    unsigned jobs = 0;
+    if (opts.count("jobs") && !parseUnsigned(opts.at("jobs"), jobs))
+        fatal("--jobs needs a non-negative count, got '" + opts.at("jobs") +
+              "'");
     enableDiskCache(opts);
 
+    service::SessionFault fault;
     if (const char *die = std::getenv("JETTY_WORKER_DIE_AFTER");
         die && *die) {
         char *end = nullptr;
@@ -1425,7 +1423,7 @@ cmdWorker(const std::map<std::string, std::string> &opts)
         if (end == die || *end != '\0' || after == 0)
             fatal(std::string("JETTY_WORKER_DIE_AFTER needs a positive "
                               "request count, got '") + die + "'");
-        wopts.faultHook = [after](std::uint64_t received) -> bool {
+        fault = [after](std::uint64_t received) -> bool {
             if (received >= after) {
                 // A hard mid-shard crash as the coordinator sees one:
                 // shard_started is on the wire, the response never
@@ -1436,7 +1434,8 @@ cmdWorker(const std::map<std::string, std::string> &opts)
         };
     }
 
-    return dist::runWorkerLoop(0, 1, wopts);
+    std::atomic<bool> stop{false};
+    return service::serveSession(0, 1, jobs, stop, fault);
 }
 
 int
