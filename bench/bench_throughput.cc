@@ -54,6 +54,7 @@
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 #include "verify/golden_smp.hh"
 
@@ -235,20 +236,24 @@ main(int argc, char **argv)
     std::string out;
     unsigned repeats = 3;
     double scale = 1.0;
+    const auto usage = [] {
+        std::fprintf(stderr, "usage: bench_throughput [--smoke] [--out FILE] "
+                             "[--repeat N] [--scale F]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out = argv[++i];
         } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-            repeats = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseUnsigned(argv[++i], repeats))
+                return usage();
         } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
+            if (!parseDouble(argv[++i], scale))
+                return usage();
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_throughput [--smoke] [--out FILE] "
-                         "[--repeat N] [--scale F]\n");
-            return 1;
+            return usage();
         }
     }
     if (repeats < 1)

@@ -607,19 +607,6 @@ ExperimentSpec::parse(const std::string &text, std::string *err)
     return fromJson(v, err);
 }
 
-ExperimentSpec
-ExperimentSpec::load(const std::string &path)
-{
-    std::string err;
-    const json::Value v = json::parseFile(path, &err);
-    if (!err.empty())
-        fatal("spec: " + path + ": " + err);
-    ExperimentSpec spec = fromJson(v, &err);
-    if (!err.empty())
-        fatal(path + ": " + err);
-    return spec;
-}
-
 sim::SmpConfig
 ExperimentSpec::smpConfig() const
 {
@@ -665,15 +652,6 @@ ExperimentSpec::expand() const
         }
     }
     return requests;
-}
-
-std::string
-runCacheKey(const experiments::RunRequest &req, double scale)
-{
-    // The canonical-key construction lives with the cache it keys
-    // (experiments/) so that layer stays self-contained; this is the
-    // spec-level entry point to the same identity.
-    return experiments::runCacheKey(req, scale);
 }
 
 } // namespace jetty::api

@@ -18,8 +18,8 @@
  *    (the registry's describeFailure() style).
  *  - **Canonicalization** (canonicalText(): sorted keys, minimal
  *    whitespace, shortest round-tripping numbers) is what the RunCache
- *    keys on — runCacheKey() below — so two specs holding the same data
- *    in any key order identify the same cached simulation.
+ *    keys on — experiments::runCacheKey() — so two specs holding the
+ *    same data in any key order identify the same cached simulation.
  *  - **Expansion**: expand() is the sweep cross-product expander
  *    (apps x sweep.procs x sweep.buses -> experiments::RunRequest),
  *    replacing the ad-hoc loops in jetty_cli.
@@ -151,9 +151,6 @@ struct ExperimentSpec
     static ExperimentSpec fromJson(const json::Value &v, std::string *err);
     static ExperimentSpec parse(const std::string &text, std::string *err);
 
-    /** Load and parse @p path; fatal() with the parse error on failure. */
-    static ExperimentSpec load(const std::string &path);
-
     /** The machine + filters as one SmpConfig (fuzz/bench drivers). */
     sim::SmpConfig smpConfig() const;
 
@@ -166,15 +163,6 @@ struct ExperimentSpec
      */
     std::vector<experiments::RunRequest> expand() const;
 };
-
-/**
- * The RunCache identity of one requested simulation: the canonical
- * serialization of its (machine, workload fingerprint, scale) cell.
- * Key equality is exactly "same simulation", however the request was
- * phrased — this replaces the hand-rolled RunKey struct that
- * experiments.cc used to maintain field by field.
- */
-std::string runCacheKey(const experiments::RunRequest &req, double scale);
 
 } // namespace jetty::api
 

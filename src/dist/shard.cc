@@ -64,7 +64,7 @@ cellCacheKey(const experiments::RunRequest &req)
 {
     const double scale =
         req.accessScale > 0 ? req.accessScale : experiments::defaultScale();
-    return api::runCacheKey(req, scale);
+    return experiments::runCacheKey(req, scale);
 }
 
 api::ExperimentSpec

@@ -14,6 +14,7 @@
 #include "trace/trace_file.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace jetty::experiments
 {
@@ -101,10 +102,10 @@ double
 defaultScale()
 {
     if (const char *env = std::getenv("JETTY_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0)
+        double v = 0;
+        if (parseDouble(env, v) && v > 0)
             return v;
-        warn("ignoring non-positive JETTY_SCALE");
+        warn("ignoring JETTY_SCALE: not a finite number > 0");
     }
     return 1.0;
 }
@@ -176,7 +177,7 @@ profileFingerprint(const trace::AppProfile &app)
 
 /**
  * Cache key: the canonical serialization of one simulated
- * (machine, workload, scale) cell (api::runCacheKey). Canonical text
+ * (machine, workload, scale) cell (runCacheKey). Canonical text
  * equality is simulation identity, and the std::map's byte order keeps
  * the pending-job batch deterministic.
  */

@@ -149,8 +149,7 @@ void setTraceDigestPreHashHook(
  * serialization of the simulated cell — variant machine + workload
  * fingerprint (+ scale for profile-backed workloads; a capture's
  * length is the capture's length). Key equality is exactly "same
- * simulation", however the request was phrased. Re-exported as
- * api::runCacheKey for spec-level callers.
+ * simulation", however the request was phrased.
  */
 std::string runCacheKey(const RunRequest &req, double scale);
 

@@ -7,6 +7,7 @@
 #include "trace/file_stream_source.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace jetty::sim
 {
@@ -15,10 +16,10 @@ unsigned
 SweepRunner::defaultJobs()
 {
     if (const char *env = std::getenv("JETTY_JOBS")) {
-        const int v = std::atoi(env);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-        warn("ignoring non-positive JETTY_JOBS");
+        unsigned v = 0;
+        if (parseUnsigned(env, v) && v >= 1)
+            return v;
+        warn("ignoring JETTY_JOBS: not a count >= 1");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;

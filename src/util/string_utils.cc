@@ -1,6 +1,9 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 
 namespace jetty
 {
@@ -30,19 +33,44 @@ startsWith(const std::string &s, const std::string &prefix)
 }
 
 bool
-parseUnsigned(const std::string &s, unsigned &out)
+parseUnsigned(const std::string &s, std::uint64_t &out)
 {
     if (s.empty())
         return false;
-    unsigned long v = 0;
+    std::uint64_t v = 0;
     for (char c : s) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return false;
-        v = v * 10 + static_cast<unsigned long>(c - '0');
-        if (v > 0xffffffffUL)
+        const unsigned digit = static_cast<unsigned>(c - '0');
+        if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
             return false;
+        v = v * 10 + digit;
     }
+    out = v;
+    return true;
+}
+
+bool
+parseUnsigned(const std::string &s, unsigned &out)
+{
+    std::uint64_t v = 0;
+    if (!parseUnsigned(s, v) || v > std::numeric_limits<unsigned>::max())
+        return false;
     out = static_cast<unsigned>(v);
+    return true;
+}
+
+bool
+parseDouble(const std::string &s, double &out)
+{
+    // Decimal only: strtod's hex, inf and nan spellings are refused.
+    if (s.empty() || s.find_first_not_of("0123456789+-.eE") != s.npos)
+        return false;
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v))
+        return false;
+    out = v;
     return true;
 }
 

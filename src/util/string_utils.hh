@@ -7,6 +7,7 @@
 #ifndef JETTY_UTIL_STRING_UTILS_HH
 #define JETTY_UTIL_STRING_UTILS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,14 @@ std::vector<std::string> split(const std::string &s, char sep);
 /** True when @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
 
-/** Parse an unsigned decimal integer; returns false on any non-digit. */
+/** Parse an unsigned decimal integer; false on any non-digit or on
+ *  overflow (never the garbage-to-0 of atoi). */
+bool parseUnsigned(const std::string &s, std::uint64_t &out);
 bool parseUnsigned(const std::string &s, unsigned &out);
+
+/** Parse a whole string as a finite decimal number; false on any other
+ *  character, NaN or overflow (never the garbage-to-0 of atof). */
+bool parseDouble(const std::string &s, double &out);
 
 /** Trim ASCII whitespace from both ends. */
 std::string trim(const std::string &s);

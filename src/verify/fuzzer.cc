@@ -532,31 +532,17 @@ readReproTraces(const std::string &path)
 }
 
 bool
-readReproConfig(const std::string &path, sim::SmpConfig &out)
+readReproSpec(const std::string &path, json::Value &out)
 {
-    // The sidecar is "<path>.json" carrying the machine as an embedded
-    // ExperimentSpec. The spec parser does the validation (geometry
-    // completeness, ranges, filter grammar), so anything it accepts is
-    // a fully pinned machine; anything it rejects reads as no config.
+    // All or nothing: a spec without a machine section would replay a
+    // hybrid of sidecar and default machine — exactly the false-clean
+    // replay a sidecar exists to prevent.
     std::string err;
     const json::Value doc = json::parseFile(path + ".json", &err);
-    const json::Value *spec_node = err.empty() ? doc.find("spec") : nullptr;
-    if (!spec_node)
+    const json::Value *spec = err.empty() ? doc.find("spec") : nullptr;
+    if (!spec || !spec->find("machine"))
         return false;
-    const api::ExperimentSpec spec =
-        api::ExperimentSpec::fromJson(*spec_node, &err);
-    // A spec with a machine section is a fully pinned machine —
-    // including a filterless one (a campaign hunting core-coherence
-    // bugs runs no filters, and its repro must not fall back to the
-    // defaults). One *without* a machine section is incomplete, and the
-    // all-or-nothing rule applies: restoring a hybrid of sidecar and
-    // default machine is exactly the false-clean replay this reader
-    // must prevent.
-    if (!err.empty() || !spec.hasMachine)
-        return false;
-    sim::SmpConfig cfg = spec.smpConfig();
-    cfg.checkSafety = out.checkSafety;
-    out = cfg;
+    out = *spec;
     return true;
 }
 

@@ -200,14 +200,13 @@ void writeRepro(const std::string &path, const FuzzResult &result,
 TraceSet readReproTraces(const std::string &path);
 
 /**
- * Restore the system configuration recorded in the repro's sidecar so a
+ * The spec document embedded in the repro's "<path>.json" sidecar, so a
  * replay runs the machine the failure was caught on, not the defaults.
- * Reads the "<path>.json" embedded-ExperimentSpec sidecar; @p out is
- * only modified on success.
- * @return false when the sidecar is missing or does not yield a
- * complete machine.
+ * @p out is only modified on success.
+ * @return false when the sidecar is missing or its spec names no
+ * machine.
  */
-bool readReproConfig(const std::string &path, sim::SmpConfig &out);
+bool readReproSpec(const std::string &path, json::Value &out);
 
 } // namespace jetty::verify
 

@@ -1,14 +1,16 @@
-# Negative-path contract of jetty_cli's filter-spec handling: every
-# subcommand that accepts --filters must reject an invalid spec through
-# FilterRegistry::describeFailure — a non-zero exit and a diagnostic that
-# names the offending token (unknown family => the valid-family list;
-# malformed member => the family's grammar). Run as:
+# Negative-path contract of jetty_cli's command line: every bad flag or
+# value exits non-zero with a diagnostic that names the flag. Filter
+# specs fail through FilterRegistry::describeFailure (unknown family =>
+# the valid-family list; malformed member => the family's grammar),
+# other spec fields through the spec schema's reason, a flag outside
+# the verb's table as unknown, and a local value that is not of its type
+# as garbage. Run as:
 #   cmake -DCLI=<path-to-jetty_cli> -P cli_negative.cmake
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<path to jetty_cli>")
 endif()
 
-function(expect_filter_failure expected_pattern)
+function(expect_failure expected_pattern)
   # ARGN is the jetty_cli argument list.
   execute_process(
     COMMAND ${CLI} ${ARGN}
@@ -28,25 +30,47 @@ function(expect_filter_failure expected_pattern)
 endfunction()
 
 # Unknown family: the registry must list the valid families.
-expect_filter_failure("unknown filter family"
+expect_failure("unknown filter family"
                       run --app lu --scale 0.001 --filters BOGUS-1)
-expect_filter_failure("unknown filter family"
+expect_failure("unknown filter family"
                       sweep --apps lu --scale 0.001 --filters BOGUS-1)
-expect_filter_failure("unknown filter family"
+expect_failure("unknown filter family"
                       bench --app lu --scale 0.001 --filters BOGUS-1)
-expect_filter_failure("unknown filter family"
+expect_failure("unknown filter family"
                       fuzz --rounds 1 --refs 64 --filters BOGUS-1)
 
 # Malformed member of a known family: the family's grammar must appear.
-expect_filter_failure("EJ-<sets>x<assoc>"
+expect_failure("EJ-<sets>x<assoc>"
                       bench --app lu --scale 0.001 --filters EJ-banana)
-expect_filter_failure("EJ-<sets>x<assoc>"
+expect_failure("EJ-<sets>x<assoc>"
                       run --app lu --scale 0.001 --filters EJ-banana)
 
-# Bad --buses values fail loudly too.
-expect_filter_failure("--buses needs"
-                      run --app lu --scale 0.001 --buses 0)
-expect_filter_failure("--buses needs"
-                      sweep --apps lu --scale 0.001 --buses 4,0)
+# Bad --buses values fail with the schema's range, after the flag.
+expect_failure("--buses 0: .*out of range"
+               run --app lu --scale 0.001 --buses 0)
+expect_failure("--buses 4,0: .*out of range"
+               sweep --apps lu --scale 0.001 --buses 4,0)
+
+# A flag outside the verb's table is rejected, not ignored.
+expect_failure("unknown flag '--app'" sweep --app lu)
+expect_failure("unknown flag '--apps'" run --apps fm)
+expect_failure("unknown flag '--filter'" run --filter BOGUS-1)
+expect_failure("unknown flag '--foo'" apps --foo)
+
+# A local value that is not of its type is garbage, not 0.
+set(out ${CMAKE_CURRENT_BINARY_DIR}/cli_negative.jtt)
+expect_failure("--jobs abc: expected a count" sweep --jobs abc)
+expect_failure("--scale abc: expected a finite number > 0"
+               capture --app lu --out ${out} --scale abc)
+expect_failure("--scale -1: expected a finite number > 0"
+               capture --app lu --out ${out} --scale -1)
+expect_failure("--limit abc: expected a count"
+               capture --app lu --out ${out} --limit abc)
+expect_failure("--proc x: expected a count"
+               capture --app lu --out ${out} --proc x)
+
+# Two workloads: the diagnostic names both flags.
+expect_failure("--app lu --in F: .*mutually exclusive"
+               bench --app lu --in F)
 
 message(STATUS "jetty_cli negative-path contract holds")

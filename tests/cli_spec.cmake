@@ -48,13 +48,48 @@ check_dump_roundtrip(fuzz fuzz --rounds 2 --refs 128 --buses 2)
 # replay of a single-section capture: the processor count is not
 # inferable from the file, so the dumped spec's machine.procs must
 # carry it (regression: --spec used to fall back to 4).
-run_cli(cap trace --app lu --proc 0 --limit 4096 --out ${work}/one.jtt)
+run_cli(cap capture --app lu --proc 0 --limit 4096 --out ${work}/one.jtt)
 check_dump_roundtrip(replay replay --in ${work}/one.jtt --procs 8)
 run_cli(rdump replay --spec ${work}/replay.spec.json --dump-spec)
 if(NOT rdump MATCHES "\"procs\": 8")
   message(FATAL_ERROR
           "replay --spec lost the recorded processor count:\n${rdump}")
 endif()
+
+# fuzz --repro: the sidecar's spec is the base the flags overlay. A
+# 2-processor capture plus a hand-written sidecar pinning an explicit
+# machine and seed 99 ...
+run_cli(rcap capture --app lu --procs 2 --limit 2048 --out ${work}/R.jtt)
+file(WRITE ${work}/R.jtt.json [=[{"spec": {"jetty_spec": 1,
+  "machine": {"procs": 2, "buses": 2, "subblocked": true,
+              "l1": {"size_bytes": 2048, "assoc": 1, "block_bytes": 32},
+              "l2": {"size_bytes": 16384, "assoc": 2, "block_bytes": 64,
+                     "subblocks": 2},
+              "wb_entries": 4, "phys_addr_bits": 40},
+  "filters": ["EJ-16x2"],
+  "fuzz": {"seed": 99, "rounds": 3, "refs_per_proc": 512,
+           "audit_every": 64, "randomize_buses": false}}}]=])
+function(expect_in text what)
+  foreach(pattern ${ARGN})
+    if(NOT text MATCHES "${pattern}")
+      message(FATAL_ERROR "${what}: wanted '${pattern}' in:\n${text}")
+    endif()
+  endforeach()
+endfunction()
+# ... replays on that machine with that seed ...
+run_cli(r1 fuzz --repro ${work}/R.jtt --dump-spec)
+expect_in("${r1}" "fuzz --repro"
+          "\"size_bytes\": 2048" "\"size_bytes\": 16384" "\"buses\": 2"
+          "\"procs\": 2" "\"seed\": 99" "\"EJ-16x2\"")
+# ... and explicit flags win over it, the machine untouched.
+run_cli(r2 fuzz --repro ${work}/R.jtt --seed 7 --filters EJ-8x2 --dump-spec)
+expect_in("${r2}" "fuzz --repro --seed 7 --filters EJ-8x2"
+          "\"size_bytes\": 2048" "\"seed\": 7" "\"EJ-8x2\"")
+if(r2 MATCHES "EJ-16x2|\"seed\": 99")
+  message(FATAL_ERROR "fuzz --repro: the sidecar outvoted a flag:\n${r2}")
+endif()
+run_cli(r3 fuzz --repro ${work}/R.jtt)
+expect_in("${r3}" "fuzz --repro (replay)" "clean \\(2 streams\\)")
 
 # A --spec run re-executes bit-identically (separate processes, so no
 # run-cache sharing; every printed number is simulated, not timed).

@@ -60,6 +60,11 @@ lint_expect(${FIXTURES}/fatal 1
             "src/engine/bad_exit.cc:13: error: \\[no-fatal\\] exit"
             "src/engine/bad_exit.cc:15: error: \\[no-fatal\\] abort")
 
+lint_expect(${FIXTURES}/checked_number 1
+            "src/util/bad_env.cc:12: error: \\[checked-number\\] atoi"
+            "src/util/bad_env.cc:18: error: \\[checked-number\\] atof"
+            "bench/bad_flag.cc:7: error: \\[checked-number\\] atoll")
+
 # The X-macro completeness check: the omitted counter is named in both
 # directions (missing member, stale list entry).
 lint_expect(${FIXTURES}/serialization 1
@@ -86,10 +91,12 @@ lint_expect(${FIXTURES}/shard_serialization 1
 #   atomic:      read-mode fopen (bad_write.cc:26) and the allowlisted
 #                sanctioned implementation (src/util/atomic_file.cc)
 #   fatal:       exit() under tools/ (tools/ok_cli.cc)
+#   checked_number: a project method named atoi (tools/ok_parse.cc)
 lint_expect(${FIXTURES}/determinism 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/unordered 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/atomic 1 "jetty_lint: 2 findings")
 lint_expect(${FIXTURES}/fatal 1 "jetty_lint: 2 findings")
+lint_expect(${FIXTURES}/checked_number 1 "jetty_lint: 3 findings")
 
 # ---- 2. escape-hatch parsing ------------------------------------------
 lint_expect(${FIXTURES}/escape_ok 0 "clean")

@@ -356,8 +356,8 @@ TEST(Spec, ReorderedKeysCanonicalizeIdentically)
     const auto rb = b.expand();
     ASSERT_EQ(ra.size(), 1u);
     ASSERT_EQ(rb.size(), 1u);
-    EXPECT_EQ(api::runCacheKey(ra[0], a.scale),
-              api::runCacheKey(rb[0], b.scale));
+    EXPECT_EQ(experiments::runCacheKey(ra[0], a.scale),
+              experiments::runCacheKey(rb[0], b.scale));
 }
 
 TEST(Spec, RunCacheKeySeparatesWhatMustBeSeparate)
@@ -371,26 +371,26 @@ TEST(Spec, RunCacheKeySeparatesWhatMustBeSeparate)
     const auto req = base.expand().at(0);
 
     // Scale splits profile-backed keys.
-    EXPECT_NE(api::runCacheKey(req, 0.25), api::runCacheKey(req, 0.5));
+    EXPECT_NE(experiments::runCacheKey(req, 0.25), experiments::runCacheKey(req, 0.5));
 
     // A different variant splits keys.
     auto other = req;
     other.variant.snoopBuses = 4;
-    EXPECT_NE(api::runCacheKey(req, 0.25),
-              api::runCacheKey(other, 0.25));
+    EXPECT_NE(experiments::runCacheKey(req, 0.25),
+              experiments::runCacheKey(other, 0.25));
 
     // A different app splits keys (content fingerprint, not name).
     ExperimentSpec fm = base;
     fm.apps = {"fm"};
-    EXPECT_NE(api::runCacheKey(fm.expand().at(0), 0.25),
-              api::runCacheKey(req, 0.25));
+    EXPECT_NE(experiments::runCacheKey(fm.expand().at(0), 0.25),
+              experiments::runCacheKey(req, 0.25));
 
     // Filters deliberately do NOT join the key: the bank is a passive
     // observer, so a superset simulation answers any subset request.
     auto filtered = req;
     filtered.filterSpecs = {"EJ-32x4"};
-    EXPECT_EQ(api::runCacheKey(req, 0.25),
-              api::runCacheKey(filtered, 0.25));
+    EXPECT_EQ(experiments::runCacheKey(req, 0.25),
+              experiments::runCacheKey(filtered, 0.25));
 }
 
 // ---- expansion -------------------------------------------------------

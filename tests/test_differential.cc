@@ -545,8 +545,13 @@ TEST(Differential, BrokenFilterIsCaughtAndShrunkToSmallRepro)
     // The sidecar restores the machine the failure was caught on —
     // including the faulty filter bank — so a replay cannot silently run
     // the default configuration and report "clean".
-    sim::SmpConfig restored;  // defaults, deliberately wrong
-    ASSERT_TRUE(readReproConfig(path, restored));
+    json::Value sidecar_spec;
+    ASSERT_TRUE(readReproSpec(path, sidecar_spec));
+    std::string restore_err;
+    const sim::SmpConfig restored =
+        api::ExperimentSpec::fromJson(sidecar_spec, &restore_err)
+            .smpConfig();
+    ASSERT_EQ(restore_err, "") << restore_err;
     EXPECT_EQ(restored.filterSpecs, cfg.system.filterSpecs);
     EXPECT_EQ(restored.nprocs, cfg.system.nprocs);
     EXPECT_EQ(restored.l1.sizeBytes, cfg.system.l1.sizeBytes);
@@ -597,12 +602,9 @@ TEST(Differential, LoneTxtSidecarReadsAsNoConfig)
                     "l2=16384/1/64/2\nwb_entries=4\nfilters=NULL;EJ-16x2\n");
     std::fclose(f);
 
-    sim::SmpConfig restored;
-    const sim::SmpConfig defaults;
-    EXPECT_FALSE(readReproConfig(path, restored));
-    EXPECT_EQ(restored.nprocs, defaults.nprocs);
-    EXPECT_EQ(restored.snoopBuses, defaults.snoopBuses);
-    EXPECT_EQ(restored.filterSpecs, defaults.filterSpecs);
+    json::Value restored;
+    EXPECT_FALSE(readReproSpec(path, restored));
+    EXPECT_TRUE(restored.isNull());
     std::remove((path + ".txt").c_str());
 }
 

@@ -256,6 +256,28 @@ TEST(Strings, ParseUnsigned)
     EXPECT_FALSE(parseUnsigned("12a", v));
     EXPECT_FALSE(parseUnsigned("-3", v));
     EXPECT_FALSE(parseUnsigned("99999999999", v));
+
+    std::uint64_t w = 0;
+    EXPECT_TRUE(parseUnsigned("99999999999", w));
+    EXPECT_EQ(w, 99999999999ull);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615", w));
+    EXPECT_EQ(w, ~0ull);
+    EXPECT_FALSE(parseUnsigned("18446744073709551616", w));
+    EXPECT_EQ(w, ~0ull);  // untouched on failure
+}
+
+TEST(Strings, ParseDouble)
+{
+    double d = 7;
+    EXPECT_TRUE(parseDouble("0.25", d));
+    EXPECT_EQ(d, 0.25);
+    EXPECT_TRUE(parseDouble("-1e3", d));
+    EXPECT_EQ(d, -1000.0);
+    // Garbage is refused, never read as 0 the way atof() would.
+    for (const char *bad : {"", "abc", "1.5x", " 1", "nan", "inf", "1e999",
+                            "0x10"})
+        EXPECT_FALSE(parseDouble(bad, d)) << bad;
+    EXPECT_EQ(d, -1000.0);
 }
 
 TEST(Strings, TrimAndUpper)

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "util/json.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 
 using namespace jetty;
@@ -169,20 +170,26 @@ main(int argc, char **argv)
     double threshold = 10.0;
     bool ratios_only = false;
     long max_skips = -1;
+    const auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: bench_compare BASELINE.json FRESH.json "
+                     "[--threshold PCT] [--ratios-only] [--max-skips N]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
+            if (!parseDouble(argv[++i], threshold))
+                return usage();
         } else if (std::strcmp(argv[i], "--ratios-only") == 0) {
             ratios_only = true;
         } else if (std::strcmp(argv[i], "--max-skips") == 0 &&
                    i + 1 < argc) {
-            max_skips = std::atol(argv[++i]);
+            unsigned v = 0;
+            if (!parseUnsigned(argv[++i], v))
+                return usage();
+            max_skips = v;
         } else if (argv[i][0] == '-') {
-            std::fprintf(stderr,
-                         "usage: bench_compare BASELINE.json FRESH.json "
-                         "[--threshold PCT] [--ratios-only] "
-                         "[--max-skips N]\n");
-            return 1;
+            return usage();
         } else if (baseline_path.empty()) {
             baseline_path = argv[i];
         } else if (fresh_path.empty()) {
@@ -192,12 +199,8 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (fresh_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: bench_compare BASELINE.json FRESH.json "
-                     "[--threshold PCT] [--ratios-only] [--max-skips N]\n");
-        return 1;
-    }
+    if (fresh_path.empty())
+        return usage();
 
     const json::Value baseline = loadReport(baseline_path);
     const json::Value fresh = loadReport(fresh_path);

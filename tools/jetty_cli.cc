@@ -4,96 +4,28 @@
  * system variant with any set of filter configurations, print coverage
  * and energy tables, or capture/replay binary traces.
  *
- * Every simulating subcommand (run, sweep, replay, bench, fuzz) is a
- * thin adapter over the declarative api::ExperimentSpec: `--spec FILE`
- * loads a spec, the command's flags overlay it (flags win), the
- * command's defaults fill whatever is still unset, and `--dump-spec`
- * prints the fully resolved spec instead of running — so any
- * invocation can be captured as one reproducible file and re-run
+ * Each verb declares one table of the flags it accepts (kVerbs, at the
+ * bottom; `jetty_cli` with no arguments prints them), and a flag outside
+ * the table is rejected. A flag is one of three kinds:
+ *
+ *  - a spec field, named by its JSON path in api::ExperimentSpec. The
+ *    simulating verbs (run, sweep, replay, bench, fuzz) write these as
+ *    a JSON overlay onto the `--spec FILE` document — or onto
+ *    `{"jetty_spec": 1}` — and the merged document is parsed once by
+ *    the spec schema. The schema's ranges and the filter registry are
+ *    thus the only validators of experiment fields, and a bad value is
+ *    reported with the flag and the schema's reason;
+ *  - a typed local value (a count, seconds, a path), which is not part
+ *    of experiment identity and is checked when the command line is
+ *    read;
+ *  - a switch.
+ *
+ * Whatever neither the spec nor a flag sets is resolved by the verb's
+ * defaults (service::resolveSpec, shared with `serve`), and
+ * `--dump-spec` prints the fully resolved spec instead of running — so
+ * any invocation can be captured as one reproducible file and re-run
  * bit-identically with `--spec`. `--json FILE` writes the results as a
  * structured api::Report (schema in DESIGN.md), which echoes the spec.
- *
- * Usage:
- *   jetty_cli run     [--spec FILE] [--app NAME] [--procs N] [--buses N]
- *                     [--no-subblock] [--scale F]
- *                     [--filters SPEC[,SPEC...]] [--json FILE]
- *                     [--dump-spec]
- *   jetty_cli sweep   [--spec FILE] [--apps NAME[,NAME...]|all]
- *                     [--procs N[,M...]] [--buses N[,M...]]
- *                     [--no-subblock] [--scale F] [--jobs N]
- *                     [--filters SPEC[,SPEC...]] [--json FILE]
- *                     [--dump-spec]
- *                     [--workers N] [--ledger DIR] [--retries N]
- *                     [--respawns N] [--steal-after S] [--events FILE]
- *                     [--kill-worker-after N]
- *                     (--procs/--buses are sweep axes: every
- *                     (app, procs, buses) cell of the cross-product;
- *                     --workers N shards the campaign across N local
- *                     worker processes via the dist coordinator —
- *                     same Report bytes, plus work stealing, bounded
- *                     retry, and --ledger crash resume. The ledger is
- *                     a disk-cache root: a cell resumes only if it
- *                     covers every --filters name, and DIR may also be
- *                     the --cache-dir.
- *                     --kill-worker-after K is fault injection: the
- *                     first worker dies mid-shard after K requests)
- *   jetty_cli apps
- *   jetty_cli filters
- *   jetty_cli capture --app NAME --out FILE [--procs N] [--scale F]
- *                     [--limit N]
- *                     (records every processor's stream into one
- *                     JTTRACE2 file, one section per processor,
- *                     streamed — the capture never lives in memory)
- *   jetty_cli trace   --app NAME --proc P --out FILE [--limit N]
- *                     (single-processor capture, one-section JTTRACE2)
- *   jetty_cli replay  [--spec FILE] --in FILE[,FILE...]
- *                     [--filters SPEC[,...]] [--procs N] [--json FILE]
- *                     [--dump-spec]
- *                     (per-processor files, one multi-section capture,
- *                     or one single-section file cloned everywhere;
- *                     streamed and cached by content digest)
- *   jetty_cli serve   [--socket PATH] [--jobs N] [--cache-dir DIR]
- *                     [--cache-bytes N]
- *                     (experiment service daemon: accepts ExperimentSpec
- *                     jobs over a unix socket, answers them through the
- *                     shared two-tier RunCache and SweepRunner pool,
- *                     streams structured Reports back; many concurrent
- *                     clients share one cache)
- *   jetty_cli submit  SPEC.json [--socket PATH] [--json FILE]
- *                     [--timeout S] [--retries N]
- *   jetty_cli submit  --shutdown [--socket PATH]
- *                     (send one spec to a serve daemon and print its
- *                     cache counters; --json writes the streamed Report
- *                     — bit-identical to what the direct subcommand
- *                     would have written. --timeout/--retries bound the
- *                     connect backoff and the response wait)
- *   jetty_cli worker  [--jobs N] [--cache-dir DIR]
- *                     (a serve session on stdin/stdout: the same verbs
- *                     as a serve socket, the distributed sweep's
- *                     `shard` included; spawned by `sweep --workers N`,
- *                     or attach one over any stream transport — ssh
- *                     included)
- *   jetty_cli bench   [--spec FILE] [--app NAME | --in FILE[,FILE...]]
- *                     [--procs N] [--buses N] [--scale F]
- *                     [--filters SPEC[,...]] [--batch N] [--repeat K]
- *                     [--json FILE] [--dump-spec]
- *                     (sustained refs/sec of the batched delivery
- *                     pipeline; best of K cold runs, optional JSON)
- *   jetty_cli fuzz    [--spec FILE] [--seed N] [--rounds N] [--refs N]
- *                     [--procs N] [--buses N] [--filters SPEC[,...]]
- *                     [--seconds S] [--smoke] [--audit-every N]
- *                     [--out FILE] [--json FILE] [--repro FILE]
- *                     [--dump-spec]
- *                     (--buses pins the split interconnect; without it
- *                     rounds cycle snoopBuses through 1/2/4)
- *                     (coverage-guided differential fuzzing: online
- *                     invariant checkers + golden-model and batched
- *                     state equivalence; failures are shrunk and
- *                     written as a JTTRACE2 repro + .json sidecar whose
- *                     embedded ExperimentSpec pins the machine.
- *                     --repro replays a previously written repro
- *                     on the machine its .json sidecar records.
- *                     Exit 0 clean, 2 on a caught violation)
  */
 
 #include <fcntl.h>
@@ -102,7 +34,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -140,31 +71,144 @@ using namespace jetty;
 namespace
 {
 
-/** Parse "--key value" style options into a map. */
-std::map<std::string, std::string>
-parseOptions(int argc, char **argv, int first)
+/** How a flag's value is read. */
+enum class Kind
 {
-    std::map<std::string, std::string> opts;
-    for (int i = first; i < argc; ++i) {
-        std::string key = argv[i];
-        if (!startsWith(key, "--"))
-            fatal("expected an option, got '" + key + "'");
-        key = key.substr(2);
-        if (key == "no-subblock" || key == "smoke" || key == "dump-spec" ||
-            key == "shutdown") {
-            opts[key] = "1";
-        } else {
-            if (i + 1 >= argc)
-                fatal("option --" + key + " needs a value");
-            opts[key] = argv[++i];
-        }
+    // Spec fields, written at the row's JSON path for the schema.
+    Field,         //!< one number
+    FieldList,     //!< a comma list of numbers (a sweep axis)
+    Names,         //!< a comma list of names
+    // Typed local values.
+    Count,         //!< an unsigned integer
+    Positive,      //!< an unsigned integer >= 1
+    Real,          //!< a finite number
+    PositiveReal,  //!< a finite number > 0
+    Text,          //!< any string: a path, a socket, an application
+    // No value; sets the row's spec field, when it names one, to false.
+    Switch,
+};
+
+/** One row of a verb's flag table. */
+struct Flag
+{
+    const char *name;  //!< without the leading "--"
+    Kind kind;
+    const char *path;  //!< the spec field it sets; "" for local values
+    const char *help;  //!< one usage line, value placeholder first
+};
+
+struct Options;
+
+struct Verb
+{
+    const char *name;
+    int (*run)(const Options &);
+    const char *summary;
+    const char *positional;  //!< its one positional argument, or nullptr
+    std::vector<Flag> flags;
+};
+
+/** A verb's parsed command line; every value already passed its kind. */
+struct Options
+{
+    const Verb *verb = nullptr;
+    std::string positional;
+    std::map<std::string, std::string> given;  //!< flag -> its text
+
+    bool has(const char *flag) const { return given.count(flag) != 0; }
+
+    std::string
+    text(const char *flag, const std::string &fallback = "") const
+    {
+        return has(flag) ? given.at(flag) : fallback;
     }
-    return opts;
+
+    std::uint64_t
+    count(const char *flag, std::uint64_t fallback) const
+    {
+        std::uint64_t v = fallback;
+        if (has(flag))
+            parseUnsigned(given.at(flag), v);
+        return v;
+    }
+
+    double
+    number(const char *flag, double fallback) const
+    {
+        double v = fallback;
+        if (has(flag))
+            parseDouble(given.at(flag), v);
+        return v;
+    }
+};
+
+/** The typed reader: what a local value of @p kind should have been, or
+ *  nullptr when @p text is one. */
+const char *
+expected(Kind kind, const std::string &text)
+{
+    std::uint64_t n = 0;
+    double d = 0;
+    switch (kind) {
+      case Kind::Count:
+        return parseUnsigned(text, n) ? nullptr : "a count";
+      case Kind::Positive:
+        return parseUnsigned(text, n) && n >= 1 ? nullptr : "a count >= 1";
+      case Kind::Real:
+        return parseDouble(text, d) ? nullptr : "a finite number";
+      case Kind::PositiveReal:
+        return parseDouble(text, d) && d > 0 ? nullptr
+                                             : "a finite number > 0";
+      default:
+        return nullptr;
+    }
 }
 
-/** Split a filter list on commas, but not inside HJ(...) parentheses. */
+std::string
+flagList(const Verb &verb)
+{
+    std::string out;
+    for (const Flag &f : verb.flags)
+        out += (out.empty() ? "--" : ", --") + std::string(f.name);
+    return out.empty() ? "none" : out;
+}
+
+/** Read argv[2...] against @p verb's table: an unknown flag, a missing
+ *  value or a local value of the wrong type exits naming the flag. */
+Options
+parseOptions(const Verb &verb, int argc, char **argv)
+{
+    Options o;
+    o.verb = &verb;
+    int i = 2;
+    if (verb.positional && i < argc && argv[i][0] != '-')
+        o.positional = argv[i++];
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const auto row = std::find_if(
+            verb.flags.begin(), verb.flags.end(), [&arg](const Flag &f) {
+                return arg == "--" + std::string(f.name);
+            });
+        if (row == verb.flags.end()) {
+            fatal(std::string(verb.name) + ": unknown flag '" + arg +
+                  "' (valid: " + flagList(verb) + ")");
+        }
+        std::string value;
+        if (row->kind != Kind::Switch) {
+            if (i + 1 >= argc)
+                fatal(arg + " needs a value");
+            value = argv[++i];
+            if (const char *want = expected(row->kind, value))
+                fatal(arg + " " + value + ": expected " + want);
+        }
+        o.given[row->name] = value;
+    }
+    return o;
+}
+
+/** Split a list on commas, but not inside HJ(...) parentheses. */
 std::vector<std::string>
-splitSpecs(const std::string &s)
+splitList(const std::string &s)
 {
     std::vector<std::string> out;
     std::string cur;
@@ -185,106 +229,138 @@ splitSpecs(const std::string &s)
     return out;
 }
 
-/** Validate @p specs; exits through the registry's describeFailure()
- *  (naming the offending token and its family's grammar) on any bad
- *  spec — no path prints a bare message or falls through with exit 0
- *  (cli negative-path test). */
-void
-requireValidFilters(const std::vector<std::string> &specs)
+/** A number's JSON value, or the text itself for the schema to reject. */
+json::Value
+scalar(const std::string &text)
 {
-    for (const auto &s : specs) {
-        if (!filter::isValidFilterSpec(s))
-            fatal(filter::FilterRegistry::instance().describeFailure(s));
+    std::uint64_t n = 0;
+    double d = 0;
+    if (parseUnsigned(text, n))
+        return json::Value(n);
+    if (parseDouble(text, d))
+        return json::Value(d);
+    return json::Value(text);
+}
+
+/** The JSON a spec-field flag writes. */
+json::Value
+fieldValue(const Flag &f, const std::string &text)
+{
+    if (f.kind == Kind::Switch)
+        return json::Value(false);
+    if (f.kind == Kind::Field)
+        return scalar(text);
+    json::Value arr = json::Value::array();
+    if (std::strcmp(f.name, "apps") == 0 && toUpper(text) == "ALL") {
+        for (const auto &app : trace::paperApps())
+            arr.push(app.abbrev);
+        return arr;
     }
+    for (const auto &item : splitList(text))
+        arr.push(f.kind == Kind::FieldList ? scalar(item) : json::Value(item));
+    return arr;
 }
 
-/** Parse a single --buses option (>= 1); @p fallback when absent. */
-unsigned
-busCount(const std::map<std::string, std::string> &opts, unsigned fallback)
-{
-    const auto it = opts.find("buses");
-    if (it == opts.end())
-        return fallback;
-    unsigned v = 0;
-    if (!parseUnsigned(it->second, v) || v < 1)
-        fatal("--buses needs a count >= 1, got '" + it->second + "'");
-    return v;
-}
-
-/** Load --spec FILE when given, else a default-constructed spec. */
-api::ExperimentSpec
-specFromOpts(const std::map<std::string, std::string> &opts)
-{
-    if (opts.count("spec"))
-        return api::ExperimentSpec::load(opts.at("spec"));
-    return api::ExperimentSpec();
-}
-
-/** Overlay --filters onto @p filters (validated; flag wins). */
+/** Write @p v at the dotted @p path of @p doc, creating objects on the
+ *  way; a non-object on the way is left for the schema to reject. */
 void
-overlayFilterFlag(const std::map<std::string, std::string> &opts,
-                  std::vector<std::string> &filters)
+setPath(json::Value &doc, const std::string &path, json::Value v)
 {
-    if (!opts.count("filters"))
+    if (!doc.isObject())
         return;
-    auto specs = splitSpecs(opts.at("filters"));
-    requireValidFilters(specs);
-    filters = specs;
+    const std::size_t dot = path.find('.');
+    if (dot == std::string::npos) {
+        doc.set(path, std::move(v));
+        return;
+    }
+    const std::string head = path.substr(0, dot);
+    json::Value sub = doc.find(head) ? *doc.find(head) : json::Value::object();
+    setPath(sub, path.substr(dot + 1), std::move(v));
+    doc.set(head, std::move(sub));
 }
 
-/** Overlay --scale onto @p scale (finite, > 0; flag wins). A NaN
- *  would silently fall back to the default and an infinity would
- *  abort in the JSON emitter, so both are rejected here. */
-void
-overlayScaleFlag(const std::map<std::string, std::string> &opts,
-                 double &scale)
+/** The spec document at @p path; an empty version-1 spec when "". */
+json::Value
+specDoc(const std::string &path)
 {
-    if (!opts.count("scale"))
-        return;
-    const double v = std::atof(opts.at("scale").c_str());
-    if (!std::isfinite(v) || v <= 0)
-        fatal("--scale needs a finite value > 0, got '" +
-              opts.at("scale") + "'");
-    scale = v;
+    if (path.empty())
+        return json::Value::object().set("jetty_spec",
+                                         api::ExperimentSpec::kVersion);
+    std::string err;
+    json::Value doc = json::parseFile(path, &err);
+    if (!err.empty())
+        fatal("spec: " + path + ": " + err);
+    return doc;
 }
 
 /**
- * Overlay the machine/workload/filter flags every simulating command
- * shares onto @p spec. Flags win over the spec file; whatever neither
- * sets is resolved by the command's own defaults afterwards.
+ * Parse @p doc with every spec-field flag of @p o written over it (flags
+ * win). A schema error is reported after the flags that wrote at or
+ * under the field it names — or after @p origin, the document's file,
+ * when no flag did.
  */
-void
-overlayCommonFlags(const std::map<std::string, std::string> &opts,
-                   api::ExperimentSpec &spec)
+api::ExperimentSpec
+specOf(const Options &o, json::Value doc, const std::string &origin)
 {
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("--procs needs a count >= 2, got '" + opts.at("procs") +
-                  "'");
-        spec.machine.procs = v;
+    // --app/--apps/--in replace the workload wholesale: an explicit
+    // --app must not be outvoted by the spec's trace_files (which
+    // expand() prefers), nor --in by its apps.
+    const json::Value *w = doc.isObject() ? doc.find("workload") : nullptr;
+    if ((o.has("app") || o.has("apps") || o.has("in")) && w &&
+        w->isObject()) {
+        json::Value kept = json::Value::object();
+        for (const auto &m : w->members()) {
+            if (m.first != "apps" && m.first != "trace_files")
+                kept.set(m.first, m.second);
+        }
+        doc.set("workload", std::move(kept));
     }
-    spec.machine.buses = busCount(opts, spec.machine.buses);
-    if (opts.count("no-subblock"))
-        spec.machine.subblocked = false;
-    overlayScaleFlag(opts, spec.scale);
-    if (opts.count("app")) {
-        spec.apps = {opts.at("app")};
-        // Flags win over the spec's workload wholesale: an explicit
-        // --app must not be silently outvoted by the spec's
-        // trace_files (the --in overlay clears apps symmetrically).
-        spec.traceFiles.clear();
+    for (const Flag &f : o.verb->flags) {
+        if (*f.path && o.has(f.name))
+            setPath(doc, f.path, fieldValue(f, o.text(f.name)));
     }
-    overlayFilterFlag(opts, spec.filters);
+
+    std::string err;
+    api::ExperimentSpec spec = api::ExperimentSpec::fromJson(doc, &err);
+    if (err.empty())
+        return spec;
+    // The schema's errors read "spec: <field>: <reason>".
+    const std::string field = err.substr(6, err.find(": ", 6) - 6);
+    std::string blame;
+    for (const Flag &f : o.verb->flags) {
+        const std::string path = f.path;
+        if (path.empty() || !o.has(f.name) ||
+            (path != field && !startsWith(path, field + ".")))
+            continue;
+        blame += (blame.empty() ? "--" : " --") + std::string(f.name);
+        if (f.kind != Kind::Switch)
+            blame += " " + o.text(f.name);
+    }
+    if (blame.empty())
+        blame = origin;
+    fatal(blame.empty() ? err : blame + ": " + err);
+}
+
+/** The verb's spec: its flags over --spec, resolved by the service
+ *  executor (shared with `serve`, so a served spec resolves exactly as
+ *  the direct verb would). */
+api::ExperimentSpec
+resolvedSpec(const Options &o, const char *kind)
+{
+    api::ExperimentSpec spec = specOf(o, specDoc(o.text("spec")),
+                                      o.text("spec"));
+    const std::string err = service::resolveSpec(spec, kind);
+    if (!err.empty())
+        fatal(err);
+    return spec;
 }
 
 /** Print the fully resolved spec and report whether the command should
  *  exit (--dump-spec runs nothing). */
 bool
-dumpSpecRequested(const std::map<std::string, std::string> &opts,
-                  const api::ExperimentSpec &spec)
+dumpSpecRequested(const Options &o, const api::ExperimentSpec &spec)
 {
-    if (!opts.count("dump-spec"))
+    if (!o.has("dump-spec"))
         return false;
     std::fputs(spec.emit().c_str(), stdout);
     return true;
@@ -292,28 +368,20 @@ dumpSpecRequested(const std::map<std::string, std::string> &opts,
 
 /**
  * Attach the persistent RunCache tier for the caching subcommands
- * (run/sweep/replay/serve — never bench or fuzz, whose timings and
- * campaigns must be fresh). Precedence: --cache-dir flag, then the
+ * (run/sweep/replay/serve/worker — never bench or fuzz, whose timings
+ * and campaigns must be fresh). Precedence: --cache-dir flag, then the
  * JETTY_CACHE_DIR environment variable (already honoured by the
  * RunCache constructor), then the default user cache directory. A value
  * of "off" (flag or env) disables the tier.
  */
 void
-enableDiskCache(const std::map<std::string, std::string> &opts)
+enableDiskCache(const Options &o)
 {
     auto &cache = experiments::RunCache::instance();
-    if (opts.count("cache-bytes")) {
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(opts.at("cache-bytes").c_str(), &end, 10);
-        if (end == opts.at("cache-bytes").c_str() || *end != '\0' ||
-            v == 0)
-            fatal("--cache-bytes needs a positive byte count, got '" +
-                  opts.at("cache-bytes") + "'");
-        cache.setDiskBudget(v);
-    }
-    if (opts.count("cache-dir")) {
-        cache.setDiskRoot(opts.at("cache-dir"));
+    if (o.has("cache-bytes"))
+        cache.setDiskBudget(o.count("cache-bytes", 0));
+    if (o.has("cache-dir")) {
+        cache.setDiskRoot(o.text("cache-dir"));
         return;
     }
     if (std::getenv("JETTY_CACHE_DIR"))
@@ -325,6 +393,16 @@ enableDiskCache(const std::map<std::string, std::string> &opts)
         root = std::string(home) + "/.cache/jetty";
     if (!root.empty())
         cache.setDiskRoot(root);
+}
+
+/** Write @p report to --json FILE when given. */
+void
+writeJson(const Options &o, const json::Value &report)
+{
+    if (!o.has("json"))
+        return;
+    json::writeFile(o.text("json"), report);
+    std::printf("wrote %s\n", o.text("json").c_str());
 }
 
 void
@@ -365,23 +443,15 @@ printRunReport(const experiments::AppRunResult &run,
 }
 
 int
-cmdRun(const std::map<std::string, std::string> &opts)
+cmdRun(const Options &o)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
-    overlayCommonFlags(opts, spec);
-    // Resolution and execution are the service executor's (shared with
-    // `serve`, so a served spec resolves and reports exactly as the
-    // direct subcommand would); the CLI turns its diagnostics back into
-    // the usual fatal() exits.
-    std::string err = service::resolveSpec(spec, "run");
-    if (!err.empty())
-        fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    const api::ExperimentSpec spec = resolvedSpec(o, "run");
+    if (dumpSpecRequested(o, spec))
         return 0;
 
-    enableDiskCache(opts);
+    enableDiskCache(o);
     service::ExecuteResult result;
-    err = service::executeResolved(spec, "run", 0, result);
+    const std::string err = service::executeResolved(spec, "run", 0, result);
     if (!err.empty())
         fatal(err);
 
@@ -425,10 +495,7 @@ cmdRun(const std::map<std::string, std::string> &opts)
         }
     }
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJson(o, result.report);
     return 0;
 }
 
@@ -510,14 +577,10 @@ printShardEvent(const dist::ShardEvent &ev)
  * optional on-disk resume ledger (a disk-cache root; see dist/ledger.hh).
  */
 int
-runDistributedSweep(const api::ExperimentSpec &spec,
-                    const std::map<std::string, std::string> &opts,
+runDistributedSweep(const api::ExperimentSpec &spec, const Options &o,
                     unsigned jobs)
 {
-    unsigned workers = 0;
-    if (!parseUnsigned(opts.at("workers"), workers) || workers < 1)
-        fatal("--workers needs a count >= 1, got '" + opts.at("workers") +
-              "'");
+    const auto workers = static_cast<unsigned>(o.count("workers", 1));
 
     // Worker pipes: a worker dying mid-write must surface as EPIPE on
     // the coordinator's send, not kill the coordinator with SIGPIPE.
@@ -525,41 +588,14 @@ runDistributedSweep(const api::ExperimentSpec &spec,
 
     dist::CoordinatorConfig cfg;
     cfg.spawnWorkers = workers;
-    if (opts.count("retries")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("retries"), v))
-            fatal("--retries needs a non-negative count, got '" +
-                  opts.at("retries") + "'");
-        cfg.maxRetries = v;
-    }
-    if (opts.count("respawns")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("respawns"), v))
-            fatal("--respawns needs a non-negative count, got '" +
-                  opts.at("respawns") + "'");
-        cfg.maxRespawns = v;
-    }
-    if (opts.count("steal-after")) {
-        const double v = std::atof(opts.at("steal-after").c_str());
-        if (!std::isfinite(v))
-            fatal("--steal-after needs a finite number of seconds, got '" +
-                  opts.at("steal-after") + "'");
-        cfg.stealAfterSeconds = v;
-    }
-    if (opts.count("ledger"))
-        cfg.ledgerDir = opts.at("ledger");
+    cfg.maxRetries = static_cast<unsigned>(o.count("retries", cfg.maxRetries));
+    cfg.maxRespawns =
+        static_cast<unsigned>(o.count("respawns", cfg.maxRespawns));
+    cfg.stealAfterSeconds = o.number("steal-after", cfg.stealAfterSeconds);
+    cfg.ledgerDir = o.text("ledger", cfg.ledgerDir);
     cfg.eventSink = printShardEvent;
-
-    unsigned long long killAfter = 0;
-    if (opts.count("kill-worker-after")) {
-        char *end = nullptr;
-        killAfter = std::strtoull(opts.at("kill-worker-after").c_str(),
-                                  &end, 10);
-        if (end == opts.at("kill-worker-after").c_str() || *end != '\0' ||
-            killAfter == 0)
-            fatal("--kill-worker-after needs a positive request count, "
-                  "got '" + opts.at("kill-worker-after") + "'");
-    }
+    // Fault injection: the first worker dies mid-shard after K requests.
+    const std::uint64_t killAfter = o.count("kill-worker-after", 0);
 
     // Children must attach the exact cache tier the parent resolved
     // (flag > env > default): pass it explicitly so a respawned worker
@@ -568,10 +604,9 @@ runDistributedSweep(const api::ExperimentSpec &spec,
         experiments::RunCache::instance().diskRoot();
 
     auto spawned = std::make_shared<unsigned>(0);
-    cfg.factory = [&opts, &cacheRoot, jobs, killAfter,
+    cfg.factory = [&cacheRoot, jobs, killAfter,
                    spawned](dist::WorkerEndpoint &ep,
                             std::string *err) -> bool {
-        (void)opts;
         int req[2];
         int resp[2];
         // O_CLOEXEC everywhere: a later-forked worker must NOT inherit
@@ -662,20 +697,17 @@ runDistributedSweep(const api::ExperimentSpec &spec,
                 static_cast<unsigned long long>(result.duplicates),
                 result.wallSeconds);
 
-    if (opts.count("events")) {
+    if (o.has("events")) {
         json::Value doc = json::Value::object();
         doc.set("jetty_dist_events", 1);
         json::Value arr = json::Value::array();
         for (const auto &ev : result.events)
             arr.push(ev.toJson());
         doc.set("events", std::move(arr));
-        json::writeFile(opts.at("events"), doc);
-        std::printf("wrote %s\n", opts.at("events").c_str());
+        json::writeFile(o.text("events"), doc);
+        std::printf("wrote %s\n", o.text("events").c_str());
     }
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJson(o, result.report);
     return 0;
 }
 
@@ -686,85 +718,30 @@ runDistributedSweep(const api::ExperimentSpec &spec,
  * cell concurrently (--jobs) and exactly once.
  */
 int
-cmdSweep(const std::map<std::string, std::string> &opts)
+cmdSweep(const Options &o)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
-
-    // Axis flags (list-valued, so not part of overlayCommonFlags).
-    if (opts.count("apps")) {
-        const std::string app_list = opts.at("apps");
-        spec.apps.clear();
-        // Flags win over the spec's workload wholesale: expand()
-        // prefers trace_files, so an explicit --apps must clear them.
-        spec.traceFiles.clear();
-        if (toUpper(app_list) == "ALL") {
-            for (const auto &app : trace::paperApps())
-                spec.apps.push_back(app.abbrev);
-        } else {
-            for (const auto &name : split(app_list, ','))
-                spec.apps.push_back(trim(name));
-        }
-    }
-    if (opts.count("procs")) {
-        spec.sweepProcs.clear();
-        for (const auto &n : split(opts.at("procs"), ',')) {
-            unsigned v = 0;
-            if (!parseUnsigned(trim(n), v) || v < 2)
-                fatal("--procs needs counts >= 2, got '" + trim(n) + "'");
-            spec.sweepProcs.push_back(v);
-        }
-    }
-    if (opts.count("buses")) {
-        spec.sweepBuses.clear();
-        for (const auto &n : split(opts.at("buses"), ',')) {
-            unsigned v = 0;
-            if (!parseUnsigned(trim(n), v) || v < 1)
-                fatal("--buses needs counts >= 1, got '" + trim(n) + "'");
-            spec.sweepBuses.push_back(v);
-        }
-    }
-    if (opts.count("no-subblock"))
-        spec.machine.subblocked = false;
-    overlayScaleFlag(opts, spec.scale);
-    overlayFilterFlag(opts, spec.filters);
-
-    // Sweep resolution (all-paper-apps default, axis inference) lives
-    // in the shared service executor.
-    std::string err = service::resolveSpec(spec, "sweep");
-    if (!err.empty())
-        fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    const api::ExperimentSpec spec = resolvedSpec(o, "sweep");
+    if (dumpSpecRequested(o, spec))
         return 0;
 
-    unsigned jobs = 0;  // 0 = SweepRunner default (worker knob, not
-                        // experiment identity — deliberately not in the
-                        // spec: results are jobs-independent)
-    if (opts.count("jobs")) {
-        const int v = std::atoi(opts.at("jobs").c_str());
-        if (v < 0)
-            fatal("--jobs must be >= 0 (0 = auto)");
-        jobs = static_cast<unsigned>(v);
-    }
-
-    enableDiskCache(opts);
+    // 0 = SweepRunner default. A worker knob, not experiment identity,
+    // so deliberately not in the spec: results are jobs-independent.
+    const auto jobs = static_cast<unsigned>(o.count("jobs", 0));
+    enableDiskCache(o);
 
     // The distributed fabric: shard the campaign across local worker
     // processes instead of in-process SweepRunner threads. Same Report
     // bytes either way — the branch only changes who simulates.
-    if (opts.count("workers"))
-        return runDistributedSweep(spec, opts, jobs);
+    if (o.has("workers"))
+        return runDistributedSweep(spec, o, jobs);
 
     service::ExecuteResult result;
-    err = service::executeResolved(spec, "sweep", jobs, result);
+    const std::string err =
+        service::executeResolved(spec, "sweep", jobs, result);
     if (!err.empty())
         fatal(err);
-    const std::vector<std::string> &specs = result.filterNames;
-    const std::vector<experiments::RunRequest> &requests = result.requests;
     const std::vector<experiments::AppRunResult> &runs = result.runs;
-    const double sweep_seconds = result.sweepSeconds;
-    const std::uint64_t simulated = result.simulated;
-
-    printSweepTable(specs, requests, runs);
+    printSweepTable(result.filterNames, result.requests, runs);
 
     // Report the concurrency actually available to this sweep: the
     // requested (or default) worker count never exceeds the number of
@@ -778,22 +755,22 @@ cmdSweep(const std::map<std::string, std::string> &opts)
     std::printf("\n%zu runs (%llu simulated, %llu cache hits), "
                 "%llu workers, %.1f Mrefs/s served\n",
                 runs.size(),
-                static_cast<unsigned long long>(simulated),
+                static_cast<unsigned long long>(result.simulated),
                 static_cast<unsigned long long>(
                     experiments::RunCache::instance().hits()),
-                static_cast<unsigned long long>(std::min(want, simulated)),
-                sweep_seconds > 0 ? sim_refs / 1e6 / sweep_seconds : 0.0);
+                static_cast<unsigned long long>(
+                    std::min(want, result.simulated)),
+                result.sweepSeconds > 0
+                    ? sim_refs / 1e6 / result.sweepSeconds
+                    : 0.0);
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJson(o, result.report);
     return 0;
 }
 
 /** Enumerate the registered filter families and the paper's specs. */
 int
-cmdFilters()
+cmdFilters(const Options &)
 {
     const auto &registry = filter::FilterRegistry::instance();
 
@@ -822,7 +799,7 @@ cmdFilters()
 }
 
 int
-cmdApps()
+cmdApps(const Options &)
 {
     TextTable table;
     table.header({"tag", "name", "streams", "refs/proc"});
@@ -837,55 +814,29 @@ cmdApps()
     return 0;
 }
 
+/** Capture processor streams into one JTTRACE2 file: every processor's,
+ *  one section each, or only --proc P's as a one-section file. Streams
+ *  are written in bounded chunks, so a capture of any length (beyond
+ *  4 Gi records, beyond memory) works. */
 int
-cmdTrace(const std::map<std::string, std::string> &opts)
+cmdCapture(const Options &o)
 {
-    if (!opts.count("app") || !opts.count("out"))
-        fatal("trace needs --app and --out");
-    const unsigned proc = opts.count("proc")
-                              ? static_cast<unsigned>(
-                                    std::atoi(opts.at("proc").c_str()))
-                              : 0;
-    const std::uint64_t limit =
-        opts.count("limit")
-            ? static_cast<std::uint64_t>(std::atoll(opts.at("limit").c_str()))
-            : 1'000'000;
-
-    trace::Workload workload(trace::appByName(opts.at("app")), 4);
-    auto src = workload.makeSource(proc);
-    const auto recs = trace::collect(*src, limit);
-    trace::writeTraceFile(opts.at("out"), recs);
-    std::printf("wrote %zu references to %s\n", recs.size(),
-                opts.at("out").c_str());
-    return 0;
-}
-
-/** Capture every processor's stream into one multi-section JTTRACE2
- *  file. Streams are written in bounded chunks, so a capture of any
- *  length (beyond 4 Gi records, beyond memory) works. */
-int
-cmdCapture(const std::map<std::string, std::string> &opts)
-{
-    if (!opts.count("app") || !opts.count("out"))
+    if (!o.has("app") || !o.has("out"))
         fatal("capture needs --app and --out");
-    unsigned nprocs = 4;
-    if (opts.count("procs")) {
-        if (!parseUnsigned(opts.at("procs"), nprocs) || nprocs < 1)
-            fatal("capture --procs needs a count >= 1");
-    }
-    const double scale =
-        opts.count("scale") ? std::atof(opts.at("scale").c_str()) : 1.0;
-    const std::uint64_t limit =
-        opts.count("limit")
-            ? static_cast<std::uint64_t>(
-                  std::atoll(opts.at("limit").c_str()))
-            : 0;  // 0 = the profile's full stream
+    const auto nprocs = static_cast<unsigned>(o.count("procs", 4));
+    const std::uint64_t proc = o.count("proc", 0);
+    if (proc >= nprocs)
+        fatal("--proc " + o.text("proc") + ": the workload has processors "
+              "0.." + std::to_string(nprocs - 1));
+    const unsigned first = o.has("proc") ? static_cast<unsigned>(proc) : 0;
+    const unsigned last = o.has("proc") ? first + 1 : nprocs;
+    const std::uint64_t limit = o.count("limit", 0);  // 0 = full stream
 
-    const trace::Workload workload(trace::appByName(opts.at("app")),
-                                   nprocs, scale);
-    trace::TraceFileWriter writer(opts.at("out"), nprocs);
+    const trace::Workload workload(trace::appByName(o.text("app")), nprocs,
+                                   o.number("scale", 1.0));
+    trace::TraceFileWriter writer(o.text("out"), last - first);
     std::vector<trace::TraceRecord> buf(64 * 1024);
-    for (unsigned p = 0; p < nprocs; ++p) {
+    for (unsigned p = first; p < last; ++p) {
         auto src = workload.makeSource(p);
         std::uint64_t left =
             limit ? limit : std::numeric_limits<std::uint64_t>::max();
@@ -901,38 +852,26 @@ cmdCapture(const std::map<std::string, std::string> &opts)
         writer.endStream();
     }
     writer.close();
-    std::printf("captured %llu references (%u per-processor streams) "
-                "to %s\n",
-                static_cast<unsigned long long>(writer.recordsWritten()),
-                nprocs, opts.at("out").c_str());
+    const auto records =
+        static_cast<unsigned long long>(writer.recordsWritten());
+    if (o.has("proc")) {
+        std::printf("captured %llu references (processor %u of %u) to %s\n",
+                    records, first, nprocs, o.text("out").c_str());
+    } else {
+        std::printf("captured %llu references (%u per-processor streams) "
+                    "to %s\n",
+                    records, nprocs, o.text("out").c_str());
+    }
     return 0;
 }
 
 int
-cmdReplay(const std::map<std::string, std::string> &opts)
+cmdReplay(const Options &o)
 {
-    api::ExperimentSpec spec = specFromOpts(opts);
-    if (opts.count("in")) {
-        // Flags win over the spec's workload wholesale (apps and
-        // trace_files are mutually exclusive in the schema).
-        spec.apps.clear();
-        spec.traceFiles.clear();
-        for (const auto &f : split(opts.at("in"), ','))
-            spec.traceFiles.push_back(trim(f));
-    }
-    overlayFilterFlag(opts, spec.filters);
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("replay --procs needs a count >= 2");
-        spec.machine.procs = v;
-    }
     // Resolution (default filters, processor inference from the
     // capture, section rejection) is the shared service executor's.
-    std::string err = service::resolveSpec(spec, "replay");
-    if (!err.empty())
-        fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    const api::ExperimentSpec spec = resolvedSpec(o, "replay");
+    if (dumpSpecRequested(o, spec))
         return 0;
 
     // Replays go through the experiment layer: the sources stream from
@@ -940,9 +879,10 @@ cmdReplay(const std::map<std::string, std::string> &opts)
     // by the files' content digests, so repeated replays of one capture
     // simulate once per process — and, with the disk tier, once per
     // machine.
-    enableDiskCache(opts);
+    enableDiskCache(o);
     service::ExecuteResult result;
-    err = service::executeResolved(spec, "replay", 0, result);
+    const std::string err =
+        service::executeResolved(spec, "replay", 0, result);
     if (!err.empty())
         fatal(err);
     const experiments::AppRunResult &run = result.runs[0];
@@ -960,10 +900,7 @@ cmdReplay(const std::map<std::string, std::string> &opts)
     }
     table.print();
 
-    if (opts.count("json")) {
-        json::writeFile(opts.at("json"), result.report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
-    }
+    writeJson(o, result.report);
     return 0;
 }
 
@@ -973,36 +910,14 @@ cmdReplay(const std::map<std::string, std::string> &opts)
  * per run and as a structured api::Report for trend tracking.
  */
 int
-cmdBench(const std::map<std::string, std::string> &opts)
+cmdBench(const Options &o)
 {
     using Clock = std::chrono::steady_clock;
 
-    api::ExperimentSpec spec = specFromOpts(opts);
-    overlayCommonFlags(opts, spec);
-    if (opts.count("in")) {
-        spec.traceFiles.clear();
-        for (const auto &f : split(opts.at("in"), ','))
-            spec.traceFiles.push_back(trim(f));
-        spec.apps.clear();
-    }
-    if (opts.count("batch")) {
-        unsigned batch = 0;
-        if (!parseUnsigned(opts.at("batch"), batch) || batch < 1)
-            fatal("bench --batch needs a count >= 1");
-        spec.machine.batchRefs = batch;
-    }
-    if (opts.count("repeat")) {
-        unsigned repeat = 0;
-        if (!parseUnsigned(opts.at("repeat"), repeat) || repeat < 1)
-            fatal("bench --repeat needs a count >= 1");
-        spec.benchRepeat = repeat;
-    }
     // Resolution (defaults, processor inference from trace files,
     // section rejection) is the shared service executor's.
-    const std::string err = service::resolveSpec(spec, "bench");
-    if (!err.empty())
-        fatal(err);
-    if (dumpSpecRequested(opts, spec))
+    const api::ExperimentSpec spec = resolvedSpec(o, "bench");
+    if (dumpSpecRequested(o, spec))
         return 0;
 
     sim::SmpConfig cfg = spec.smpConfig();
@@ -1052,7 +967,7 @@ cmdBench(const std::map<std::string, std::string> &opts)
     std::printf("sustained: %.1f Mrefs/s (best of %u)\n", refs / 1e6 / best,
                 repeat);
 
-    if (opts.count("json")) {
+    if (o.has("json")) {
         api::Report report("bench");
         report.echoSpec(spec);
         auto &root = report.root();
@@ -1073,31 +988,61 @@ cmdBench(const std::map<std::string, std::string> &opts)
             root.set("trace_digests",
                      api::Report::traceDigestsNode(spec.traceFiles));
         }
-        report.writeFile(opts.at("json"));
-        std::printf("wrote %s\n", opts.at("json").c_str());
+        writeJson(o, report.root());
     }
     return 0;
 }
 
-/** The effective spec of a fuzz campaign (verify::specOfFuzz with the
- *  configured bus count — the shared construction the repro sidecar
- *  also uses). */
-api::ExperimentSpec
-specOfFuzz(const verify::FuzzConfig &cfg)
+/**
+ * Coverage-guided differential fuzzing (verify/fuzzer.hh): generate
+ * adversarial traces, check every online invariant plus golden-model and
+ * batched-path state equivalence, shrink and persist any failure.
+ *
+ * The campaign is a spec like any other verb's, built over one base
+ * document: a --repro's sidecar spec (the machine the failure was caught
+ * on), else --spec, else nothing — and a base that names no machine gets
+ * the fuzzer's deliberately tiny thrash machine rather than the paper
+ * variant. --smoke's CI-sized budgets, then the flags, overlay the base.
+ */
+int
+cmdFuzz(const Options &o)
 {
-    return verify::specOfFuzz(cfg, cfg.system.snoopBuses);
-}
+    const std::string repro = o.text("repro");
+    json::Value doc = specDoc(o.text("spec"));
+    std::string origin = o.text("spec");
+    bool pinned = false;  // the sidecar names the machine and its filters
+    verify::TraceSet traces;
+    if (!repro.empty()) {
+        traces = verify::readReproTraces(repro);
+        if (traces.size() < 2) {
+            fatal("fuzz --repro: '" + repro + "' holds " +
+                  std::to_string(traces.size()) +
+                  " stream(s); a repro needs one per processor (>= 2)");
+        }
+        if (verify::readReproSpec(repro, doc)) {
+            origin = repro + ".json";
+            pinned = true;
+        } else {
+            warn("no complete sidecar " + repro +
+                 ".json; replaying under the default configuration");
+        }
+    }
+    verify::FuzzConfig cfg;
+    if (!doc.isObject() || !doc.find("machine"))
+        setPath(doc, "machine",
+                *verify::specOfFuzz(cfg, 1).toJson().find("machine"));
+    if (!repro.empty())
+        setPath(doc, "machine.procs", json::Value(traces.size()));
+    if (o.has("smoke")) {
+        setPath(doc, "fuzz.rounds", 64);
+        setPath(doc, "fuzz.refs_per_proc", 2048);
+        setPath(doc, "fuzz.seconds", 20.0);
+    }
+    // A pinned interconnect: every round runs --buses, not 1/2/4.
+    if (o.has("buses"))
+        setPath(doc, "fuzz.randomize_buses", false);
+    const api::ExperimentSpec spec = specOf(o, std::move(doc), origin);
 
-/** Apply a loaded spec onto the fuzz defaults. A present machine
- *  section is authoritative (explicit geometry honoured); an absent
- *  one keeps the fuzzer's deliberately tiny thrash machine rather than
- *  silently swapping in the paper variant. Filters fall back to the
- *  fuzzer's every-family default when the spec names none. Sections
- *  fuzz cannot honour (workload, sweep, bench) are rejected, matching
- *  the other subcommands. */
-void
-applySpecToFuzz(const api::ExperimentSpec &spec, verify::FuzzConfig &cfg)
-{
     if (!spec.apps.empty() || !spec.traceFiles.empty())
         fatal("fuzz: the spec has a workload section — fuzz synthesizes "
               "its own adversarial traces (use run/replay/bench)");
@@ -1105,186 +1050,52 @@ applySpecToFuzz(const api::ExperimentSpec &spec, verify::FuzzConfig &cfg)
         fatal("fuzz: the spec has a sweep section — use sweep");
     if (spec.benchRepeat > 0)
         fatal("fuzz: the spec has a bench section — use bench");
-
-    if (spec.hasMachine) {
-        const std::vector<std::string> default_filters =
-            cfg.system.filterSpecs;
-        cfg.system = spec.smpConfig();
-        if (spec.filters.empty())
-            cfg.system.filterSpecs = default_filters;
-    } else if (!spec.filters.empty()) {
-        cfg.system.filterSpecs = spec.filters;
+    if (!repro.empty() && spec.machine.procs != traces.size()) {
+        fatal("fuzz --repro: --procs " + o.text("procs") +
+              " conflicts with the repro's " +
+              std::to_string(traces.size()) + " streams");
     }
+
+    // Filters fall back to every family unless the sidecar pinned them
+    // (a filterless repro replays filterless).
+    const std::vector<std::string> every_family = cfg.system.filterSpecs;
+    cfg.system = spec.smpConfig();
+    if (spec.filters.empty() && !pinned)
+        cfg.system.filterSpecs = every_family;
     cfg.system.checkSafety = false;
-    if (spec.hasFuzz) {
-        cfg.seed = spec.fuzz.seed;
-        cfg.rounds = spec.fuzz.rounds;
-        cfg.refsPerProc = spec.fuzz.refsPerProc;
-        cfg.auditEvery = spec.fuzz.auditEvery;
-        cfg.randomizeBuses = spec.fuzz.randomizeBuses;
-        cfg.timeBudgetSeconds = spec.fuzz.seconds;
-    }
-}
-
-/**
- * Coverage-guided differential fuzzing (verify/fuzzer.hh): generate
- * adversarial traces, check every online invariant plus golden-model and
- * batched-path state equivalence, shrink and persist any failure.
- */
-int
-cmdFuzz(const std::map<std::string, std::string> &opts)
-{
-    verify::FuzzConfig cfg;
-
-    if (opts.count("spec"))
-        applySpecToFuzz(api::ExperimentSpec::load(opts.at("spec")), cfg);
-
-    // --smoke next: it sets CI-sized defaults that any explicit option
-    // below still overrides.
-    if (opts.count("smoke")) {
-        cfg.rounds = 64;
-        cfg.refsPerProc = 2048;
-        cfg.timeBudgetSeconds = 20.0;
-    }
-
-    if (opts.count("seed")) {
-        char *end = nullptr;
-        cfg.seed = static_cast<std::uint64_t>(
-            std::strtoull(opts.at("seed").c_str(), &end, 0));
-        if (end == opts.at("seed").c_str() || *end != '\0')
-            fatal("fuzz --seed needs a number, got '" + opts.at("seed") +
-                  "'");
-    }
-    if (opts.count("rounds")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("rounds"), v) || v < 1)
-            fatal("fuzz --rounds needs a count >= 1");
-        cfg.rounds = v;
-    }
-    if (opts.count("refs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("refs"), v) || v < 1)
-            fatal("fuzz --refs needs a count >= 1");
-        cfg.refsPerProc = v;
-    }
-    if (opts.count("procs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("procs"), v) || v < 2)
-            fatal("fuzz --procs needs a count >= 2");
-        cfg.system.nprocs = v;
-    }
-    if (opts.count("buses")) {
-        // Pin the interconnect instead of cycling through 1/2/4.
-        cfg.system.snoopBuses = busCount(opts, 1);
-        cfg.randomizeBuses = false;
-    }
-    overlayFilterFlag(opts, cfg.system.filterSpecs);
-    if (opts.count("seconds")) {
-        char *end = nullptr;
-        const double v = std::strtod(opts.at("seconds").c_str(), &end);
-        if (end == opts.at("seconds").c_str() || *end != '\0' || v < 0)
-            fatal("fuzz --seconds needs a non-negative number, got '" +
-                  opts.at("seconds") + "'");
-        cfg.timeBudgetSeconds = v;
-    }
-    if (opts.count("audit-every")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("audit-every"), v))
-            fatal("fuzz --audit-every needs a count");
-        cfg.auditEvery = v;
-    }
-
-    // The effective campaign must itself be expressible as a valid
-    // spec (the --dump-spec/--spec contract), so flag values the
-    // schema would reject fail here with the schema's diagnostic.
-    {
-        std::string err;
-        api::ExperimentSpec::parse(specOfFuzz(cfg).emit(), &err);
-        if (!err.empty())
-            fatal(err);
-    }
-
-    if (!opts.count("repro") && dumpSpecRequested(opts, specOfFuzz(cfg)))
+    cfg.seed = spec.fuzz.seed;
+    cfg.rounds = spec.fuzz.rounds;
+    cfg.refsPerProc = spec.fuzz.refsPerProc;
+    cfg.auditEvery = spec.fuzz.auditEvery;
+    cfg.randomizeBuses = spec.fuzz.randomizeBuses;
+    cfg.timeBudgetSeconds = spec.fuzz.seconds;
+    // The effective campaign, as the repro sidecar records it too.
+    const api::ExperimentSpec effective =
+        verify::specOfFuzz(cfg, cfg.system.snoopBuses);
+    if (dumpSpecRequested(o, effective))
         return 0;
 
-    if (opts.count("repro")) {
-        // Replay a persisted repro through the full differential check,
-        // on the machine its sidecar recorded — not the default one —
-        // so a failure caught under custom filters or geometry cannot
-        // falsely replay "clean". Explicit --filters overrides.
-        const auto traces = verify::readReproTraces(opts.at("repro"));
-        if (traces.size() < 2) {
-            fatal("fuzz --repro: '" + opts.at("repro") + "' holds " +
-                  std::to_string(traces.size()) +
-                  " stream(s); a repro needs one per processor (>= 2)");
-        }
-        if (opts.count("procs") &&
-            cfg.system.nprocs != traces.size()) {
-            fatal("fuzz --repro: --procs " +
-                  std::to_string(cfg.system.nprocs) +
-                  " conflicts with the repro's " +
-                  std::to_string(traces.size()) + " streams");
-        }
-        if (!verify::readReproConfig(opts.at("repro"), cfg.system)) {
-            warn("no complete sidecar " + opts.at("repro") +
-                 ".json; replaying under the default configuration");
-        }
-        // Restore the recorded campaign's fuzz section too (seed and
-        // budgets), so the --dump-spec/--json echo records the
-        // campaign that caught the failure rather than the defaults.
-        // Flags given explicitly on this invocation still win.
-        {
-            std::string err;
-            const json::Value doc =
-                json::parseFile(opts.at("repro") + ".json", &err);
-            const json::Value *sn =
-                err.empty() ? doc.find("spec") : nullptr;
-            if (sn) {
-                const api::ExperimentSpec sidecar =
-                    api::ExperimentSpec::fromJson(*sn, &err);
-                if (err.empty() && sidecar.hasFuzz) {
-                    if (!opts.count("seed"))
-                        cfg.seed = sidecar.fuzz.seed;
-                    if (!opts.count("rounds"))
-                        cfg.rounds = sidecar.fuzz.rounds;
-                    if (!opts.count("refs"))
-                        cfg.refsPerProc = sidecar.fuzz.refsPerProc;
-                    if (!opts.count("audit-every"))
-                        cfg.auditEvery = sidecar.fuzz.auditEvery;
-                    if (!opts.count("seconds"))
-                        cfg.timeBudgetSeconds = sidecar.fuzz.seconds;
-                    cfg.randomizeBuses = sidecar.fuzz.randomizeBuses;
-                }
-            }
-        }
-        // Explicit options override what the sidecar restored.
-        overlayFilterFlag(opts, cfg.system.filterSpecs);
-        if (opts.count("buses"))
-            cfg.system.snoopBuses = busCount(opts, 1);
-        cfg.system.nprocs = static_cast<unsigned>(traces.size());
-        if (dumpSpecRequested(opts, specOfFuzz(cfg)))
-            return 0;
+    api::Report report("fuzz");
+    report.echoSpec(effective);
+    auto &root = report.root();
+    if (!repro.empty()) {
+        // Replay the persisted repro through the full differential
+        // check, on the machine its sidecar recorded.
         const std::string failure = verify::TraceFuzzer::checkOnce(
             cfg.system, traces, cfg.auditEvery, true, true, nullptr);
         const bool reproduced = !failure.empty();
         if (reproduced) {
-            std::printf("repro %s reproduces:\n  %s\n",
-                        opts.at("repro").c_str(), failure.c_str());
+            std::printf("repro %s reproduces:\n  %s\n", repro.c_str(),
+                        failure.c_str());
         } else {
-            std::printf("repro %s: clean (%zu streams)\n",
-                        opts.at("repro").c_str(), traces.size());
+            std::printf("repro %s: clean (%zu streams)\n", repro.c_str(),
+                        traces.size());
         }
-        if (opts.count("json")) {
-            api::Report report("fuzz");
-            report.echoSpec(specOfFuzz(cfg));
-            auto &root = report.root();
-            root.set("repro", opts.at("repro"));
-            root.set("reproduced", reproduced);
-            if (reproduced)
-                root.set("failure", failure);
-            report.writeFile(opts.at("json"));
-            std::printf("wrote %s\n", opts.at("json").c_str());
-        }
+        root.set("repro", repro);
+        root.set("reproduced", reproduced);
+        if (reproduced)
+            root.set("failure", failure);
+        writeJson(o, root);
         return reproduced ? 2 : 0;
     }
 
@@ -1308,8 +1119,7 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                     static_cast<unsigned long long>(result.roundSeed),
                     result.invariant.c_str(), result.detail.c_str(),
                     static_cast<unsigned long long>(result.records()));
-        repro_path =
-            opts.count("out") ? opts.at("out") : std::string("fuzz-repro.jtt");
+        repro_path = o.text("out", "fuzz-repro.jtt");
         // (writeRepro records the failing round's bus count from the
         // result, and embeds the machine + campaign budgets as an
         // ExperimentSpec.)
@@ -1321,31 +1131,25 @@ cmdFuzz(const std::map<std::string, std::string> &opts)
                     "states bit-exact\n");
     }
 
-    if (opts.count("json")) {
-        api::Report report("fuzz");
-        report.echoSpec(specOfFuzz(cfg));
-        auto &root = report.root();
-        root.set("rounds_run", result.roundsRun);
-        root.set("total_refs", result.totalRefs);
-        json::Value cov = json::Value::object();
-        cov.set("cells_covered",
-                static_cast<std::uint64_t>(result.coverage.cellsCovered()));
-        cov.set("cells_tracked",
-                static_cast<std::uint64_t>(result.coverage.cellsTracked()));
-        root.set("coverage", std::move(cov));
-        root.set("failed", result.failed);
-        if (result.failed) {
-            root.set("invariant", result.invariant);
-            root.set("detail", result.detail);
-            root.set("failing_round", result.failingRound);
-            root.set("round_seed", result.roundSeed);
-            root.set("snoop_buses", result.snoopBuses);
-            root.set("records", result.records());
-            root.set("repro", repro_path);
-        }
-        report.writeFile(opts.at("json"));
-        std::printf("wrote %s\n", opts.at("json").c_str());
+    root.set("rounds_run", result.roundsRun);
+    root.set("total_refs", result.totalRefs);
+    json::Value cov = json::Value::object();
+    cov.set("cells_covered",
+            static_cast<std::uint64_t>(result.coverage.cellsCovered()));
+    cov.set("cells_tracked",
+            static_cast<std::uint64_t>(result.coverage.cellsTracked()));
+    root.set("coverage", std::move(cov));
+    root.set("failed", result.failed);
+    if (result.failed) {
+        root.set("invariant", result.invariant);
+        root.set("detail", result.detail);
+        root.set("failing_round", result.failingRound);
+        root.set("round_seed", result.roundSeed);
+        root.set("snoop_buses", result.snoopBuses);
+        root.set("records", result.records());
+        root.set("repro", repro_path);
     }
+    writeJson(o, root);
     return result.failed ? 2 : 0;
 }
 
@@ -1361,19 +1165,12 @@ serveSignalHandler(int)
 }
 
 int
-cmdServe(const std::map<std::string, std::string> &opts)
+cmdServe(const Options &o)
 {
     service::ServerConfig cfg;
-    if (opts.count("socket"))
-        cfg.socketPath = opts.at("socket");
-    if (opts.count("jobs")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("jobs"), v))
-            fatal("--jobs needs a non-negative count, got '" +
-                  opts.at("jobs") + "'");
-        cfg.jobs = v;
-    }
-    enableDiskCache(opts);
+    cfg.socketPath = o.text("socket", cfg.socketPath);
+    cfg.jobs = static_cast<unsigned>(o.count("jobs", cfg.jobs));
+    enableDiskCache(o);
 
     service::ExperimentServer server(cfg);
     std::string err = server.start();
@@ -1403,24 +1200,20 @@ cmdServe(const std::map<std::string, std::string> &opts)
  *  mid-shard — after shard_started, before the response — on the Kth
  *  request. */
 int
-cmdWorker(const std::map<std::string, std::string> &opts)
+cmdWorker(const Options &o)
 {
     // The coordinator may vanish while a response is in flight; EPIPE
     // on the write is the recoverable signal, SIGPIPE is not.
     std::signal(SIGPIPE, SIG_IGN);
 
-    unsigned jobs = 0;
-    if (opts.count("jobs") && !parseUnsigned(opts.at("jobs"), jobs))
-        fatal("--jobs needs a non-negative count, got '" + opts.at("jobs") +
-              "'");
-    enableDiskCache(opts);
+    const auto jobs = static_cast<unsigned>(o.count("jobs", 0));
+    enableDiskCache(o);
 
     service::SessionFault fault;
     if (const char *die = std::getenv("JETTY_WORKER_DIE_AFTER");
         die && *die) {
-        char *end = nullptr;
-        const unsigned long long after = std::strtoull(die, &end, 10);
-        if (end == die || *end != '\0' || after == 0)
+        std::uint64_t after = 0;
+        if (!parseUnsigned(die, after) || after == 0)
             fatal(std::string("JETTY_WORKER_DIE_AFTER needs a positive "
                               "request count, got '") + die + "'");
         fault = [after](std::uint64_t received) -> bool {
@@ -1439,29 +1232,14 @@ cmdWorker(const std::map<std::string, std::string> &opts)
 }
 
 int
-cmdSubmit(const std::string &specPath,
-          const std::map<std::string, std::string> &opts)
+cmdSubmit(const Options &o)
 {
-    const std::string socket =
-        opts.count("socket") ? opts.at("socket") : std::string("jetty.sock");
-
+    const std::string socket = o.text("socket", "jetty.sock");
     service::ClientOptions copts;
-    if (opts.count("timeout")) {
-        const double v = std::atof(opts.at("timeout").c_str());
-        if (!std::isfinite(v) || v <= 0)
-            fatal("--timeout needs a finite number of seconds > 0, "
-                  "got '" + opts.at("timeout") + "'");
-        copts.timeoutSeconds = v;
-    }
-    if (opts.count("retries")) {
-        unsigned v = 0;
-        if (!parseUnsigned(opts.at("retries"), v))
-            fatal("--retries needs a non-negative count, got '" +
-                  opts.at("retries") + "'");
-        copts.retries = v;
-    }
+    copts.timeoutSeconds = o.number("timeout", copts.timeoutSeconds);
+    copts.retries = static_cast<unsigned>(o.count("retries", copts.retries));
 
-    if (opts.count("shutdown")) {
+    if (o.has("shutdown")) {
         json::Value resp;
         std::string err = service::requestResponse(
             socket, service::makeRequest("shutdown"), resp, copts);
@@ -1471,10 +1249,11 @@ cmdSubmit(const std::string &specPath,
         return 0;
     }
 
-    if (specPath.empty())
+    if (o.positional.empty())
         fatal("submit needs a spec file: jetty_cli submit SPEC.json "
-              "[--socket PATH] [--json FILE] [--timeout S] [--retries N]");
-    api::ExperimentSpec spec = api::ExperimentSpec::load(specPath);
+              "[flags]");
+    const api::ExperimentSpec spec =
+        specOf(o, specDoc(o.positional), o.positional);
 
     json::Value resp;
     std::string err = service::requestResponse(
@@ -1506,14 +1285,135 @@ cmdSubmit(const std::string &specPath,
                 static_cast<unsigned long long>(
                     memHits && memHits->isNumber() ? memHits->asU64() : 0));
 
-    if (opts.count("json")) {
+    if (o.has("json")) {
         const json::Value *report = resp.find("report");
         if (!report)
             fatal("server response carries no report");
-        json::writeFile(opts.at("json"), *report);
-        std::printf("wrote %s\n", opts.at("json").c_str());
+        writeJson(o, *report);
     }
     return 0;
+}
+
+// ---- the flag tables ---------------------------------------------------
+
+const Flag kSpec{"spec", Kind::Text, "",
+                 "FILE  the ExperimentSpec the flags overlay"};
+const Flag kJson{"json", Kind::Text, "", "FILE  write the structured Report"};
+const Flag kDumpSpec{"dump-spec", Kind::Switch, "",
+                     "print the resolved spec instead of running"};
+const Flag kApp{"app", Kind::Names, "workload.apps", "NAME  the application"};
+const Flag kIn{"in", Kind::Names, "workload.trace_files",
+               "FILE[,FILE...]  per-processor or multi-section captures"};
+const Flag kProcs{"procs", Kind::Field, "machine.procs", "N  processors"};
+const Flag kBuses{"buses", Kind::Field, "machine.buses",
+                  "N  split snoop buses"};
+const Flag kNoSubblock{"no-subblock", Kind::Switch, "machine.subblocked",
+                       "whole-block coherence (the paper's NSB system)"};
+const Flag kScale{"scale", Kind::Field, "workload.scale",
+                  "F  reference-count scale"};
+const Flag kFilters{"filters", Kind::Names, "filters",
+                    "SPEC[,SPEC...]  filter configurations (see filters)"};
+const Flag kJobs{"jobs", Kind::Count, "",
+                 "N  simulation threads (0 = JETTY_JOBS or every core)"};
+const Flag kCacheDir{"cache-dir", Kind::Text, "",
+                     "DIR  the on-disk run cache (off disables)"};
+const Flag kCacheBytes{"cache-bytes", Kind::Positive, "",
+                       "N  the on-disk run cache's byte budget"};
+
+const std::vector<Verb> kVerbs = {
+    {"run", cmdRun, "simulate one application, print coverage and energy",
+     nullptr,
+     {kSpec, kApp, kProcs, kBuses, kNoSubblock, kScale, kFilters, kJson,
+      kDumpSpec, kCacheDir, kCacheBytes}},
+    {"sweep", cmdSweep,
+     "every (app, procs, buses) cell of the cross-product, in parallel",
+     nullptr,
+     {kSpec,
+      {"apps", Kind::Names, "workload.apps", "NAME[,NAME...]|all  apps"},
+      {"procs", Kind::FieldList, "sweep.procs", "N[,M...]  processor axis"},
+      {"buses", Kind::FieldList, "sweep.buses", "N[,M...]  snoop-bus axis"},
+      kNoSubblock, kScale, kFilters, kJobs, kJson, kDumpSpec, kCacheDir,
+      kCacheBytes,
+      {"workers", Kind::Positive, "",
+       "N  shard the campaign across N local worker processes"},
+      {"ledger", Kind::Text, "",
+       "DIR  resume ledger (a disk-cache root; may be --cache-dir)"},
+      {"retries", Kind::Count, "", "N  retries of a shard whose worker died"},
+      {"respawns", Kind::Count, "", "N  replacement workers"},
+      {"steal-after", Kind::Real, "",
+       "S  steal a shard in flight this long (<= 0: never)"},
+      {"events", Kind::Text, "", "FILE  write the shard event log"},
+      {"kill-worker-after", Kind::Positive, "",
+       "N  fault injection: the first worker dies on its Nth request"}}},
+    {"apps", cmdApps, "list the application profiles", nullptr, {}},
+    {"filters", cmdFilters, "list the filter families and paper configs",
+     nullptr, {}},
+    {"capture", cmdCapture,
+     "write processor streams to a JTTRACE2 file, one section each",
+     nullptr,
+     {{"app", Kind::Text, "", "NAME  the application"},
+      {"out", Kind::Text, "", "FILE  the capture"},
+      {"procs", Kind::Positive, "", "N  processors of the workload (4)"},
+      {"scale", Kind::PositiveReal, "", "F  reference-count scale (1)"},
+      {"limit", Kind::Count, "", "N  references per stream (0 = all)"},
+      {"proc", Kind::Count, "", "P  only processor P's stream"}}},
+    {"replay", cmdReplay, "simulate captured traces", nullptr,
+     {kSpec, kIn, kFilters, kProcs, kJson, kDumpSpec, kCacheDir,
+      kCacheBytes}},
+    {"serve", cmdServe,
+     "experiment service: answer specs on a unix socket from one cache",
+     nullptr,
+     {{"socket", Kind::Text, "", "PATH  the socket (jetty.sock)"}, kJobs,
+      kCacheDir, kCacheBytes}},
+    {"submit", cmdSubmit, "send a spec to a serve daemon", "SPEC.json",
+     {{"socket", Kind::Text, "", "PATH  the daemon's socket (jetty.sock)"},
+      kJson,
+      {"timeout", Kind::PositiveReal, "",
+       "S  bound on the connect backoff and the response wait"},
+      {"retries", Kind::Count, "", "N  extra connect attempts"},
+      {"shutdown", Kind::Switch, "", "stop the daemon instead"}}},
+    {"worker", cmdWorker,
+     "a serve session on stdin/stdout (spawned by sweep --workers)",
+     nullptr, {kJobs, kCacheDir, kCacheBytes}},
+    {"bench", cmdBench, "sustained refs/sec of the delivery pipeline",
+     nullptr,
+     {kSpec, kApp, kIn, kProcs, kBuses, kNoSubblock, kScale, kFilters,
+      {"batch", Kind::Field, "machine.batch_refs", "N  delivery batch size"},
+      {"repeat", Kind::Field, "bench.repeat", "K  cold runs; best is kept"},
+      kJson, kDumpSpec}},
+    {"fuzz", cmdFuzz,
+     "differential fuzzing; exit 2 on a caught violation", nullptr,
+     {kSpec,
+      {"seed", Kind::Field, "fuzz.seed", "N  campaign seed"},
+      {"rounds", Kind::Field, "fuzz.rounds", "N  rounds"},
+      {"refs", Kind::Field, "fuzz.refs_per_proc", "N  references per proc"},
+      kProcs,
+      {"buses", Kind::Field, "machine.buses",
+       "N  pin the snoop buses (else rounds cycle 1/2/4)"},
+      kFilters,
+      {"seconds", Kind::Field, "fuzz.seconds", "S  time budget (0 = none)"},
+      {"audit-every", Kind::Field, "fuzz.audit_every",
+       "N  global audit cadence in references"},
+      {"smoke", Kind::Switch, "", "CI-sized budgets (flags still win)"},
+      {"out", Kind::Text, "", "FILE  where a failure's repro goes"},
+      {"repro", Kind::Text, "",
+       "FILE  replay a repro on the machine its sidecar records"},
+      kJson, kDumpSpec}},
+};
+
+void
+printUsage()
+{
+    std::fprintf(stderr, "usage: jetty_cli VERB [flags]\n");
+    for (const Verb &v : kVerbs) {
+        std::fprintf(stderr, "\n  %s%s%s  %s\n", v.name,
+                     v.positional ? " " : "",
+                     v.positional ? v.positional : "", v.summary);
+        for (const Flag &f : v.flags) {
+            std::fprintf(stderr, "      --%-18s %s%s%s%s\n", f.name, f.help,
+                         *f.path ? " [" : "", f.path, *f.path ? "]" : "");
+        }
+    }
 }
 
 } // namespace
@@ -1522,43 +1422,14 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        std::fprintf(stderr, "usage: jetty_cli run|sweep|apps|filters|"
-                             "capture|trace|replay|serve|submit|worker|"
-                             "bench|fuzz [options]\n"
-                             "       (run/sweep/replay/bench/fuzz accept "
-                             "--spec FILE / --dump-spec / --json FILE;\n"
-                             "        submit takes a positional SPEC.json)\n");
+        printUsage();
         return 1;
     }
     const std::string cmd = argv[1];
-    if (cmd == "submit") {
-        // submit's spec file is positional: jetty_cli submit SPEC.json
-        const bool hasPath = argc >= 3 && argv[2][0] != '-';
-        const auto opts = parseOptions(argc, argv, hasPath ? 3 : 2);
-        return cmdSubmit(hasPath ? argv[2] : "", opts);
+    for (const Verb &v : kVerbs) {
+        if (cmd == v.name)
+            return v.run(parseOptions(v, argc, argv));
     }
-    const auto opts = parseOptions(argc, argv, 2);
-    if (cmd == "run")
-        return cmdRun(opts);
-    if (cmd == "sweep")
-        return cmdSweep(opts);
-    if (cmd == "apps")
-        return cmdApps();
-    if (cmd == "filters")
-        return cmdFilters();
-    if (cmd == "capture")
-        return cmdCapture(opts);
-    if (cmd == "trace")
-        return cmdTrace(opts);
-    if (cmd == "replay")
-        return cmdReplay(opts);
-    if (cmd == "serve")
-        return cmdServe(opts);
-    if (cmd == "worker")
-        return cmdWorker(opts);
-    if (cmd == "bench")
-        return cmdBench(opts);
-    if (cmd == "fuzz")
-        return cmdFuzz(opts);
+    printUsage();
     fatal("unknown command '" + cmd + "'");
 }

@@ -31,6 +31,10 @@
  *                   wrappers). The service executor's contract is that
  *                   failures come back as strings, never as a dead
  *                   process.
+ *   checked-number  atoi/atof/atol/atoll are banned everywhere: they map
+ *                   garbage to 0, so a typo'd flag or environment value
+ *                   silently runs something else. parseUnsigned() and
+ *                   parseDouble() (util/string_utils.hh) refuse it.
  *   serialization   The X-macro field lists in run_result_json.cc and
  *                   the shard envelope lists in dist/shard.cc must
  *                   losslessly cover every scalar member of the structs
@@ -270,7 +274,7 @@ knownRules()
 {
     static const std::set<std::string> rules = {
         "determinism", "unordered", "atomic-write", "no-fatal",
-        "serialization",
+        "checked-number", "serialization",
     };
     return rules;
 }
@@ -623,6 +627,24 @@ checkNoFatal(FileCheck &fc)
                            "contract) — or goes through "
                            "util/logging.hh fatal()/panic() for "
                            "construction-time invariants");
+    }
+}
+
+void
+checkCheckedNumber(FileCheck &fc)
+{
+    static const std::set<std::string> banned = {"atoi", "atof", "atol",
+                                                 "atoll"};
+    const auto &t = fc.toks;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        if (t[i].kind != TokKind::Ident || banned.count(t[i].text) == 0 ||
+            !isCall(t, i) || memberAccess(t, i) || nonStdQualified(t, i) ||
+            isDeclaration(t, i))
+            continue;
+        fc.add(t[i].line, "checked-number",
+               t[i].text + "() maps garbage to 0; use parseUnsigned() or "
+                           "parseDouble() (util/string_utils.hh) and "
+                           "reject what they refuse");
     }
 }
 
@@ -1089,8 +1111,9 @@ usage(const char *argv0)
         "usage: %s [--root DIR] [--json FILE] [--list-rules] [PATH...]\n"
         "\n"
         "Checks the project invariants (determinism, atomic publication,\n"
-        "lossless serialization, library-never-fatal) over src/, tools/\n"
-        "and bench/ under --root (default: the current directory).\n"
+        "lossless serialization, library-never-fatal, checked numbers)\n"
+        "over src/, tools/ and bench/ under --root (default: the current\n"
+        "directory).\n"
         "PATH arguments (relative to the root) restrict the scan.\n"
         "\n"
         "  --root DIR     tree to scan\n"
@@ -1186,6 +1209,7 @@ main(int argc, char **argv)
         checkUnordered(fc);
         checkAtomicWrite(fc);
         checkNoFatal(fc);
+        checkCheckedNumber(fc);
 
         std::vector<Escape> escapes =
             parseEscapes(f.rel, f.lexed.comments, findings);
