@@ -1,9 +1,5 @@
 #include "api/experiment_spec.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <limits>
-
 #include "core/filter_registry.hh"
 #include "core/filter_spec.hh"
 #include "trace/apps.hh"
@@ -201,278 +197,78 @@ ExperimentSpec::canonicalText() const
 namespace
 {
 
-/** Join @p keys as "a, b, c" for "valid:" lists. */
-std::string
-joinKeys(const std::vector<const char *> &keys)
+/** Double member @p key that must exceed 0 (or, @p orZero, reach it). */
+void
+readPositive(json::FieldReader &r, const json::Value &o, const char *key,
+             double &out, bool orZero = false)
 {
-    std::string out;
-    for (const char *k : keys) {
-        if (!out.empty())
-            out += ", ";
-        out += k;
-    }
-    return out;
+    double d = out;
+    r.dbl(o, key, d);
+    if (r.get(o, key) && (orZero ? d < 0 : d <= 0))
+        r.fail(key, json::formatDouble(d) + " is out of range " +
+                        (orZero ? "(must be >= 0)" : "(must be > 0)"));
+    if (r.ok())
+        out = d;
 }
 
-/**
- * Validating view of one JSON object: rejects unknown members up front
- * (naming the key, its path, and the valid set — the registry's
- * describeFailure() style) and offers typed, range-checked readers that
- * prefix every complaint with the member's dotted path.
- */
-class ObjReader
-{
-  public:
-    ObjReader(const json::Value &v, const std::string &path,
-              std::vector<const char *> keys, std::string *err)
-        : obj_(v), path_(path), err_(err)
-    {
-        if (!ok())
-            return;
-        if (!v.isObject()) {
-            fail(path_, "expected an object");
-            return;
-        }
-        for (const auto &m : v.members()) {
-            const bool known =
-                std::any_of(keys.begin(), keys.end(),
-                            [&m](const char *k) { return m.first == k; });
-            if (!known) {
-                fail(path_.empty() ? m.first : path_ + "." + m.first,
-                     "unknown key (valid: " + joinKeys(keys) + ")");
-                return;
-            }
-        }
-    }
-
-    bool ok() const { return err_->empty(); }
-
-    const json::Value *
-    get(const char *key) const
-    {
-        return ok() ? obj_.find(key) : nullptr;
-    }
-
-    /** Unsigned integer member in [min, max]; absent leaves @p out. */
-    void
-    u32(const char *key, unsigned &out, std::uint64_t min,
-        std::uint64_t max)
-    {
-        std::uint64_t v = out;
-        u64(key, v, min, max);
-        if (ok())
-            out = static_cast<unsigned>(v);
-    }
-
-    void
-    u64(const char *key, std::uint64_t &out, std::uint64_t min,
-        std::uint64_t max)
-    {
-        const json::Value *v = get(key);
-        if (!v)
-            return;
-        if (!v->isNumber() || !v->fitsU64()) {
-            fail(memberPath(key), "expected an unsigned integer");
-            return;
-        }
-        const std::uint64_t n = v->asU64();
-        if (n < min || n > max) {
-            fail(memberPath(key),
-                 std::to_string(n) + " is out of range (valid: " +
-                     std::to_string(min) + ".." + std::to_string(max) +
-                     ")");
-            return;
-        }
-        out = n;
-    }
-
-    void
-    boolean(const char *key, bool &out)
-    {
-        const json::Value *v = get(key);
-        if (!v)
-            return;
-        if (!v->isBool()) {
-            fail(memberPath(key), "expected true or false");
-            return;
-        }
-        out = v->asBool();
-    }
-
-    /** Double member with v > min (or >= when @p orEqual). */
-    void
-    positiveDouble(const char *key, double &out, bool orEqualZero = false)
-    {
-        const json::Value *v = get(key);
-        if (!v)
-            return;
-        if (!v->isNumber()) {
-            fail(memberPath(key), "expected a number");
-            return;
-        }
-        const double d = v->asDouble();
-        if (orEqualZero ? d < 0 : d <= 0) {
-            fail(memberPath(key),
-                 json::formatDouble(d) + std::string(" is out of range ") +
-                     (orEqualZero ? "(must be >= 0)" : "(must be > 0)"));
-            return;
-        }
-        out = d;
-    }
-
-    /** Array-of-strings member; absent leaves @p out. */
-    void
-    strings(const char *key, std::vector<std::string> &out)
-    {
-        const json::Value *v = get(key);
-        if (!v)
-            return;
-        if (!v->isArray()) {
-            fail(memberPath(key), "expected an array of strings");
-            return;
-        }
-        std::vector<std::string> parsed;
-        for (const auto &item : v->items()) {
-            if (!item.isString()) {
-                fail(memberPath(key), "expected an array of strings");
-                return;
-            }
-            parsed.push_back(item.asString());
-        }
-        out = std::move(parsed);
-    }
-
-    /** Non-empty array of unsigned integers, each in [min, max]. */
-    void
-    u32List(const char *key, std::vector<unsigned> &out, std::uint64_t min,
-            std::uint64_t max)
-    {
-        const json::Value *v = get(key);
-        if (!v)
-            return;
-        if (!v->isArray() || v->items().empty()) {
-            fail(memberPath(key),
-                 "expected a non-empty array of unsigned integers");
-            return;
-        }
-        std::vector<unsigned> parsed;
-        for (const auto &item : v->items()) {
-            if (!item.isNumber() || !item.fitsU64()) {
-                fail(memberPath(key),
-                     "expected a non-empty array of unsigned integers");
-                return;
-            }
-            const std::uint64_t n = item.asU64();
-            if (n < min || n > max) {
-                fail(memberPath(key),
-                     std::to_string(n) + " is out of range (valid: " +
-                         std::to_string(min) + ".." + std::to_string(max) +
-                         ")");
-                return;
-            }
-            parsed.push_back(static_cast<unsigned>(n));
-        }
-        out = std::move(parsed);
-    }
-
-    std::string
-    memberPath(const char *key) const
-    {
-        return path_.empty() ? key : path_ + "." + key;
-    }
-
-    void
-    fail(const std::string &where, const std::string &what)
-    {
-        if (err_->empty())
-            *err_ = "spec: " + where + ": " + what;
-    }
-
-  private:
-    const json::Value &obj_;
-    std::string path_;
-    std::string *err_;
-};
-
 void
-parseMachine(const json::Value &v, MachineSpec &m, std::string *err)
+readMachine(json::FieldReader &r, const json::Value &v, MachineSpec &m)
 {
-    ObjReader r(v, "machine",
-                {"procs", "buses", "subblocked", "batch_refs", "l1", "l2",
-                 "wb_entries", "phys_addr_bits"},
-                err);
-    if (!r.ok())
-        return;
+    r.only(v, {"procs", "buses", "subblocked", "batch_refs", "l1", "l2",
+               "wb_entries", "phys_addr_bits"});
     // Every spec consumer simulates an SMP, so a one-processor machine
     // is rejected here with the dotted path, not by a late SmpSystem
     // fatal.
-    r.u32("procs", m.procs, 2, 4096);
-    r.u32("buses", m.buses, 1, 256);
-    r.boolean("subblocked", m.subblocked);
-    r.u32("batch_refs", m.batchRefs, 1, 1u << 24);
+    r.u32(v, "procs", m.procs, 2, 4096);
+    r.u32(v, "buses", m.buses, 1, 256);
+    r.boolean(v, "subblocked", m.subblocked);
+    r.u32(v, "batch_refs", m.batchRefs, 1, 1u << 24);
 
-    const json::Value *l1 = r.get("l1");
-    const json::Value *l2 = r.get("l2");
-    if (!r.ok())
-        return;
-    if ((l1 == nullptr) != (l2 == nullptr)) {
-        r.fail("machine", std::string("explicit geometry needs both l1 "
-                                      "and l2 (only ") +
-                              (l1 ? "l1" : "l2") + " given)");
+    const bool l1 = r.get(v, "l1") != nullptr;
+    const bool l2 = r.get(v, "l2") != nullptr;
+    if (l1 != l2) {
+        r.fail("", std::string("explicit geometry needs both l1 and l2 "
+                               "(only ") +
+                       (l1 ? "l1" : "l2") + " given)");
+    }
+    if (!l1 || !l2) {
+        if (r.get(v, "wb_entries") || r.get(v, "phys_addr_bits"))
+            r.fail("", "wb_entries/phys_addr_bits need an explicit l1 + "
+                       "l2 geometry block");
         return;
     }
-    if (l1 && l2) {
-        m.hasGeometry = true;
-        {
-            ObjReader g(*l1, "machine.l1",
-                        {"size_bytes", "assoc", "block_bytes"}, err);
-            if (!g.ok())
-                return;
-            g.u64("size_bytes", m.l1.sizeBytes, 1,
-                  std::uint64_t(1) << 40);
-            g.u32("assoc", m.l1.assoc, 1, 1u << 16);
-            g.u32("block_bytes", m.l1.blockBytes, 1, 1u << 16);
-        }
-        {
-            ObjReader g(*l2, "machine.l2",
-                        {"size_bytes", "assoc", "block_bytes", "subblocks"},
-                        err);
-            if (!g.ok())
-                return;
-            g.u64("size_bytes", m.l2.sizeBytes, 1,
-                  std::uint64_t(1) << 40);
-            g.u32("assoc", m.l2.assoc, 1, 1u << 16);
-            g.u32("block_bytes", m.l2.blockBytes, 1, 1u << 16);
-            g.u32("subblocks", m.l2.subblocks, 1, 1u << 8);
-        }
-        r.u32("wb_entries", m.wbEntries, 1, 1u << 16);
-        r.u32("phys_addr_bits", m.physAddrBits, 16, 64);
-        // Keep the derived flag honest even when the author forgot it:
-        // explicit geometry is authoritative.
-        m.subblocked = m.l2.subblocks > 1;
-    } else if (r.get("wb_entries") || r.get("phys_addr_bits")) {
-        r.fail("machine", "wb_entries/phys_addr_bits need an explicit "
-                          "l1 + l2 geometry block");
-    }
+    m.hasGeometry = true;
+    r.nested(v, "l1", [&](const json::Value &g) {
+        r.only(g, {"size_bytes", "assoc", "block_bytes"});
+        r.u64(g, "size_bytes", m.l1.sizeBytes, 1, std::uint64_t(1) << 40);
+        r.u32(g, "assoc", m.l1.assoc, 1, 1u << 16);
+        r.u32(g, "block_bytes", m.l1.blockBytes, 1, 1u << 16);
+    });
+    r.nested(v, "l2", [&](const json::Value &g) {
+        r.only(g, {"size_bytes", "assoc", "block_bytes", "subblocks"});
+        r.u64(g, "size_bytes", m.l2.sizeBytes, 1, std::uint64_t(1) << 40);
+        r.u32(g, "assoc", m.l2.assoc, 1, 1u << 16);
+        r.u32(g, "block_bytes", m.l2.blockBytes, 1, 1u << 16);
+        r.u32(g, "subblocks", m.l2.subblocks, 1, 1u << 8);
+    });
+    r.u32(v, "wb_entries", m.wbEntries, 1, 1u << 16);
+    r.u32(v, "phys_addr_bits", m.physAddrBits, 16, 64);
+    // Keep the derived flag honest even when the author forgot it:
+    // explicit geometry is authoritative.
+    m.subblocked = m.l2.subblocks > 1;
 }
 
 void
-parseFuzz(const json::Value &v, FuzzSpec &f, std::string *err)
+readFuzz(json::FieldReader &r, const json::Value &v, FuzzSpec &f)
 {
-    ObjReader r(v, "fuzz",
-                {"seed", "rounds", "refs_per_proc", "audit_every",
-                 "randomize_buses", "seconds"},
-                err);
-    if (!r.ok())
-        return;
-    std::uint64_t seed = f.seed;
-    r.u64("seed", seed, 0, std::numeric_limits<std::uint64_t>::max());
-    f.seed = seed;
-    r.u32("rounds", f.rounds, 1, 1u << 24);
-    r.u64("refs_per_proc", f.refsPerProc, 1, std::uint64_t(1) << 40);
-    r.u64("audit_every", f.auditEvery, 0, std::uint64_t(1) << 40);
-    r.boolean("randomize_buses", f.randomizeBuses);
-    r.positiveDouble("seconds", f.seconds, /*orEqualZero=*/true);
+    r.only(v, {"seed", "rounds", "refs_per_proc", "audit_every",
+               "randomize_buses", "seconds"});
+    r.u64(v, "seed", f.seed);
+    r.u32(v, "rounds", f.rounds, 1, 1u << 24);
+    r.u64(v, "refs_per_proc", f.refsPerProc, 1, std::uint64_t(1) << 40);
+    r.u64(v, "audit_every", f.auditEvery, 0, std::uint64_t(1) << 40);
+    r.boolean(v, "randomize_buses", f.randomizeBuses);
+    readPositive(r, v, "seconds", f.seconds, /*orZero=*/true);
 }
 
 } // namespace
@@ -483,113 +279,68 @@ ExperimentSpec::fromJson(const json::Value &v, std::string *err)
     ExperimentSpec spec;
     if (!err)
         panic("ExperimentSpec::fromJson needs an error sink");
-    err->clear();
 
-    ObjReader root(v, "",
-                   {"jetty_spec", "machine", "workload", "filters",
-                    "sweep", "bench", "fuzz"},
-                   err);
-    if (!root.ok())
-        return spec;
+    // One reader walks the whole document; absent members keep their
+    // defaults, and its dotted paths become "spec: <path>: <what>".
+    json::FieldReader r("", json::FieldReader::Absent::Keep);
+    r.only(v, {"jetty_spec", "machine", "workload", "filters", "sweep",
+               "bench", "fuzz"});
+    // A version of any other value or type is unsupported, not malformed.
+    json::FieldReader version("");
+    std::uint64_t ignored = 0;
+    version.u64(v, "jetty_spec", ignored, kVersion, kVersion);
+    const std::string want = std::to_string(kVersion);
+    if (!r.get(v, "jetty_spec"))
+        r.fail("jetty_spec",
+               "missing (a spec file must declare \"jetty_spec\": " + want +
+                   ")");
+    else if (!version.ok())
+        r.fail("jetty_spec",
+               "unsupported version (this build reads version " + want +
+                   ")");
 
-    const json::Value *ver = root.get("jetty_spec");
-    if (!ver) {
-        root.fail("jetty_spec",
-                  "missing (a spec file must declare \"jetty_spec\": " +
-                      std::to_string(kVersion) + ")");
-        return spec;
-    }
-    if (!ver->isNumber() || !ver->fitsI64() || ver->asI64() != kVersion) {
-        root.fail("jetty_spec",
-                  "unsupported version (this build reads version " +
-                      std::to_string(kVersion) + ")");
-        return spec;
-    }
-
-    if (const json::Value *m = root.get("machine")) {
+    r.nested(v, "machine", [&](const json::Value &m) {
         spec.hasMachine = true;
-        parseMachine(*m, spec.machine, err);
-    }
-    if (!err->empty())
-        return spec;
-
-    if (const json::Value *w = root.get("workload")) {
-        ObjReader r(*w, "workload", {"apps", "trace_files", "scale"}, err);
-        if (!r.ok())
-            return spec;
-        r.strings("apps", spec.apps);
-        r.strings("trace_files", spec.traceFiles);
-        r.positiveDouble("scale", spec.scale);
-        if (!r.ok())
-            return spec;
-        if (!spec.apps.empty() && !spec.traceFiles.empty()) {
-            // expand()/bench prefer trace_files, so accepting both
-            // would silently drop the apps half of the workload.
-            r.fail("workload",
-                   "apps and trace_files are mutually exclusive (one "
-                   "workload per spec)");
-            return spec;
-        }
-        // App names resolve through the same lookup the simulator uses,
-        // so a typo fails at parse time, not mid-sweep.
+        readMachine(r, m, spec.machine);
+    });
+    r.nested(v, "workload", [&](const json::Value &w) {
+        r.only(w, {"apps", "trace_files", "scale"});
+        r.strVector(w, "apps", spec.apps);
+        r.strVector(w, "trace_files", spec.traceFiles);
+        readPositive(r, w, "scale", spec.scale);
+        // expand()/bench prefer trace_files, so accepting both would
+        // silently drop the apps half of the workload.
+        if (!spec.apps.empty() && !spec.traceFiles.empty())
+            r.fail("", "apps and trace_files are mutually exclusive (one "
+                       "workload per spec)");
+        // App names resolve through the same lookup the simulator
+        // uses, so a typo fails at parse time, not mid-sweep.
         for (const auto &name : spec.apps) {
-            if (!trace::appKnown(name)) {
-                r.fail("workload.apps",
-                       "unknown application '" + name +
-                           "' (see `jetty_cli apps`)");
-                return spec;
-            }
+            if (!trace::appKnown(name))
+                r.fail("apps", "unknown application '" + name +
+                                   "' (see `jetty_cli apps`)");
         }
+    });
+    r.strVector(v, "filters", spec.filters);
+    for (const auto &f : spec.filters) {
+        if (!filter::isValidFilterSpec(f))
+            r.fail("filters",
+                   filter::FilterRegistry::instance().describeFailure(f));
     }
-
-    if (const json::Value *f = root.get("filters")) {
-        if (!f->isArray()) {
-            root.fail("filters",
-                      "expected an array of filter spec strings");
-            return spec;
-        }
-        for (const auto &item : f->items()) {
-            if (!item.isString()) {
-                root.fail("filters",
-                          "expected an array of filter spec strings");
-                return spec;
-            }
-            const std::string &s = item.asString();
-            if (!filter::isValidFilterSpec(s)) {
-                root.fail("filters",
-                          filter::FilterRegistry::instance()
-                              .describeFailure(s));
-                return spec;
-            }
-            spec.filters.push_back(s);
-        }
-    }
-
-    if (const json::Value *s = root.get("sweep")) {
-        ObjReader r(*s, "sweep", {"procs", "buses"}, err);
-        if (!r.ok())
-            return spec;
-        r.u32List("procs", spec.sweepProcs, 2, 4096);
-        r.u32List("buses", spec.sweepBuses, 1, 256);
-        if (!r.ok())
-            return spec;
-    }
-
-    if (const json::Value *b = root.get("bench")) {
-        ObjReader r(*b, "bench", {"repeat"}, err);
-        if (!r.ok())
-            return spec;
-        r.u32("repeat", spec.benchRepeat, 1, 1u << 16);
-        if (!r.ok())
-            return spec;
-    }
-
-    if (const json::Value *f = root.get("fuzz")) {
+    r.nested(v, "sweep", [&](const json::Value &s) {
+        r.only(s, {"procs", "buses"});
+        r.u32Vector(s, "procs", spec.sweepProcs, 2, 4096);
+        r.u32Vector(s, "buses", spec.sweepBuses, 1, 256);
+    });
+    r.nested(v, "bench", [&](const json::Value &b) {
+        r.only(b, {"repeat"});
+        r.u32(b, "repeat", spec.benchRepeat, 1, 1u << 16);
+    });
+    r.nested(v, "fuzz", [&](const json::Value &f) {
         spec.hasFuzz = true;
-        parseFuzz(*f, spec.fuzz, err);
-        if (!err->empty())
-            return spec;
-    }
+        readFuzz(r, f, spec.fuzz);
+    });
+    *err = r.ok() ? "" : "spec: " + r.error();
     return spec;
 }
 

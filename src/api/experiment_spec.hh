@@ -12,10 +12,12 @@
  *
  *  - **JSONv1 on disk** (util/json, no external deps): a self-describing
  *    document whose top-level `"jetty_spec": 1` is both magic and
- *    version. parse() -> emit() -> parse() is the identity; unknown
- *    keys, version mismatches and out-of-range values are rejected with
- *    errors that name the offending key and what would have been valid
- *    (the registry's describeFailure() style).
+ *    version. parse() -> emit() -> parse() is the identity. The
+ *    document is read by one json::FieldReader, the validating reader
+ *    every untrusted document goes through: unknown keys, version
+ *    mismatches, mistyped members and out-of-range values are rejected
+ *    as "spec: <dotted path>: <what>", naming what would have been
+ *    valid (the registry's describeFailure() style).
  *  - **Canonicalization** (canonicalText(): sorted keys, minimal
  *    whitespace, shortest round-tripping numbers) is what the RunCache
  *    keys on — experiments::runCacheKey() — so two specs holding the

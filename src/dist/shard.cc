@@ -40,7 +40,7 @@ checkShardEnvelope(const json::Value &v, const char *path,
 {
     std::string got;
     const std::string err =
-        service::readEnvelope(v, path, versionKey, tagKey, got);
+        service::readEnvelope(v, path, versionKey, tagKey, &got);
     if (!err.empty() || got == tag)
         return err;
     return std::string(path) + "." + tagKey + ": expected '" + tag +
@@ -86,10 +86,9 @@ shardSpec(const api::ExperimentSpec &sweep,
 std::string
 shardMessageType(const json::Value &v)
 {
-    if (!v.isObject())
-        return "";
-    const json::Value *ty = v.find("type");
-    return ty && ty->isString() ? ty->asString() : "";
+    std::string type;
+    json::FieldReader("message").str(v, "type", type);
+    return type;
 }
 
 json::Value

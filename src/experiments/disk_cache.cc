@@ -103,31 +103,30 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
         return false;
     }
 
-    const json::Value *ver = v.find("jetty_cache");
-    const json::Value *storedKey = v.find("key");
-    const json::Value *coveredArr = v.find("covered");
-    const json::Value *resultObj = v.find("result");
-    if (!ver || !ver->isNumber() || !ver->fitsU64() ||
-        ver->asU64() != kDiskCacheVersion || !storedKey ||
-        !storedKey->isString() || !coveredArr || !coveredArr->isArray() ||
-        !resultObj) {
+    json::FieldReader rd("entry");
+    std::uint64_t version = 0;
+    std::string storedKey;
+    std::vector<std::string> names;
+    rd.u64(v, "jetty_cache", version);
+    if (version != kDiskCacheVersion)
+        rd.fail("jetty_cache", "unsupported version");
+    rd.str(v, "key", storedKey);
+    rd.strVector(v, "covered", names);
+    const json::Value *resultObj = rd.get(v, "result");
+    if (!rd.ok()) {
         ::unlink(path.c_str());  // wrong version / malformed envelope
         return false;
     }
-    if (storedKey->asString() != key)
+    if (storedKey != key)
         return false;  // filename hash collision: miss, leave in place
 
     AppRunResult res;
-    std::set<std::string> cov;
     bool ok = runResultFromJson(*resultObj, res).empty();
-    for (const auto &item : coveredArr->items()) {
+    for (const auto &name : names) {
         // Every covered name must have its row, or a caller projecting
         // onto covered names would ask the result for a missing filter.
-        ok = ok && item.isString() &&
-             std::find(res.filterNames.begin(), res.filterNames.end(),
-                       item.asString()) != res.filterNames.end();
-        if (ok)
-            cov.insert(item.asString());
+        ok = ok && std::find(res.filterNames.begin(), res.filterNames.end(),
+                             name) != res.filterNames.end();
     }
     if (!ok) {
         ::unlink(path.c_str());
@@ -136,7 +135,7 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
 
     stampRecent(path);
     result = std::move(res);
-    covered = std::move(cov);
+    covered = std::set<std::string>(names.begin(), names.end());
     return true;
 }
 

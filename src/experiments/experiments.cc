@@ -416,11 +416,11 @@ RunCache::RunCache() : impl_(std::make_unique<Impl>())
     // The environment opts a whole process tree in; jetty_cli layers its
     // own default root on top via setDiskRoot().
     if (const char *env = std::getenv("JETTY_CACHE_BYTES")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
+        std::uint64_t v = 0;
+        if (parseUnsigned(env, v) && v >= 1)
             impl_->diskBudget = v;
         else
-            warn("ignoring non-positive JETTY_CACHE_BYTES");
+            warn("ignoring JETTY_CACHE_BYTES: not a byte count >= 1");
     }
     if (const char *env = std::getenv("JETTY_CACHE_DIR")) {
         const std::string root = env;

@@ -72,4 +72,29 @@ requestResponse(const std::string &socketPath, const json::Value &request,
     return "";
 }
 
+std::string
+readRunResponse(const json::Value &resp, RunResponse &out)
+{
+    std::string err = readEnvelope(resp, "response", "jetty_response");
+    if (!err.empty())
+        return err;
+    json::FieldReader rd("response");
+    bool ok = false;
+    rd.boolean(resp, "ok", ok);
+    if (rd.ok() && !ok) {
+        rd.str(resp, "error", err);
+        return rd.ok() ? "server error: " + err : rd.error();
+    }
+    RunResponse got;
+    rd.str(resp, "kind", got.kind);
+    rd.u64(resp, "simulated", got.simulated);
+    rd.u64(resp, "disk_hits", got.diskHits);
+    rd.u64(resp, "mem_hits", got.memHits);
+    got.report = rd.obj(resp, "report");
+    if (!rd.ok())
+        return rd.error();
+    out = got;
+    return "";
+}
+
 } // namespace jetty::service

@@ -15,6 +15,7 @@
 #ifndef JETTY_SERVICE_CLIENT_HH
 #define JETTY_SERVICE_CLIENT_HH
 
+#include <cstdint>
 #include <string>
 
 #include "util/json.hh"
@@ -50,6 +51,26 @@ std::string requestResponse(const std::string &socketPath,
                             const json::Value &request,
                             json::Value &response,
                             const ClientOptions &opts = ClientOptions());
+
+/** The answer to a "run" request. */
+struct RunResponse
+{
+    std::string kind;  //!< the executed verb ("run" / "sweep")
+    std::uint64_t simulated = 0;
+    std::uint64_t diskHits = 0;
+    std::uint64_t memHits = 0;
+    const json::Value *report = nullptr;  //!< into the read response
+};
+
+/**
+ * Read the answer to a "run" request: its envelope (readEnvelope),
+ * then ok and either error or kind/simulated/disk_hits/mem_hits/report
+ * through json::FieldReader("response"). An ok=false answer reads as
+ * "server error: <error>".
+ * @return "" with @p out filled, or the first failure
+ *         ("response.<field>: <what>"); no answer aborts the process.
+ */
+std::string readRunResponse(const json::Value &resp, RunResponse &out);
 
 } // namespace jetty::service
 

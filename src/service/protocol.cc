@@ -203,7 +203,7 @@ LineReader::readLineTimeout(std::string &line, int timeoutMs,
 
 std::string
 readEnvelope(const json::Value &msg, const std::string &path,
-             const char *versionKey, const char *tagKey, std::string &tag)
+             const char *versionKey, const char *tagKey, std::string *tag)
 {
     if (!msg.isObject())
         return path + ": not a JSON object";
@@ -215,7 +215,8 @@ readEnvelope(const json::Value &msg, const std::string &path,
                                 " not supported (this build speaks " +
                                 std::to_string(kProtocolVersion) + ")");
     }
-    rd.str(msg, tagKey, tag);
+    if (tagKey)
+        rd.str(msg, tagKey, *tag);
     return rd.error();
 }
 

@@ -112,11 +112,13 @@ class LineReader
 
 /** Read the envelope of a parsed message: an object whose
  *  @p versionKey ("jetty_request" / "jetty_response") is
- *  kProtocolVersion and whose @p tagKey ("verb" / "type") is a string,
- *  stored in @p tag. @return "" or "<path>.<field>: <what>". */
+ *  kProtocolVersion and, given a @p tagKey ("verb" / "type"), whose
+ *  tag is a string, stored in @p tag.
+ *  @return "" or "<path>.<field>: <what>". */
 std::string readEnvelope(const json::Value &msg, const std::string &path,
-                         const char *versionKey, const char *tagKey,
-                         std::string &tag);
+                         const char *versionKey,
+                         const char *tagKey = nullptr,
+                         std::string *tag = nullptr);
 
 /** Build the envelope of a "run" request around @p spec. */
 json::Value makeRunRequest(json::Value spec);

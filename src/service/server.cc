@@ -26,7 +26,7 @@ handleRequest(const json::Value &req, unsigned jobs, bool &shutdown)
 {
     std::string verb;
     std::string err =
-        readEnvelope(req, "request", "jetty_request", "verb", verb);
+        readEnvelope(req, "request", "jetty_request", "verb", &verb);
     if (!err.empty())
         return makeErrorResponse(err);
 
@@ -105,12 +105,9 @@ serveShard(const json::Value &req, unsigned jobs, int outFd,
             return 2;
         resp = dist::executeShard(shard, jobs);
     } else {
-        const auto id = [&req](const char *key) {
-            const json::Value *v = req.find(key);
-            return v && v->fitsU64() ? v->asU64() : 0;
-        };
-        resp.shardId = id("shardId");
-        resp.attempt = id("attempt");
+        // Each id on its own reader: a malformed one reads as 0.
+        json::FieldReader("request").u64(req, "shardId", resp.shardId);
+        json::FieldReader("request").u64(req, "attempt", resp.attempt);
     }
     return sendValue(outFd, dist::shardResponseToJson(resp), &err)
                ? kKeepServing
@@ -143,9 +140,9 @@ serveSession(int inFd, int outFd, unsigned jobs, std::atomic<bool> &stop,
         ++received;
 
         const json::Value req = json::parse(line, &err);
-        const json::Value *verb = req.find("verb");
-        if (err.empty() && verb && verb->isString() &&
-            verb->asString() == "shard") {
+        std::string verb;
+        json::FieldReader("request").str(req, "verb", verb);
+        if (err.empty() && verb == "shard") {
             const int rc = serveShard(req, jobs, outFd, received, fault);
             if (rc != kKeepServing)
                 return rc;

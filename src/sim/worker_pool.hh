@@ -1,13 +1,12 @@
 /**
  * @file
- * WorkerPool: the one thread pool under both parallel engines — the
- * sweep runner's job batches and the per-bus filter replay of the
- * batched simulation loop.
+ * WorkerPool: the thread pool under SweepRunner's job batches, its
+ * only user.
  *
  * The pool exposes a single primitive, parallelFor(n, fn): run fn(i)
  * for every i in [0, n) and return when all calls finished. Work is
  * distributed by an atomic index counter that the *caller drains too*,
- * which gives two properties the replay path needs:
+ * which gives two properties:
  *  - deadlock freedom under nesting and concurrent calls: a caller
  *    never blocks on a worker that could itself be waiting — it chews
  *    through the remaining indices itself;
@@ -17,7 +16,7 @@
  *
  * Determinism contract: parallelFor promises nothing about execution
  * order, so callers must only hand it tasks that are mutually
- * independent (each writes its own slots). Both engines do exactly
+ * independent (each writes its own slots). SweepRunner does exactly
  * that, which is why jobs=1 and jobs=N are bit-identical.
  */
 

@@ -59,20 +59,6 @@ isIntegralDouble(double d)
 } // namespace
 
 bool
-Value::isIntegral() const
-{
-    switch (type_) {
-      case Type::Int:
-      case Type::Uint:
-        return true;
-      case Type::Double:
-        return isIntegralDouble(dbl_);
-      default:
-        return false;
-    }
-}
-
-bool
 Value::fitsI64() const
 {
     switch (type_) {
@@ -307,8 +293,33 @@ formatDouble(double v)
 void
 FieldReader::fail(const std::string &field, const std::string &what)
 {
-    if (err_.empty())
-        err_ = path_ + "." + field + ": " + what;
+    if (!err_.empty())
+        return;
+    const std::string at = path_.empty()   ? field
+                           : field.empty() ? path_
+                                           : path_ + "." + field;
+    err_ = at.empty() ? what : at + ": " + what;
+}
+
+void
+FieldReader::only(const Value &o, std::initializer_list<const char *> keys)
+{
+    if (!err_.empty())
+        return;
+    if (!o.isObject()) {
+        fail("", "not an object");
+        return;
+    }
+    for (const auto &m : o.members()) {
+        if (std::any_of(keys.begin(), keys.end(),
+                        [&m](const char *k) { return m.first == k; }))
+            continue;
+        std::string valid;
+        for (const char *k : keys)
+            valid += (valid.empty() ? "" : ", ") + std::string(k);
+        fail(m.first, "unknown key (valid: " + valid + ")");
+        return;
+    }
 }
 
 const Value *
@@ -317,7 +328,7 @@ FieldReader::get(const Value &o, const char *key)
     if (!err_.empty())
         return nullptr;
     const Value *v = o.isObject() ? o.find(key) : nullptr;
-    if (!v)
+    if (!v && absent_ == Absent::Fail)
         fail(key, "missing field");
     return v;
 }
@@ -334,11 +345,43 @@ FieldReader::typed(const Value &o, const char *key,
     return v;
 }
 
-void
-FieldReader::u64(const Value &o, const char *key, std::uint64_t &out)
+bool
+FieldReader::bounded(const char *key, const Value &v, std::uint64_t lo,
+                     std::uint64_t hi, const char *notWhat,
+                     std::uint64_t &n)
 {
-    if (const Value *v = typed(o, key, &Value::fitsU64, "not a u64"))
-        out = v->asU64();
+    if (!v.fitsU64()) {
+        fail(key, notWhat);
+        return false;
+    }
+    n = v.asU64();
+    if (n < lo || n > hi) {
+        fail(key, std::to_string(n) + " is out of range (valid: " +
+                      std::to_string(lo) + ".." + std::to_string(hi) +
+                      ")");
+        return false;
+    }
+    return true;
+}
+
+void
+FieldReader::u64(const Value &o, const char *key, std::uint64_t &out,
+                 std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t n = 0;
+    if (const Value *v = get(o, key);
+        v && bounded(key, *v, lo, hi, "not a u64", n))
+        out = n;
+}
+
+void
+FieldReader::u32(const Value &o, const char *key, unsigned &out,
+                 std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t n = out;
+    u64(o, key, n, lo,
+        std::min<std::uint64_t>(hi, std::numeric_limits<unsigned>::max()));
+    out = static_cast<unsigned>(n);
 }
 
 void
@@ -363,21 +406,63 @@ FieldReader::str(const Value &o, const char *key, std::string &out)
 }
 
 void
-FieldReader::u64Vector(const Value &o, const char *key,
-                       std::vector<std::uint64_t> &out)
+FieldReader::strVector(const Value &o, const char *key,
+                       std::vector<std::string> &out)
 {
     const Value *v = arr(o, key);
     if (!v)
         return;
-    std::vector<std::uint64_t> items;
+    std::vector<std::string> items;
     for (const auto &item : v->items()) {
-        if (!item.fitsU64()) {
-            fail(key, "holds a non-u64 element");
+        if (!item.isString()) {
+            fail(key, "holds a non-string element");
             return;
         }
-        items.push_back(item.asU64());
+        items.push_back(item.asString());
     }
     out = std::move(items);
+}
+
+bool
+FieldReader::uints(const Value &o, const char *key, std::uint64_t lo,
+                   std::uint64_t hi, std::vector<std::uint64_t> &out)
+{
+    const Value *v = arr(o, key);
+    if (!v)
+        return false;
+    std::vector<std::uint64_t> items;
+    for (const auto &item : v->items()) {
+        std::uint64_t n = 0;
+        if (!bounded(key, item, lo, hi, "holds a non-u64 element", n))
+            return false;
+        items.push_back(n);
+    }
+    out = std::move(items);
+    return true;
+}
+
+void
+FieldReader::u64Vector(const Value &o, const char *key,
+                       std::vector<std::uint64_t> &out)
+{
+    uints(o, key, 0, std::numeric_limits<std::uint64_t>::max(), out);
+}
+
+void
+FieldReader::u32Vector(const Value &o, const char *key,
+                       std::vector<unsigned> &out, std::uint64_t lo,
+                       std::uint64_t hi)
+{
+    std::vector<std::uint64_t> items;
+    if (!uints(o, key, lo,
+               std::min<std::uint64_t>(
+                   hi, std::numeric_limits<unsigned>::max()),
+               items))
+        return;
+    if (items.empty())
+        fail(key, "is empty");
+    else
+        out.assign(items.begin(), items.end());
 }
 
 const Value *

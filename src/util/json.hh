@@ -22,6 +22,8 @@
 #define JETTY_UTIL_JSON_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,8 +73,6 @@ class Value
         return type_ == Type::Int || type_ == Type::Uint ||
                type_ == Type::Double;
     }
-    /** An integral number (Int/Uint, or a Double holding an integer). */
-    bool isIntegral() const;
     /** An integral number representable as int64 / uint64 — the guards
      *  validating readers check before calling asI64()/asU64() (casting
      *  an out-of-range double would be undefined behaviour). */
@@ -138,46 +138,97 @@ class Value
 };
 
 /**
- * Validating field reader for untrusted documents (disk-cache entries,
- * wire messages): each accessor reads one member of an object and
- * records the first failure as "<path>.<field>: <what>"; every later
- * access is then a no-op, so call sites stay linear and report only
- * the first problem. @p out arguments are left untouched on failure.
+ * The one validating reader for untrusted documents (specs, disk-tier
+ * entries, wire messages): each accessor reads one member of an object
+ * and records the first failure as "<path>.<field>: <what>"; every
+ * later access is then a no-op, so call sites stay linear and report
+ * only the first problem. @p out arguments are left untouched on
+ * failure, and no input makes an accessor panic.
  */
 class FieldReader
 {
   public:
-    explicit FieldReader(std::string path) : path_(std::move(path)) {}
+    /** How an absent member reads: a failure ("missing field"), or
+     *  a no-op that leaves @p out at its default. */
+    enum class Absent { Fail, Keep };
+
+    explicit FieldReader(std::string path, Absent absent = Absent::Fail)
+        : path_(std::move(path)), absent_(absent)
+    {
+    }
 
     bool ok() const { return err_.empty(); }
 
     /** "" or the first failure. */
     const std::string &error() const { return err_; }
 
-    /** Record "<path>.<field>: <what>" unless a failure is recorded. */
+    /** Record "<path>.<field>: <what>" unless a failure is recorded
+     *  (an empty path or field drops out of the dotted name). */
     void fail(const std::string &field, const std::string &what);
 
-    /** Member @p key of @p o; nullptr (failing) when absent. */
+    /** Fail unless @p o is an object whose members all appear in
+     *  @p keys: "<path>.<member>: unknown key (valid: a, b, c)". */
+    void only(const Value &o, std::initializer_list<const char *> keys);
+
+    /** Member @p key of @p o; nullptr when absent (failing unless the
+     *  reader keeps absent members) or after a failure. */
     const Value *get(const Value &o, const char *key);
 
-    void u64(const Value &o, const char *key, std::uint64_t &out);
+    /** Unsigned integer member in [@p lo, @p hi]; out of range fails
+     *  "N is out of range (valid: lo..hi)". */
+    void u64(const Value &o, const char *key, std::uint64_t &out,
+             std::uint64_t lo = 0,
+             std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+    void u32(const Value &o, const char *key, unsigned &out,
+             std::uint64_t lo, std::uint64_t hi);
     void dbl(const Value &o, const char *key, double &out);
     void boolean(const Value &o, const char *key, bool &out);
     void str(const Value &o, const char *key, std::string &out);
+    void strVector(const Value &o, const char *key,
+                   std::vector<std::string> &out);
     void u64Vector(const Value &o, const char *key,
                    std::vector<std::uint64_t> &out);
+    /** A non-empty list of unsigned integers, each in [@p lo, @p hi]. */
+    void u32Vector(const Value &o, const char *key,
+                   std::vector<unsigned> &out, std::uint64_t lo,
+                   std::uint64_t hi);
 
-    /** Member @p key as an array / object; nullptr (failing) when it
-     *  is absent or of another type. */
+    /** Member @p key as an array / object; nullptr when it is absent
+     *  (see get()) or of another type (failing). */
     const Value *arr(const Value &o, const char *key);
     const Value *obj(const Value &o, const char *key);
+
+    /** Read object member @p key with @p read(member), naming failures
+     *  inside it "<path>.<key>.<field>"; absent: see get(). */
+    template <class Read>
+    void nested(const Value &o, const char *key, Read &&read)
+    {
+        const Value *v = obj(o, key);
+        if (!v)
+            return;
+        const std::string outer = path_;
+        path_ = path_.empty() ? key : path_ + "." + key;
+        read(*v);
+        path_ = outer;
+    }
 
   private:
     /** get(), failing with @p what unless (member->*is)(). */
     const Value *typed(const Value &o, const char *key,
                        bool (Value::*is)() const, const char *what);
 
+    /** @p v as an integer in [@p lo, @p hi] into @p n; otherwise fail
+     *  at @p key with @p notWhat or the range. */
+    bool bounded(const char *key, const Value &v, std::uint64_t lo,
+                 std::uint64_t hi, const char *notWhat, std::uint64_t &n);
+
+    /** Array member @p key of integers in [@p lo, @p hi] into @p out.
+     *  @return false when absent or failing. */
+    bool uints(const Value &o, const char *key, std::uint64_t lo,
+               std::uint64_t hi, std::vector<std::uint64_t> &out);
+
     std::string path_;
+    Absent absent_;
     std::string err_;
 };
 

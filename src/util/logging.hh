@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal gem5-flavoured status reporting: fatal() for user errors,
- * panic() for internal invariant violations, warn()/inform() for notices.
+ * panic() for internal invariant violations, warn() for notices.
  */
 
 #ifndef JETTY_UTIL_LOGGING_HH
@@ -50,13 +50,6 @@ inline void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-/** Informational message to stderr. */
-inline void
-inform(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace jetty

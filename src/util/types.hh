@@ -30,13 +30,6 @@ enum class AccessType : std::uint8_t
     Write,
 };
 
-/** Human-readable name of an access type. */
-inline const char *
-accessTypeName(AccessType t)
-{
-    return t == AccessType::Read ? "read" : "write";
-}
-
 } // namespace jetty
 
 #endif // JETTY_UTIL_TYPES_HH

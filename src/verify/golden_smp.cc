@@ -479,16 +479,6 @@ GoldenSmp::snapshot() const
     return snap;
 }
 
-std::vector<State>
-GoldenSmp::globalUnitState(Addr unitAddr) const
-{
-    std::vector<State> states;
-    states.reserve(procs_.size());
-    for (const auto &n : procs_)
-        states.push_back(l2UnitState(n, unitAlign(unitAddr)));
-    return states;
-}
-
 StateSnapshot
 snapshotOf(const sim::SmpSystem &sys)
 {

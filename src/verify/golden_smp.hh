@@ -94,10 +94,6 @@ class GoldenSmp
     /** References replayed so far. */
     std::uint64_t references() const { return references_; }
 
-    /** Per-processor L2 state of one unit (Invalid when absent) — the
-     *  per-block global state view the invariant catalogue audits. */
-    std::vector<coherence::State> globalUnitState(Addr unitAddr) const;
-
     /**
      * Transactions the golden machine routed to each logical snoop bus,
      * using its own restatement of the address interleave (block index

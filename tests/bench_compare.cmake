@@ -7,7 +7,8 @@
 #  - null rates (a run too short to rate) are SKIPPED, never scored as
 #    regressions, and --max-skips bounds them;
 #  - workload rows are matched by name and bus rows by buses, so
-#    reordering never mis-pairs, even for rows nested in rows;
+#    reordering never mis-pairs, even for rows nested in rows, and a
+#    non-integral buses value falls back to the row's position;
 #  - a baseline metric missing from the fresh report is a schema error
 #    (exit 1), as is a kind mismatch.
 # Run as:
@@ -310,6 +311,15 @@ expect_exit(2 ${WORK}/bus_base.json ${WORK}/bus_regress.json --ratios-only)
 expect_stdout_matches(
   "FAIL: 1 metric\\(s\\) regressed more than 25\\.0% vs [^\n]* \\(worst: workloads\\[lu\\]\\.bus_rows\\[4\\]\\.speedup_vs_step -33\\.3%\\)"
   ${WORK}/bus_base.json ${WORK}/bus_regress.json --ratios-only --threshold 25)
+
+# A row key that is not an integer pairs by position instead of taking
+# the gate down.
+file(WRITE ${WORK}/odd_buses.json [=[
+{"jetty_report": 1, "kind": "throughput",
+ "workloads": [{"name": "lu", "bus_rows": [
+   {"buses": 1.5, "speedup_vs_step": 2.0}]}]}
+]=])
+expect_exit(0 ${WORK}/odd_buses.json ${WORK}/odd_buses.json)
 
 # Schema drift and kind mismatch are hard errors, not passes.
 expect_exit(1 ${WORK}/base.json ${WORK}/missing.json)

@@ -6,7 +6,8 @@
  * byte-identical to what the direct executor produces for the same
  * spec, a shard sent to the daemon must be answered exactly as a
  * worker answers it, finished connection threads must not pile up,
- * and no malformed request may take the daemon down.
+ * no malformed request may take the daemon down, and no malformed
+ * answer may take the client down.
  */
 
 #include <gtest/gtest.h>
@@ -351,6 +352,91 @@ TEST(ServiceClient, ResponseWaitTimesOutAgainstAWedgedServer)
     wedged.join();
     ::close(listenFd);
     ::unlink(socket.c_str());
+}
+
+namespace
+{
+
+/** A one-shot fake server on @p socket: it answers the first request
+ *  with @p answer, whatever it asked. @return what `jetty_cli submit`
+ *  makes of that answer: the requestResponse() or readRunResponse()
+ *  failure, or "" with @p run filled. */
+std::string
+submitAgainst(const std::string &socket, const std::string &answer,
+              service::RunResponse &run, json::Value &resp)
+{
+    std::string err;
+    const int listenFd = service::listenUnix(socket, &err);
+    if (listenFd < 0)
+        return err;
+    std::thread fake([listenFd, answer]() {
+        const int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        service::LineReader in(fd);
+        std::string line, ignored;
+        if (in.readLine(line, &ignored) == 1)
+            service::sendLine(fd, answer, &ignored);
+        ::close(fd);
+    });
+    service::ClientOptions opts;
+    opts.timeoutSeconds = 5;
+    err = service::requestResponse(
+        socket, service::makeRunRequest(tinyRunSpec().toJson()), resp,
+        opts);
+    fake.join();
+    ::close(listenFd);
+    ::unlink(socket.c_str());
+    return err.empty() ? service::readRunResponse(resp, run) : err;
+}
+
+} // namespace
+
+TEST(ServiceClient, MalformedRunAnswersAreRejectedByField)
+{
+    const std::string socket =
+        ::testing::TempDir() + "jetty_test_fake_answer.sock";
+    const std::string good =
+        R"({"jetty_response":1,"ok":true,"kind":"run","simulated":1,)"
+        R"("disk_hits":2,"mem_hits":3,"report":{"jetty_report":1}})";
+    service::RunResponse run;
+    json::Value resp;
+    ASSERT_EQ(submitAgainst(socket, good, run, resp), "");
+    EXPECT_EQ(run.kind, "run");
+    EXPECT_EQ(run.simulated, 1u);
+    EXPECT_EQ(run.diskHits, 2u);
+    EXPECT_EQ(run.memHits, 3u);
+    ASSERT_NE(run.report, nullptr);
+    EXPECT_EQ(run.report->dumpCompact(), R"({"jetty_report":1})");
+
+    const struct
+    {
+        const char *answer;
+        const char *want;
+    } bad[] = {
+        // A negative count used to abort the client in asU64().
+        {R"({"jetty_response":1,"ok":true,"kind":"run","simulated":-1,)"
+         R"("disk_hits":0,"mem_hits":0,"report":{}})",
+         "response.simulated: not a u64"},
+        // A protocol this build does not speak used to be accepted.
+        {R"({"jetty_response":2,"ok":true,"kind":"run","simulated":0,)"
+         R"("disk_hits":0,"mem_hits":0,"report":{}})",
+         "response.jetty_response: version 2 not supported (this build "
+         "speaks 1)"},
+        {R"({"jetty_response":1,"ok":true,"kind":"run","simulated":0,)"
+         R"("disk_hits":0,"mem_hits":0})",
+         "response.report: missing field"},
+        {R"({"jetty_response":1,"ok":"yes"})", "response.ok: not a bool"},
+        {R"({"jetty_response":1,"ok":false,"error":"spec: bad"})",
+         "server error: spec: bad"},
+        {R"({"jetty_response":1,"ok":false})",
+         "response.error: missing field"},
+        {"[1]", "response: not a JSON object"},
+    };
+    for (const auto &c : bad) {
+        EXPECT_EQ(submitAgainst(socket, c.answer, run, resp), c.want)
+            << c.answer;
+    }
 }
 
 TEST(ExperimentService, ServeSocketAnswersTheShardVerbLikeAWorker)

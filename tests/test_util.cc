@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util library: bit helpers, deterministic RNG,
- * statistics primitives, table formatting, and string parsing.
+ * statistics primitives, table formatting, string parsing, and the
+ * validating JSON field reader.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <set>
 
 #include "util/bits.hh"
+#include "util/json.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
@@ -285,4 +287,150 @@ TEST(Strings, TrimAndUpper)
     EXPECT_EQ(trim("  hi "), "hi");
     EXPECT_EQ(trim(""), "");
     EXPECT_EQ(toUpper("ba"), "BA");
+}
+
+// ---- json::FieldReader ------------------------------------------------
+
+namespace
+{
+
+json::Value
+doc(const char *text)
+{
+    std::string err;
+    json::Value v = json::parse(text, &err);
+    EXPECT_EQ(err, "") << text;
+    return v;
+}
+
+} // namespace
+
+TEST(FieldReader, UnknownMembersAreNamedWithTheValidSet)
+{
+    const json::Value v = doc(R"({"procs": 4, "bsues": 2})");
+    json::FieldReader r("machine");
+    r.only(v, {"procs", "buses"});
+    EXPECT_EQ(r.error(),
+              "machine.bsues: unknown key (valid: procs, buses)");
+
+    json::FieldReader known("machine");
+    known.only(v, {"procs", "bsues"});
+    EXPECT_TRUE(known.ok()) << known.error();
+
+    json::FieldReader notObject("machine");
+    notObject.only(doc("[1]"), {"procs"});
+    EXPECT_EQ(notObject.error(), "machine: not an object");
+
+    // With an empty path the member name alone is the dotted path.
+    json::FieldReader root("");
+    root.only(v, {"procs"});
+    EXPECT_EQ(root.error(), "bsues: unknown key (valid: procs)");
+}
+
+TEST(FieldReader, OptionalMembersKeepTheirDefaults)
+{
+    const json::Value v = doc(R"({"present": 7})");
+    std::uint64_t present = 1;
+    std::uint64_t absent = 5;
+    bool flag = true;
+
+    json::FieldReader keep("s", json::FieldReader::Absent::Keep);
+    keep.u64(v, "present", present);
+    keep.u64(v, "absent", absent);
+    keep.boolean(v, "flag", flag);
+    EXPECT_EQ(keep.get(v, "absent"), nullptr);
+    EXPECT_EQ(keep.obj(v, "absent"), nullptr);
+    EXPECT_TRUE(keep.ok()) << keep.error();
+    EXPECT_EQ(present, 7u);
+    EXPECT_EQ(absent, 5u);
+    EXPECT_TRUE(flag);
+
+    json::FieldReader required("s");
+    required.u64(v, "present", present);
+    required.u64(v, "absent", absent);
+    EXPECT_EQ(required.error(), "s.absent: missing field");
+    EXPECT_EQ(absent, 5u);
+}
+
+TEST(FieldReader, BoundsHoldAtBothEnds)
+{
+    const json::Value v =
+        doc(R"({"lo_1": 1, "lo": 2, "hi": 4096, "hi_1": 4097})");
+    const auto read = [&v](const char *key) {
+        json::FieldReader r("m");
+        unsigned out = 0;
+        r.u32(v, key, out, 2, 4096);
+        return r.ok() ? std::to_string(out) : r.error();
+    };
+    EXPECT_EQ(read("lo_1"), "m.lo_1: 1 is out of range (valid: 2..4096)");
+    EXPECT_EQ(read("lo"), "2");
+    EXPECT_EQ(read("hi"), "4096");
+    EXPECT_EQ(read("hi_1"),
+              "m.hi_1: 4097 is out of range (valid: 2..4096)");
+
+    // A bounded list checks every element, and holds at least one.
+    std::vector<unsigned> list = {9};
+    json::FieldReader good("s");
+    good.u32Vector(doc(R"({"procs": [2, 4096]})"), "procs", list, 2, 4096);
+    EXPECT_TRUE(good.ok()) << good.error();
+    EXPECT_EQ(list, (std::vector<unsigned>{2, 4096}));
+    json::FieldReader high("s");
+    high.u32Vector(doc(R"({"procs": [4, 4097]})"), "procs", list, 2, 4096);
+    EXPECT_EQ(high.error(),
+              "s.procs: 4097 is out of range (valid: 2..4096)");
+    json::FieldReader empty("s");
+    empty.u32Vector(doc(R"({"procs": []})"), "procs", list, 2, 4096);
+    EXPECT_EQ(empty.error(), "s.procs: is empty");
+    EXPECT_EQ(list, (std::vector<unsigned>{2, 4096}));
+}
+
+TEST(FieldReader, NegativesAndFractionsAreNotUnsigned)
+{
+    const json::Value v = doc(
+        R"({"neg": -1, "frac": 2.5, "big": 18446744073709551616,
+            "whole": 3.0, "text": "3", "list": [1, -2]})");
+    for (const char *key : {"neg", "frac", "big", "text"}) {
+        json::FieldReader r("m");
+        std::uint64_t out = 11;
+        r.u64(v, key, out);
+        EXPECT_EQ(r.error(), std::string("m.") + key + ": not a u64");
+        EXPECT_EQ(out, 11u);
+    }
+    json::FieldReader whole("m");
+    std::uint64_t out = 0;
+    whole.u64(v, "whole", out);
+    EXPECT_TRUE(whole.ok()) << whole.error();
+    EXPECT_EQ(out, 3u);
+
+    json::FieldReader list("m");
+    std::vector<std::uint64_t> items;
+    list.u64Vector(v, "list", items);
+    EXPECT_EQ(list.error(), "m.list: holds a non-u64 element");
+}
+
+TEST(FieldReader, TheFirstFailureWins)
+{
+    const json::Value v =
+        doc(R"({"a": "x", "b": -1, "c": {"d": true}, "e": 1})");
+    json::FieldReader r("m", json::FieldReader::Absent::Keep);
+    std::uint64_t a = 0, b = 0, e = 0;
+    r.u64(v, "a", a);
+    r.u64(v, "b", b);
+    r.only(v, {"a"});
+    r.fail("z", "late");
+    r.u64(v, "e", e);
+    EXPECT_EQ(r.error(), "m.a: not a u64");
+    EXPECT_EQ(e, 0u);  // reads after a failure are no-ops
+
+    // A failure inside a nested object names the full dotted path.
+    json::FieldReader n("m");
+    bool d = false;
+    n.nested(v, "c", [&](const json::Value &c) {
+        n.boolean(c, "d", d);
+        n.u64(c, "missing", e);
+    });
+    n.u64(v, "e", e);
+    EXPECT_TRUE(d);
+    EXPECT_EQ(n.error(), "m.c.missing: missing field");
+    EXPECT_EQ(e, 0u);
 }

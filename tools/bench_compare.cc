@@ -89,7 +89,7 @@ elementKey(const json::Value &elem, std::size_t index)
             name && name->isString())
             return name->asString();
         if (const json::Value *buses = elem.find("buses");
-            buses && buses->isNumber())
+            buses && buses->fitsI64())
             return std::to_string(buses->asI64());
     }
     return "#" + std::to_string(index);

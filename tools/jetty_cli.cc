@@ -1256,41 +1256,21 @@ cmdSubmit(const Options &o)
         specOf(o, specDoc(o.positional), o.positional);
 
     json::Value resp;
+    service::RunResponse run;
     std::string err = service::requestResponse(
         socket, service::makeRunRequest(spec.toJson()), resp, copts);
+    if (err.empty())
+        err = service::readRunResponse(resp, run);
     if (!err.empty())
         fatal(err);
 
-    const json::Value *ok = resp.find("ok");
-    if (!ok || !ok->isBool() || !ok->asBool()) {
-        const json::Value *msg = resp.find("error");
-        fatal("server error: " + (msg && msg->isString()
-                                      ? msg->asString()
-                                      : std::string("(malformed response)")));
-    }
-
-    const json::Value *kind = resp.find("kind");
-    const json::Value *simulated = resp.find("simulated");
-    const json::Value *diskHits = resp.find("disk_hits");
-    const json::Value *memHits = resp.find("mem_hits");
     std::printf("%s: simulated=%llu disk_hits=%llu mem_hits=%llu\n",
-                kind && kind->isString() ? kind->asString().c_str()
-                                         : "(unknown)",
-                static_cast<unsigned long long>(
-                    simulated && simulated->isNumber() ? simulated->asU64()
-                                                       : 0),
-                static_cast<unsigned long long>(
-                    diskHits && diskHits->isNumber() ? diskHits->asU64()
-                                                     : 0),
-                static_cast<unsigned long long>(
-                    memHits && memHits->isNumber() ? memHits->asU64() : 0));
-
-    if (o.has("json")) {
-        const json::Value *report = resp.find("report");
-        if (!report)
-            fatal("server response carries no report");
-        writeJson(o, *report);
-    }
+                run.kind.c_str(),
+                static_cast<unsigned long long>(run.simulated),
+                static_cast<unsigned long long>(run.diskHits),
+                static_cast<unsigned long long>(run.memHits));
+    if (o.has("json"))
+        writeJson(o, *run.report);
     return 0;
 }
 

@@ -33,8 +33,11 @@
  *                   process.
  *   checked-number  atoi/atof/atol/atoll are banned everywhere: they map
  *                   garbage to 0, so a typo'd flag or environment value
- *                   silently runs something else. parseUnsigned() and
- *                   parseDouble() (util/string_utils.hh) refuse it.
+ *                   silently runs something else. So is a strtol/
+ *                   strtoll/strtoul/strtoull/strtod/strtof call whose
+ *                   end pointer is null (nullptr, NULL, 0): it reads
+ *                   "1e9" as 1. parseUnsigned() and parseDouble()
+ *                   (util/string_utils.hh) refuse both.
  *   serialization   The X-macro field lists in run_result_json.cc and
  *                   the shard envelope lists in dist/shard.cc must
  *                   losslessly cover every scalar member of the structs
@@ -630,21 +633,52 @@ checkNoFatal(FileCheck &fc)
     }
 }
 
+/** The call at @p i passes a null literal (nullptr, NULL or 0) as its
+ *  second argument. */
+bool
+nullSecondArg(const std::vector<Token> &t, std::size_t i)
+{
+    int depth = 0;
+    for (std::size_t j = i + 1; j + 2 < t.size(); ++j) {
+        const std::string p = t[j].kind == TokKind::Punct ? t[j].text : "";
+        depth += (p == "(" || p == "[" || p == "{") -
+                 (p == ")" || p == "]" || p == "}");
+        if (depth == 0)
+            return false;
+        if (depth == 1 && p == ",")
+            return (t[j + 1].text == "nullptr" || t[j + 1].text == "NULL" ||
+                    t[j + 1].text == "0") &&
+                   (t[j + 2].text == "," || t[j + 2].text == ")");
+    }
+    return false;
+}
+
 void
 checkCheckedNumber(FileCheck &fc)
 {
     static const std::set<std::string> banned = {"atoi", "atof", "atol",
                                                  "atoll"};
+    static const std::set<std::string> unchecked = {
+        "strtol", "strtoll", "strtoul", "strtoull", "strtod", "strtof"};
     const auto &t = fc.toks;
     for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != TokKind::Ident || banned.count(t[i].text) == 0 ||
-            !isCall(t, i) || memberAccess(t, i) || nonStdQualified(t, i) ||
+        if (t[i].kind != TokKind::Ident || !isCall(t, i) ||
+            memberAccess(t, i) || nonStdQualified(t, i) ||
             isDeclaration(t, i))
             continue;
-        fc.add(t[i].line, "checked-number",
-               t[i].text + "() maps garbage to 0; use parseUnsigned() or "
-                           "parseDouble() (util/string_utils.hh) and "
-                           "reject what they refuse");
+        if (banned.count(t[i].text) != 0) {
+            fc.add(t[i].line, "checked-number",
+                   t[i].text + "() maps garbage to 0; use parseUnsigned() "
+                               "or parseDouble() (util/string_utils.hh) "
+                               "and reject what they refuse");
+        } else if (unchecked.count(t[i].text) != 0 &&
+                   nullSecondArg(t, i)) {
+            fc.add(t[i].line, "checked-number",
+                   t[i].text + "() with a null end pointer cannot see "
+                               "trailing garbage (\"1e9\" reads as 1); "
+                               "use parseUnsigned() or parseDouble() "
+                               "(util/string_utils.hh)");
+        }
     }
 }
 
