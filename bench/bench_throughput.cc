@@ -6,10 +6,10 @@
  *
  * Both sides drive the same synthesized Workload::makeSource streams:
  *  - step(): `while (sys.step()) {}` — one reference per live processor
- *    per sweep through processorAccess(), with immediate per-snoop
- *    filter observation;
- *  - run(): the batched walk (DESIGN.md "The run() walk") with deferred
- *    filter banks flushed per chunk.
+ *    per sweep through processorAccess(), each filter-bank event
+ *    replayed as soon as it is queued;
+ *  - run(): the batched walk (DESIGN.md "The run() walk") with the
+ *    banks' queues replayed per chunk.
  * At each bus count the two alternate, so slow phases of a shared host
  * hit both sides alike, and `speedup_vs_step` divides step()'s median
  * time by run()'s: every ratio measures code the tree still runs.

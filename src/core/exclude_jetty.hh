@@ -59,7 +59,7 @@ class ExcludeJetty : public SnoopFilter
     void onEvict(Addr) override {}
     void clear() override;
 
-    /** Devirtualized event-major replay for the deferred bank path:
+    /** Devirtualized event-major replay for the bank's flush:
      *  direct (inlinable) probe/record/fill bodies on block addresses,
      *  and a miss reuses its probe's lookup instead of scanning again. */
     void applyBatch(SnoopFilter *const *peers, FilterStats *const *stats,
@@ -77,7 +77,7 @@ class ExcludeJetty : public SnoopFilter
   private:
     /** Where a block (unitAddr >> blockOffsetBits) lives: its set's
      *  first way, its entry key (tag << 1) | 1, its present-vector bit
-     *  and the way holding the key (-1: none). Shared by the immediate
+     *  and the way holding the key (-1: none). Shared by the virtual
      *  hooks and the batch kernel. */
     struct Slot
     {

@@ -39,58 +39,6 @@ FilterBank::FilterBank(const std::vector<std::string> &specs,
 }
 
 void
-FilterBank::observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
-{
-    if (deferred_) {
-        deferSnoop(homeBusOf(unitAddr), unitAddr, unitInL2, blockInL2);
-        return;
-    }
-
-    // Immediate path: one call per filter per snoop per remote node,
-    // each verdict booked by the same applySnoopVerdict as the replay.
-    // The observer is hoisted into one register-held pointer, so the
-    // unobserved bank pays a single never-taken branch per filter.
-    const BankEvent ev{unitAddr, BankEvent::Kind::Snoop, unitInL2,
-                       blockInL2};
-    FilterProbeObserver *const obs = probeObserver_;
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-        SnoopFilter &f = *filters_[i];
-        const bool filtered = f.probe(unitAddr);
-        if (obs)
-            obs->onFilterProbe(
-                {owner_, i, unitAddr, unitInL2, blockInL2, filtered});
-        applySnoopVerdict(stats_[i], ev, filtered,
-                          [&] { f.onSnoopMiss(unitAddr, blockInL2); });
-        // Cached here: no filter may claim "not cached".
-        if (filtered && unitInL2 && checkSafety_) {
-            panic("JETTY safety violation: " + f.name() +
-                  " filtered a snoop to a cached unit");
-        }
-    }
-}
-
-void
-FilterBank::setProbeObserver(FilterProbeObserver *obs, ProcId owner)
-{
-    // Observed banks observe immediately and in stream order; entering
-    // (or being in) deferred mode with an observer attached would starve
-    // it. SmpSystem routes observed runs through the immediate path, so
-    // both of these are caller bugs, caught loudly.
-    if (obs && deferred_)
-        panic("FilterBank: cannot attach a probe observer while deferred");
-    probeObserver_ = obs;
-    owner_ = owner;
-}
-
-void
-FilterBank::beginDeferred()
-{
-    if (probeObserver_)
-        panic("FilterBank: cannot defer while a probe observer is attached");
-    deferred_ = true;
-}
-
-void
 FilterBank::endDeferred()
 {
     flushDeferred();
@@ -126,34 +74,6 @@ FilterBank::flushDeferred()
             panic("JETTY safety violation: " + filters_[i]->name() +
                   " filtered a snoop to a cached unit");
         }
-    }
-}
-
-void
-FilterBank::unitFilled(Addr unitAddr)
-{
-    if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push_back(
-            {unitAddr, BankEvent::Kind::Fill, false, false});
-        return;
-    }
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-        filters_[i]->onFill(unitAddr);
-        ++stats_[i].fillUpdates;
-    }
-}
-
-void
-FilterBank::unitEvicted(Addr unitAddr)
-{
-    if (deferred_) {
-        busQueues_[homeBusOf(unitAddr)].push_back(
-            {unitAddr, BankEvent::Kind::Evict, false, false});
-        return;
-    }
-    for (std::size_t i = 0; i < filters_.size(); ++i) {
-        filters_[i]->onEvict(unitAddr);
-        ++stats_[i].evictUpdates;
     }
 }
 

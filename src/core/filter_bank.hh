@@ -9,9 +9,14 @@
  * subscribes to the L2's fill/evict events, receives every snoop with its
  * ground-truth outcome, checks the safety invariant (a filtered snoop must
  * be a true miss), and accumulates per-filter coverage statistics that the
- * energy accountant later combines with per-event filter energies. The
- * simulator's hot loop queues the events instead and has the bank replay
- * them in batches, once per filter family (the deferred path below).
+ * energy accountant later combines with per-event filter energies.
+ *
+ * The bank has one observation path: every event is queued, and the
+ * queue is replayed once per filter family (flushDeferred). Outside a
+ * deferred batch (run()'s chunked hot loop) each event is replayed as
+ * soon as it is queued, so a step()-driven or instrumented simulation
+ * sees every filter learn in capture order. Per-event verdicts are
+ * visible as FilterStats deltas (the verification checkers read them).
  */
 
 #ifndef JETTY_CORE_FILTER_BANK_HH
@@ -25,32 +30,10 @@
 #include "energy/accountant.hh"
 #include "mem/cache_events.hh"
 #include "util/arena.hh"
+#include "util/bits.hh"
 
 namespace jetty::filter
 {
-
-/**
- * One filter's verdict on one snoop, with the ground truth it was judged
- * against. The verification subsystem's no-false-negative checker hangs
- * off this: `filtered && unitInL2` is the broken-coherence case.
- */
-struct FilterProbeEvent
-{
-    ProcId owner = 0;          //!< node whose bank observed the snoop
-    std::size_t filterIdx = 0; //!< index into the bank
-    Addr unitAddr = 0;
-    bool unitInL2 = false;     //!< ground truth: unit valid in local L2
-    bool blockInL2 = false;    //!< ground truth: enclosing tag matched
-    bool filtered = false;     //!< the filter claimed "definitely absent"
-};
-
-/** Passive observer of every (filter, snoop) verdict. */
-class FilterProbeObserver
-{
-  public:
-    virtual ~FilterProbeObserver() = default;
-    virtual void onFilterProbe(const FilterProbeEvent &) = 0;
-};
 
 /** The bank of simultaneously evaluated filters for one processor. */
 class FilterBank : public mem::CacheEventListener
@@ -63,28 +46,31 @@ class FilterBank : public mem::CacheEventListener
      *                    against ground truth (panics on violation when
      *                    true; counts violations either way).
      * @param snoopBuses  logical snoop buses of the interconnect the
-     *                    bank's node sits on: deferred events are queued
-     *                    (and later replayed) per home bus. 1 keeps the
-     *                    classic single-queue behaviour.
+     *                    bank's node sits on: events are queued (and
+     *                    replayed) per home bus. 1 keeps the classic
+     *                    single-queue behaviour.
      */
     FilterBank(const std::vector<std::string> &specs, const AddressMap &amap,
                bool checkSafety = true, unsigned snoopBuses = 1);
 
     /**
-     * Present one snoop to every filter.
+     * Present one snoop to every filter: the bank's one snoop entry.
      * @param unitAddr   coherence-unit aligned snooped address.
      * @param unitInL2   ground truth: the unit is valid in the local L2.
      * @param blockInL2  ground truth: the enclosing block's tag matched
      *                   (the tag probe reports this for free).
      */
-    void observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2);
+    void
+    observeSnoop(Addr unitAddr, bool unitInL2, bool blockInL2)
+    {
+        enqueue({unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
+    }
 
-    // ---- The deferred (batched) observation path --------------------
+    // ---- Queue and replay --------------------------------------------
     //
-    // The simulation hot loop defers filter work: snoops and the L2's
-    // fill/evict notifications are queued per home snoop bus (the same
-    // block interleave the interconnect routes transactions by), and a
-    // chunk-end flush replays every queue, bus by bus, once per filter
+    // Snoops and the L2's fill/evict notifications are queued per home
+    // snoop bus (the interleave the interconnect routes transactions
+    // by), and a flush replays every queue, bus by bus, once per filter
     // family: the bank groups its filters by dynamic type at
     // construction, and each group walks a queue event-major through
     // one SnoopFilter::applyBatch call, decoding each event once for
@@ -93,34 +79,34 @@ class FilterBank : public mem::CacheEventListener
     // is the capture order, and all events of one L2 block share a bus,
     // so every block-granular (EJ/VEJ entries, IJ slices) or counting
     // (IJ, RF) structure sees a per-structure totally ordered stream —
-    // the no-false-negative guarantee survives deferral for any bus
-    // count, and with one bus the replay is the original total order,
-    // making the deferred path bit-identical to immediate observation.
+    // the no-false-negative guarantee holds for any bus count. Outside
+    // a deferred batch each queued event is flushed at once, which is
+    // the capture order at every bus count; inside one, a single bus
+    // replays the capture order too, so a batched run's filter numbers
+    // equal step()'s there.
 
-    /** Enter deferred mode: observeSnoop and the L2 listener hooks queue
-     *  instead of applying. Requires no probe observer (the instrumented
-     *  paths stay immediate). */
-    void beginDeferred();
+    /** Enter a deferred batch: events stay queued until flushDeferred. */
+    void beginDeferred() { deferred_ = true; }
 
-    /** Replay all queued events (bus-major) and leave deferred mode. */
+    /** Replay all queued events and leave the deferred batch. */
     void endDeferred();
 
-    /** Replay all queued events bus-major, staying deferred. Panics on a
-     *  safety violation when the bank checks safety. */
+    /** Replay all queued events bus-major. Panics on a safety violation
+     *  when the bank checks safety. */
     void flushDeferred();
 
-    /** In deferred mode, queue one snoop with its captured ground truth.
-     *  @p busId must be the unit's home bus. */
+    // CacheEventListener
     void
-    deferSnoop(unsigned busId, Addr unitAddr, bool unitInL2, bool blockInL2)
+    unitFilled(Addr unitAddr) override
     {
-        busQueues_[busId].push_back(
-            {unitAddr, BankEvent::Kind::Snoop, unitInL2, blockInL2});
+        enqueue({unitAddr, BankEvent::Kind::Fill, false, false});
     }
 
-    // CacheEventListener
-    void unitFilled(Addr unitAddr) override;
-    void unitEvicted(Addr unitAddr) override;
+    void
+    unitEvicted(Addr unitAddr) override
+    {
+        enqueue({unitAddr, BankEvent::Kind::Evict, false, false});
+    }
 
     /** Number of filters in the bank. */
     std::size_t size() const { return filters_.size(); }
@@ -135,29 +121,21 @@ class FilterBank : public mem::CacheEventListener
     /** Index of the filter whose name() equals @p name, or -1. */
     int indexOf(const std::string &name) const;
 
-    /**
-     * Attach (or detach with nullptr) a per-probe observer. @p owner tags
-     * the emitted events with the node this bank belongs to. Zero cost
-     * when unset: observeSnoop hoists one null check out of its loops.
-     */
-    void setProbeObserver(FilterProbeObserver *obs, ProcId owner);
-
   private:
     std::vector<SnoopFilterPtr> filters_;
     std::vector<FilterStats> stats_;
     AddressMap amap_;
     bool checkSafety_;
-    FilterProbeObserver *probeObserver_ = nullptr;
-    ProcId owner_ = 0;
 
-    /** Home bus of @p unitAddr — must agree with Interconnect::busOf
-     *  (the one other statement of the interleave in sim/), which the
-     *  CheckerSuite's bus-routing invariant cross-checks online. */
-    unsigned
-    homeBusOf(Addr unitAddr) const
+    /** Queue @p ev on its home bus; flush at once outside a batch. */
+    void
+    enqueue(const BankEvent &ev)
     {
-        return static_cast<unsigned>(
-            (unitAddr >> amap_.blockOffsetBits) % snoopBuses_);
+        busQueues_[interleavedBus(ev.unitAddr, amap_.blockOffsetBits,
+                                  snoopBuses_)]
+            .push_back(ev);
+        if (!deferred_)
+            flushDeferred();
     }
 
     /** The filters of one dynamic type (one family), in bank order,

@@ -22,8 +22,8 @@ SnoopFilter::applyBatch(SnoopFilter *const *peers, FilterStats *const *stats,
                         std::size_t n)
 {
     // Generic batch path: the shared protocol over the virtual hooks,
-    // so a deferred replay is bit-identical to immediate observation of
-    // the same sequence for any filter type.
+    // so a batched replay is bit-identical to calling the hooks one
+    // event at a time, for any filter type.
     replayBankEvents(
         stats, nPeers, evs, n, 0,
         [peers](std::size_t j, Addr a) { return peers[j]->probe(a); },

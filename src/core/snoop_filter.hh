@@ -18,10 +18,11 @@
  *    (this is how Include-JETTY counters and EJ present bits stay
  *    coherent; the information is free at the L2, Section 3.2).
  *
- * The simulator's hot loop defers these events and replays them in
- * batches (core/filter_bank.hh): applyBatch walks a run of BankEvents
- * once for a whole family of filters of one type, event-major, through
- * the one protocol walk below (replayBankEvents / applySnoopVerdict).
+ * A filter learns them only through its bank (core/filter_bank.hh),
+ * which queues every event and replays queued runs: applyBatch walks a
+ * run of BankEvents once for a whole family of filters of one type,
+ * event-major, through the one protocol walk below (replayBankEvents /
+ * applySnoopVerdict). Outside run()'s chunked batch a run is one event.
  */
 
 #ifndef JETTY_CORE_SNOOP_FILTER_HH
@@ -109,12 +110,11 @@ struct FilterStats
 };
 
 /**
- * One deferred filter-bank event (core/filter_bank.hh). The batched
- * simulation hot path queues these per logical snoop bus instead of
- * walking every filter on every snoop; FilterBank::flushDeferred later
- * replays each queue once per filter family. Snoop events carry their
- * ground truth *as captured at snoop time*, so the deferred safety
- * check judges every verdict against the true cache state.
+ * One queued filter-bank event (core/filter_bank.hh). A bank queues
+ * these per logical snoop bus, and FilterBank::flushDeferred replays
+ * each queue once per filter family. Snoop events carry their ground
+ * truth *as captured at snoop time*, so the safety check judges every
+ * verdict against the true cache state, however late the replay.
  */
 struct BankEvent
 {
@@ -135,10 +135,10 @@ struct BankEvent
 /**
  * The single copy of the snoop-arm bookkeeping: which counters a
  * verdict bumps, when the safety violation is counted, and when the
- * miss hook (exclude-side allocation) fires. FilterBank::observeSnoop
- * and the replay walk below — through it every applyBatch in the tree —
- * fold each snoop verdict through this one function, so the protocol
- * cannot drift between the immediate, generic and devirtualized paths.
+ * miss hook (exclude-side allocation) fires. The replay walk below —
+ * through it every applyBatch in the tree — folds each snoop verdict
+ * through this one function, so the protocol cannot drift between the
+ * generic and devirtualized paths.
  */
 template <typename MissFn>
 inline void
@@ -255,15 +255,15 @@ class SnoopFilter
     virtual std::string name() const = 0;
 
     /**
-     * Replay a run of deferred bank events through @p peers, one family's
+     * Replay a run of queued bank events through @p peers, one family's
      * filters, accumulating peer j's counts into *stats[j] — the batched
      * path behind FilterBank::flushDeferred. Every peer must have this
      * filter's dynamic type and all must share one AddressMap (a bank's
      * filters do). The base implementation walks the events through the
-     * virtual probe/onSnoopMiss/onFill/onEvict hooks with exactly the
-     * bookkeeping of FilterBank::observeSnoop, so every family is
-     * batch-correct by construction; ExcludeJetty (EJ and VEJ alike)
-     * overrides it with a direct, inlinable kernel. Safety violations
+     * virtual probe/onSnoopMiss/onFill/onEvict hooks through
+     * replayBankEvents, so every family is batch-correct by
+     * construction; ExcludeJetty (EJ and VEJ alike) overrides it with
+     * a direct, inlinable kernel. Safety violations
      * are *counted* here (safetyViolations); the bank decides whether
      * to panic.
      */

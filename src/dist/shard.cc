@@ -165,25 +165,15 @@ shardResponseFromJson(const json::Value &v, ShardResponse &out)
 #define X(f, kind) rd.kind(v, #f, resp.f);
     JETTY_SHARD_RESPONSE_FIELDS(X)
 #undef X
-    const json::Value *results = rd.arr(v, "results");
+    rd.items(v, "results", [&](const json::Value &item) {
+        ShardCell &cell = resp.results.emplace_back();
+        rd.str(item, "key", cell.key);
+        rd.nested(item, "result", [&](const json::Value &result) {
+            experiments::runResultFromJson(rd, result, cell.result);
+        });
+    });
     if (!rd.ok())
         return rd.error();
-    for (std::size_t i = 0; i < results->items().size(); ++i) {
-        const json::Value &item = results->items()[i];
-        const std::string at =
-            "shard_response.results[" + std::to_string(i) + "]";
-        json::FieldReader cellRd(at);
-        ShardCell cell;
-        cellRd.str(item, "key", cell.key);
-        const json::Value *result = cellRd.get(item, "result");
-        if (!cellRd.ok())
-            return cellRd.error();
-        err = experiments::runResultFromJson(*result, cell.result,
-                                             at + ".result");
-        if (!err.empty())
-            return err;
-        resp.results.push_back(std::move(cell));
-    }
     out = std::move(resp);
     return "";
 }

@@ -112,7 +112,7 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
         rd.fail("jetty_cache", "unsupported version");
     rd.str(v, "key", storedKey);
     rd.strVector(v, "covered", names);
-    const json::Value *resultObj = rd.get(v, "result");
+    rd.get(v, "result");  // present; read after the key check below
     if (!rd.ok()) {
         ::unlink(path.c_str());  // wrong version / malformed envelope
         return false;
@@ -121,7 +121,10 @@ DiskCache::lookup(const std::string &key, AppRunResult &result,
         return false;  // filename hash collision: miss, leave in place
 
     AppRunResult res;
-    bool ok = runResultFromJson(*resultObj, res).empty();
+    rd.nested(v, "result", [&](const json::Value &resultObj) {
+        runResultFromJson(rd, resultObj, res);
+    });
+    bool ok = rd.ok();
     for (const auto &name : names) {
         // Every covered name must have its row, or a caller projecting
         // onto covered names would ask the result for a missing filter.

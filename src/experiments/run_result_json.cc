@@ -104,8 +104,9 @@ procFromJson(json::FieldReader &rd, const json::Value &v,
 #define X(f) rd.u64(v, #f, p.f);
     JETTY_PROC_STAT_FIELDS(X)
 #undef X
-    if (const json::Value *t = rd.obj(v, "traffic"))
-        trafficFromJson(rd, *t, p.traffic);
+    rd.nested(v, "traffic", [&](const json::Value &t) {
+        trafficFromJson(rd, t, p.traffic);
+    });
 }
 
 json::Value
@@ -148,34 +149,30 @@ void
 statsFromJson(json::FieldReader &rd, const json::Value &v,
               sim::SimStats &out)
 {
-    const json::Value *procs = rd.arr(v, "procs");
-    if (!procs)
-        return;
-    sim::SimStats stats(static_cast<unsigned>(procs->items().size()), 1);
-    for (std::size_t i = 0; i < procs->items().size(); ++i)
-        procFromJson(rd, procs->items()[i], stats.procs[i]);
+    // Every member below is read or the reader fails, so the sizes the
+    // constructor picks are all replaced on success.
+    sim::SimStats stats(0, 0);
+    rd.items(v, "procs", [&](const json::Value &p) {
+        procFromJson(rd, p, stats.procs.emplace_back());
+    });
 
-    if (const json::Value *remote = rd.obj(v, "remoteHits")) {
+    rd.nested(v, "remoteHits", [&](const json::Value &remote) {
         std::vector<std::uint64_t> counts;
         std::uint64_t total = 0;
-        rd.u64Vector(*remote, "counts", counts);
-        rd.u64(*remote, "total", total);
+        rd.u64Vector(remote, "counts", counts);
+        rd.u64(remote, "total", total);
         if (rd.ok())
             stats.remoteHits = Histogram::fromRaw(std::move(counts), total);
-    }
+    });
 
     rd.u64(v, "snoopTransactions", stats.snoopTransactions);
 
-    if (const json::Value *per_bus = rd.arr(v, "perBus")) {
-        stats.perBus.clear();
-        for (const auto &item : per_bus->items()) {
-            sim::BusStats bus;
+    rd.items(v, "perBus", [&](const json::Value &item) {
+        sim::BusStats &bus = stats.perBus.emplace_back();
 #define X(f) rd.u64(item, #f, bus.f);
-            JETTY_BUS_STAT_FIELDS(X)
+        JETTY_BUS_STAT_FIELDS(X)
 #undef X
-            stats.perBus.push_back(bus);
-        }
-    }
+    });
     rd.u64Vector(v, "busSnoopTagProbes", stats.busSnoopTagProbes);
     if (rd.ok())
         out = std::move(stats);
@@ -216,14 +213,10 @@ runResultToJson(const AppRunResult &result)
     return v;
 }
 
-std::string
-runResultFromJson(const json::Value &v, AppRunResult &out,
-                  const std::string &path)
+void
+runResultFromJson(json::FieldReader &rd, const json::Value &v,
+                  AppRunResult &out)
 {
-    if (!v.isObject())
-        return path + ": not an object";
-    json::FieldReader rd(path);
-
     AppRunResult res;
     rd.str(v, "appName", res.appName);
     rd.str(v, "abbrev", res.abbrev);
@@ -231,39 +224,31 @@ runResultFromJson(const json::Value &v, AppRunResult &out,
     rd.u64(v, "totalRefs", res.totalRefs);
     rd.dbl(v, "simSeconds", res.simSeconds);
     rd.boolean(v, "refsTooFewForRate", res.refsTooFewForRate);
-    if (const json::Value *stats = rd.obj(v, "stats"))
-        statsFromJson(rd, *stats, res.stats);
+    rd.nested(v, "stats", [&](const json::Value &stats) {
+        statsFromJson(rd, stats, res.stats);
+    });
 
-    if (const json::Value *filters = rd.arr(v, "filters")) {
-        for (const auto &item : filters->items()) {
-            std::string name;
-            rd.str(item, "name", name);
-            filter::FilterStats fs;
-            if (const json::Value *stats = rd.obj(item, "stats")) {
-#define X(fld) rd.u64(*stats, #fld, fs.fld);
-                JETTY_FILTER_STAT_FIELDS(X)
+    rd.items(v, "filters", [&](const json::Value &item) {
+        rd.str(item, "name", res.filterNames.emplace_back());
+        rd.nested(item, "stats", [&](const json::Value &stats) {
+            filter::FilterStats &fs = res.filterStats.emplace_back();
+#define X(fld) rd.u64(stats, #fld, fs.fld);
+            JETTY_FILTER_STAT_FIELDS(X)
 #undef X
-            }
-            energy::FilterEnergyCosts fc;
-            if (const json::Value *costs = rd.obj(item, "costs")) {
-#define X(fld) rd.dbl(*costs, #fld, fc.fld);
-                JETTY_FILTER_COST_FIELDS(X)
+        });
+        rd.nested(item, "costs", [&](const json::Value &costs) {
+            energy::FilterEnergyCosts &fc = res.filterCosts.emplace_back();
+#define X(fld) rd.dbl(costs, #fld, fc.fld);
+            JETTY_FILTER_COST_FIELDS(X)
 #undef X
-            }
-            if (!rd.ok())
-                break;
-            res.filterNames.push_back(std::move(name));
-            res.filterStats.push_back(fs);
-            res.filterCosts.push_back(fc);
-        }
-    }
-    if (const json::Value *traffic = rd.obj(v, "traffic"))
-        trafficFromJson(rd, *traffic, res.traffic);
+        });
+    });
+    rd.nested(v, "traffic", [&](const json::Value &traffic) {
+        trafficFromJson(rd, traffic, res.traffic);
+    });
 
-    if (!rd.ok())
-        return rd.error();
-    out = std::move(res);
-    return "";
+    if (rd.ok())
+        out = std::move(res);
 }
 
 } // namespace jetty::experiments

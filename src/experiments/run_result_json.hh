@@ -28,12 +28,14 @@ namespace jetty::experiments
 json::Value runResultToJson(const AppRunResult &result);
 
 /**
- * Rebuild @p out from @p v, the document at dotted @p path.
- * @return "" on success; otherwise the first missing or ill-typed
- *         field ("<path>.<field>: <what>"), with @p out unchanged.
+ * Rebuild @p out from the object @p v through @p rd: the first missing
+ * or ill-typed field fails @p rd as "<rd's path>.<field>: <what>", the
+ * field named by its indexed path inside arrays
+ * ("result.filters[3].stats.snoopAllocs"). @p out is written only when
+ * @p rd is still ok afterwards.
  */
-std::string runResultFromJson(const json::Value &v, AppRunResult &out,
-                              const std::string &path = "result");
+void runResultFromJson(json::FieldReader &rd, const json::Value &v,
+                       AppRunResult &out);
 
 } // namespace jetty::experiments
 

@@ -6,8 +6,7 @@ namespace jetty::sim
 {
 
 Interconnect::Interconnect(unsigned buses, unsigned blockOffsetBits)
-    : buses_(buses), blockOffsetBits_(blockOffsetBits),
-      busesPow2_(buses >= 1 && (buses & (buses - 1)) == 0)
+    : buses_(buses), blockOffsetBits_(blockOffsetBits)
 {
     if (buses_ < 1)
         fatal("Interconnect: need at least one snoop bus");

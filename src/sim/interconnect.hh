@@ -14,11 +14,12 @@
  *  - per-bus occupancy statistics (SimStats::perBus /
  *    busSnoopTagProbes), the input of the latency model's contention
  *    term and the accountant's per-bus snoop energy split;
- *  - the order in which the deferred filter banks replay their snoop
- *    observations (FilterBank::flushDeferred applies queues bus-major),
- *    so per-filter *coverage* may shift with the bus count while the
- *    safety guarantee is untouched (DESIGN.md, "Interconnect & snoop
- *    batching").
+ *  - the order in which run()'s chunk-end flush replays the filter
+ *    banks' queued observations (FilterBank::flushDeferred applies
+ *    queues bus-major), so per-filter *coverage* of a run() may shift
+ *    with the bus count while the safety guarantee is untouched
+ *    (DESIGN.md, "Interconnect & snoop batching"); step() replays each
+ *    event as it is queued, in capture order at every bus count.
  *
  * The interleave granularity is the L2 *block*: every filter-visible
  * structure (EJ/VEJ block entries, IJ block-address slices, sibling
@@ -35,6 +36,7 @@
 
 #include <cstdint>
 
+#include "util/bits.hh"
 #include "util/types.hh"
 
 namespace jetty::sim
@@ -66,23 +68,17 @@ class Interconnect
     /** Number of logical buses. */
     unsigned buses() const { return buses_; }
 
-    /** Home bus of the unit at @p unitAddr. Power-of-two bus counts
-     *  (all the sweep points, including the single-bus default) route
-     *  with a mask; the modulo stays as the general fallback and both
-     *  agree bit-for-bit whenever the mask applies. */
+    /** Home bus of the unit at @p unitAddr (util/bits.hh
+     *  interleavedBus, the interleave the filter banks queue by). */
     unsigned
     busOf(Addr unitAddr) const
     {
-        const Addr block = unitAddr >> blockOffsetBits_;
-        if (busesPow2_)
-            return static_cast<unsigned>(block & (buses_ - 1));
-        return static_cast<unsigned>(block % buses_);
+        return interleavedBus(unitAddr, blockOffsetBits_, buses_);
     }
 
   private:
     unsigned buses_;
     unsigned blockOffsetBits_;
-    bool busesPow2_;
 };
 
 } // namespace jetty::sim

@@ -98,7 +98,7 @@ SmpSystem::run()
     // reference through processorAccess(), which is where the hooks
     // fire, and it is bit-identical to the batched loop below (asserted
     // in test_sim). The hooks-unset hot path is untouched.
-    if (observer_ || probeObserved_) {
+    if (observer_) {
         while (step()) {
         }
         return;
@@ -116,20 +116,19 @@ SmpSystem::run()
     // reorders the schedule; it is the same for every L1 geometry.
     //
     // The filter banks run deferred throughout: every snoop observation
-    // and L2 fill/evict notification is queued per home snoop bus and
-    // replayed once per filter family at chunk boundaries
-    // (FilterBank::flushDeferred). Both routes make
-    // identical coherence state changes, so run(), step()-driven loops,
-    // and every batchRefs value produce bit-identical statistics (and
-    // with snoopBuses == 1 the deferred replay is the exact
-    // immediate-observation order, making the filter numbers
+    // and L2 fill/evict notification stays queued per home snoop bus
+    // until the chunk boundary replays it once per filter family
+    // (FilterBank::flushDeferred), whereas step() replays each event as
+    // it is queued. Both routes make identical coherence state changes,
+    // so run(), step()-driven loops, and every batchRefs value produce
+    // bit-identical statistics (and with snoopBuses == 1 the chunk-end
+    // replay is the capture order, making the filter numbers
     // bit-identical too).
     const unsigned nprocs = static_cast<unsigned>(nodes_.size());
     const Addr unit_mask = ~(static_cast<Addr>(cfg_.l2.unitBytes()) - 1);
 
     for (auto &node : nodes_)
         node->bank->beginDeferred();
-    deferActive_ = true;
 
     /** One live processor of a chunk, resolved once so the
      *  per-reference loop does no unique_ptr chasing. */
@@ -202,7 +201,6 @@ SmpSystem::run()
             node->bank->flushDeferred();
     }
 
-    deferActive_ = false;
     for (auto &node : nodes_)
         node->bank->endDeferred();
 }
@@ -211,14 +209,6 @@ const filter::FilterBank &
 SmpSystem::bank(ProcId p) const
 {
     return *nodes_.at(p)->bank;
-}
-
-void
-SmpSystem::setFilterProbeObserver(filter::FilterProbeObserver *obs)
-{
-    probeObserved_ = obs != nullptr;
-    for (unsigned p = 0; p < nodes_.size(); ++p)
-        nodes_[p]->bank->setProbeObserver(obs, p);
 }
 
 filter::FilterStats
@@ -275,68 +265,12 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
     }
     stats_.busSnoopTagProbes[bus] += nodes_.size() - 1;
 
-    if (deferActive_) {
-        // The batched hot path: identical coherence transitions, but the
-        // write-back scan is gated by the exact-safe presence signature
-        // (the address hashes to its signature bit once, tested against
-        // every remote buffer), the L2 snoop reuses the ground-truth
-        // probe's way lookup, and the filter bank observation is queued
-        // for the chunk-end batched replay instead of walking every
-        // filter now.
-        const std::uint64_t sig_bit =
-            mem::WritebackBuffer::signatureBitOf(unitAddr);
-        for (unsigned q = 0; q < nodes_.size(); ++q) {
-            if (q == requester)
-                continue;
-            Node &node = *nodes_[q];
-            ProcStats &qs = stats_.procs[q];
-
-            bool copy_here = false;
-            const bool wb_hit =
-                node.wb->maybeContainsSig(sig_bit) &&
-                node.wb->snoop(unitAddr, op == BusOp::BusReadX ||
-                                             op == BusOp::BusUpgrade);
-            if (wb_hit) {
-                copy_here = true;
-                ++qs.wbSnoopsHit;
-                resp.suppliedByCache = true;
-            }
-
-            mem::L2LookupResult probe_res;
-            const int way = node.l2->probeWay(unitAddr, probe_res);
-            node.bank->deferSnoop(bus, unitAddr, probe_res.unitValid,
-                                  probe_res.tagMatch);
-
-            ++qs.snoopTagProbes;
-            ++qs.traffic.snoopTagProbes;
-
-            const State before = probe_res.state;
-            const auto outcome = node.l2->snoopAtWay(way, unitAddr, op);
-            if (outcome.hadCopy) {
-                copy_here = true;
-                ++qs.snoopHits;
-                if (outcome.supplied) {
-                    ++qs.snoopSupplies;
-                    resp.suppliedByCache = true;
-                    ++qs.traffic.snoopDataReads;
-                }
-                if (outcome.next != before)
-                    ++qs.traffic.snoopTagUpdates;
-                if (!coherence::isValid(outcome.next) ||
-                    coherence::isWritable(before)) {
-                    enforceInclusion(q, unitAddr);
-                }
-            } else {
-                ++qs.snoopMisses;
-            }
-
-            if (copy_here)
-                ++resp.remoteCopies;
-        }
-        stats_.remoteHits.sample(resp.remoteCopies);
-        return resp;
-    }
-
+    // One scan per remote node. The write-back buffer scan is gated by
+    // its exact-safe presence signature (the address hashes to its
+    // signature bit once, tested against every remote buffer), and the
+    // L2 snoop reuses the ground-truth probe's way lookup.
+    const std::uint64_t sig_bit =
+        mem::WritebackBuffer::signatureBitOf(unitAddr);
     for (unsigned q = 0; q < nodes_.size(); ++q) {
         if (q == requester)
             continue;
@@ -353,8 +287,10 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
         //    resurrect an M (write-without-bus) copy while the reader
         //    still holds Shared, the silent-stale-read coherence break
         //    the differential checkers caught.
-        const bool wb_hit = node.wb->snoop(
-            unitAddr, op == BusOp::BusReadX || op == BusOp::BusUpgrade);
+        const bool wb_hit =
+            node.wb->maybeContainsSig(sig_bit) &&
+            node.wb->snoop(unitAddr, op == BusOp::BusReadX ||
+                                         op == BusOp::BusUpgrade);
         if (wb_hit) {
             copy_here = true;
             ++qs.wbSnoopsHit;
@@ -365,7 +301,8 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
         //    *before* any state transition. One probe serves both the
         //    bank's ground truth and the pre-transition state below —
         //    nothing mutates the L2 in between.
-        const auto probe_res = node.l2->probe(unitAddr);
+        mem::L2LookupResult probe_res;
+        const int way = node.l2->probeWay(unitAddr, probe_res);
         node.bank->observeSnoop(unitAddr, probe_res.unitValid,
                                 probe_res.tagMatch);
 
@@ -375,7 +312,7 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
         ++qs.traffic.snoopTagProbes;
 
         const State before = probe_res.state;
-        const auto outcome = node.l2->snoop(unitAddr, op);
+        const auto outcome = node.l2->snoopAtWay(way, unitAddr, op);
         if (outcome.hadCopy) {
             copy_here = true;
             ++qs.snoopHits;
@@ -402,7 +339,8 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
 
         if (observer_) {
             // Emitted after the transition and inclusion enforcement, so
-            // a checker sees the settled post-snoop node state.
+            // a checker sees the settled post-snoop node state (and,
+            // outside run()'s batch, the bank's replayed verdicts).
             SnoopEvent ev;
             ev.requester = requester;
             ev.target = q;

@@ -8,7 +8,11 @@
  * Filters are passive observers (DESIGN.md): each node carries a
  * FilterBank whose configurations all see every snoop with ground truth,
  * so one run scores every candidate JETTY and the energy accountant
- * evaluates them afterwards.
+ * evaluates them afterwards. A bank has one observation path: broadcast()
+ * queues each remote node's snoop and the node's L2 queues its fills and
+ * evictions; run() replays the queues at chunk boundaries, and every
+ * other route (step(), processorAccess(), an observed run) replays each
+ * event as it is queued.
  */
 
 #ifndef JETTY_SIM_SMP_SYSTEM_HH
@@ -65,9 +69,9 @@ struct SmpConfig
      * buffers, architectural statistics) untouched — all transactions
      * for one unit serialize on its home bus — and only changes the
      * per-bus occupancy stats, the latency model's contention input,
-     * and the bus-major order in which deferred filter banks replay
-     * their observations (per-filter coverage may shift for
-     * snoopBuses > 1; safety never does).
+     * and the bus-major order in which run()'s chunk-end flush replays
+     * the filter banks' queues (per-filter coverage of run() may shift
+     * for snoopBuses > 1; step()'s never does, nor does safety).
      */
     unsigned snoopBuses = 1;
 
@@ -140,12 +144,6 @@ class SmpSystem
      */
     void setObserver(SimObserver *obs) { observer_ = obs; }
 
-    /** Attach a per-(filter, snoop) observer to every node's bank.
-     *  While one is attached run() takes the fully instrumented
-     *  per-reference route (like setObserver), so every verdict is
-     *  emitted immediately and in stream order. */
-    void setFilterProbeObserver(filter::FilterProbeObserver *obs);
-
     /** The snoop interconnect (bus count and routing). */
     const Interconnect &interconnect() const { return interconnect_; }
 
@@ -170,10 +168,9 @@ class SmpSystem
     bool refillBatch(Node &node);
 
     /** Place a transaction on its home snoop bus: snoop all other
-     *  nodes, count remote copies, transition their states. While the
-     *  banks are deferred (the batched run() hot loop) the per-node
-     *  filter observation is queued instead of walked — both routes make
-     *  identical coherence state changes. */
+     *  nodes, count remote copies, transition their states, and queue
+     *  each node's snoop on its filter bank (replayed at once outside
+     *  run()'s batch, where the observer sees each snoop). */
     coherence::BusResponse
     broadcast(ProcId requester, coherence::BusOp op, Addr unitAddr);
 
@@ -199,8 +196,6 @@ class SmpSystem
     std::vector<mem::L2Victim> victimScratch_;  //!< fetchUnit reuse
     SimStats stats_;
     SimObserver *observer_ = nullptr;
-    bool probeObserved_ = false;  //!< any bank has a probe observer
-    bool deferActive_ = false;    //!< run() hot loop: banks are queueing
 };
 
 } // namespace jetty::sim

@@ -72,6 +72,22 @@ alignDown(Addr a, std::uint64_t unit)
     return a & ~(unit - 1);
 }
 
+/**
+ * Home bus of the coherence unit at @p unitAddr on the block-interleaved
+ * split snoop interconnect of @p buses (>= 1) logical buses: the unit's
+ * L2 block index modulo the bus count, a mask for power-of-two counts.
+ * The one statement of the interleave in the library, shared by
+ * sim::Interconnect (transaction routing) and filter::FilterBank (its
+ * per-bus event queues).
+ */
+constexpr unsigned
+interleavedBus(Addr unitAddr, unsigned blockOffsetBits, unsigned buses)
+{
+    const Addr block = unitAddr >> blockOffsetBits;
+    return static_cast<unsigned>(isPowerOfTwo(buses) ? block & (buses - 1)
+                                                     : block % buses);
+}
+
 } // namespace jetty
 
 #endif // JETTY_UTIL_BITS_HH

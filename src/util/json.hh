@@ -207,12 +207,41 @@ class FieldReader
         if (!v)
             return;
         const std::string outer = path_;
-        path_ = path_.empty() ? key : path_ + "." + key;
+        path_ = memberPath(key);
         read(*v);
         path_ = outer;
     }
 
+    /** Read each item of array member @p key with @p read(item), up to
+     *  the first failure, naming failures inside item i
+     *  "<path>.<key>[i].<field>" (an item that is not an object fails
+     *  "<path>.<key>[i]: not an object"); absent: see get(). */
+    template <class Read>
+    void items(const Value &o, const char *key, Read &&read)
+    {
+        const Value *a = arr(o, key);
+        if (!a)
+            return;
+        const std::string outer = path_;
+        const std::string base = memberPath(key);
+        for (std::size_t i = 0; i < a->items().size() && ok(); ++i) {
+            path_ = base + "[" + std::to_string(i) + "]";
+            if (a->items()[i].isObject())
+                read(a->items()[i]);
+            else
+                fail("", "not an object");
+        }
+        path_ = outer;
+    }
+
   private:
+    /** "<path>.<key>", or @p key alone under an empty path. */
+    std::string
+    memberPath(const char *key) const
+    {
+        return path_.empty() ? key : path_ + "." + key;
+    }
+
     /** get(), failing with @p what unless (member->*is)(). */
     const Value *typed(const Value &o, const char *key,
                        bool (Value::*is)() const, const char *what);

@@ -123,14 +123,16 @@ CheckerSuite::CheckerSuite(sim::SmpSystem &sys, std::uint64_t auditEvery)
     filterNames_.reserve(bank.size());
     for (std::size_t i = 0; i < bank.size(); ++i)
         filterNames_.push_back(bank.filterAt(i).name());
+    for (unsigned p = 0; p < sys.config().nprocs; ++p) {
+        for (std::size_t i = 0; i < bank.size(); ++i)
+            seen_.push_back(sys.bank(p).statsAt(i));
+    }
     sys_.setObserver(this);
-    sys_.setFilterProbeObserver(this);
 }
 
 CheckerSuite::~CheckerSuite()
 {
     sys_.setObserver(nullptr);
-    sys_.setFilterProbeObserver(nullptr);
 }
 
 void
@@ -166,6 +168,35 @@ CheckerSuite::onBusTransaction(ProcId, coherence::BusOp op, Addr unitAddr,
 void
 CheckerSuite::onSnoop(const sim::SnoopEvent &ev)
 {
+    // The target bank replayed this snoop before the event fired, so
+    // its stats moved by exactly this snoop's verdicts since the last
+    // one seen there: one probe per filter, a would-miss unless the
+    // unit was cached, and a filtered cached unit counted as a
+    // safety violation.
+    const filter::FilterBank &bank = sys_.bank(ev.target);
+    for (std::size_t i = 0; i < filterNames_.size(); ++i) {
+        const filter::FilterStats &now = bank.statsAt(i);
+        filter::FilterStats &was = seen_[ev.target * filterNames_.size() + i];
+        const std::uint64_t missed = now.wouldMiss - was.wouldMiss;
+        const std::uint64_t missFiltered =
+            now.filteredWouldMiss - was.filteredWouldMiss;
+        const std::uint64_t cachedFiltered =
+            now.safetyViolations - was.safetyViolations;
+        auto &cells = coverage_.filters[i].cells;
+        cells[0][0] += missed - missFiltered;
+        cells[0][1] += now.probes - was.probes - missed - cachedFiltered;
+        cells[1][0] += missFiltered;
+        cells[1][1] += cachedFiltered;
+        was = now;
+        if (cachedFiltered != 0) {
+            log_.report("no-false-negative",
+                        filterNames_[i] + " on proc " +
+                            std::to_string(ev.target) +
+                            " filtered a snoop to cached unit " +
+                            hexAddr(ev.unitAddr));
+        }
+    }
+
     coverage_.snoopCells[static_cast<int>(ev.before)]
                         [static_cast<int>(ev.op)]++;
 
@@ -211,23 +242,6 @@ CheckerSuite::onSnoop(const sim::SnoopEvent &ev)
                         " after " + coherence::busOpName(ev.op) +
                         " left its L2 unit " +
                         coherence::stateName(ev.after));
-    }
-}
-
-void
-CheckerSuite::onFilterProbe(const filter::FilterProbeEvent &ev)
-{
-    coverage_.filters[ev.filterIdx]
-        .cells[ev.filtered ? 1 : 0][ev.unitInL2 ? 1 : 0]++;
-
-    if (ev.filtered && ev.unitInL2) {
-        const std::string name = ev.filterIdx < filterNames_.size()
-                                     ? filterNames_[ev.filterIdx]
-                                     : "?";
-        log_.report("no-false-negative",
-                    name + " on proc " + std::to_string(ev.owner) +
-                        " filtered a snoop to cached unit " +
-                        hexAddr(ev.unitAddr));
     }
 }
 

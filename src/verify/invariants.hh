@@ -2,14 +2,14 @@
  * @file
  * Online invariant checkers for the differential verification subsystem.
  *
- * CheckerSuite attaches to a live SmpSystem through the observer hooks
- * (sim/observer.hh, core/filter_bank.hh) and validates, while the
- * simulation runs:
+ * CheckerSuite attaches to a live SmpSystem through its observer hook
+ * (sim/observer.hh) and validates, while the simulation runs:
  *
  *  - **No false negative** (the JETTY safety property): no filter may
  *    answer "definitely not present" for a unit that is valid in the
  *    local L2. Checked per (filter, snoop) verdict for every family in
- *    the bank, independently of the bank's own safety panic (which the
+ *    the bank — read as the target bank's FilterStats deltas at each
+ *    snoop — independently of the bank's own safety panic (which the
  *    fuzzer disables so a broken filter is *reported* rather than
  *    aborting the process).
  *  - **Legal MOESI transitions**: every observed snoop's (before, op) ->
@@ -34,7 +34,9 @@
  *
  * The suite also doubles as the fuzzer's coverage collector: it tallies
  * which (state, bus-op) snoop transitions and which per-filter
- * (filtered, cached) outcome cells the workload exercised.
+ * (filtered, cached) outcome cells the workload exercised (the latter
+ * from the same FilterStats deltas, so they partition the banks' merged
+ * stats).
  */
 
 #ifndef JETTY_VERIFY_INVARIANTS_HH
@@ -44,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "core/filter_bank.hh"
+#include "core/snoop_filter.hh"
 #include "sim/observer.hh"
 #include "sim/smp_system.hh"
 
@@ -137,8 +139,7 @@ struct CoverageMap
  * @param auditEvery run the full-system global audit every that many
  *        retired references (0 = only when audit() is called manually).
  */
-class CheckerSuite : public sim::SimObserver,
-                     public filter::FilterProbeObserver
+class CheckerSuite : public sim::SimObserver
 {
   public:
     explicit CheckerSuite(sim::SmpSystem &sys, std::uint64_t auditEvery = 0);
@@ -154,9 +155,6 @@ class CheckerSuite : public sim::SimObserver,
                           Addr unitAddr, unsigned remoteCopies,
                           unsigned busId) override;
 
-    // FilterProbeObserver
-    void onFilterProbe(const filter::FilterProbeEvent &ev) override;
-
     /** Full-system global state audit (also run periodically). */
     void audit();
 
@@ -169,6 +167,9 @@ class CheckerSuite : public sim::SimObserver,
     ViolationLog log_;
     CoverageMap coverage_;
     std::vector<std::string> filterNames_;
+    /** [node * filters + filter] -> that bank's stats as of the last
+     *  snoop the suite saw there; onSnoop books the difference. */
+    std::vector<filter::FilterStats> seen_;
     std::uint64_t auditEvery_;
     std::uint64_t references_ = 0;
 };

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <regex>
 #include <string>
 
 #include "api/experiment_spec.hh"
@@ -620,6 +622,106 @@ TEST(Differential, CorrectFiltersSurviveTheFaultyCampaignConfig)
     const FuzzResult result = TraceFuzzer(cfg).run();
     EXPECT_FALSE(result.failed) << result.invariant << ": "
                                 << result.detail;
+}
+
+namespace
+{
+
+/** One adversarial trace set of @p refsPerProc references a processor. */
+TraceSet
+fuzzedTraces(std::uint64_t refsPerProc)
+{
+    FuzzConfig fz;
+    fz.refsPerProc = refsPerProc;
+    std::array<double, kPatternCount> weights;
+    weights.fill(1.0);
+    return TraceFuzzer(fz).generate(fz.seed, weights);
+}
+
+/** Run @p traces step-checked on @p cfg (safety panics off, so the
+ *  suite reports) and hand the finished system and suite to @p check. */
+template <class Check>
+void
+runChecked(sim::SmpConfig cfg, const TraceSet &traces, Check &&check)
+{
+    cfg.checkSafety = false;
+    sim::SmpSystem sys(cfg);
+    CheckerSuite suite(sys, 0);
+    std::vector<trace::TraceSourcePtr> sources;
+    for (const auto &t : traces)
+        sources.push_back(std::make_unique<trace::VectorTraceSource>(t));
+    sys.attachSources(std::move(sources));
+    sys.run();
+    check(sys, suite);
+}
+
+} // namespace
+
+TEST(CheckerSuite, FilterCellsPartitionTheMergedFilterStats)
+{
+    // The suite books each snoop's verdicts from the target bank's
+    // FilterStats deltas, so over a whole checked run its per-filter
+    // (filtered, cached) cells must be exactly the cells the merged
+    // stats imply — every snoop counted once, on every bus count, with
+    // a lying filter in the bank so all four cells fill.
+    const TraceSet traces = fuzzedTraces(4096);
+    sim::SmpConfig cfg = smallConfig();
+    cfg.filterSpecs = {"NULL", "EJ-16x2", "IJ-8x4x7", "VEJ-16x4-4",
+                       "HJ(IJ-8x4x7,EJ-16x2)", "FAULTY-7"};
+    for (const unsigned buses : {1u, 2u, 4u}) {
+        cfg.snoopBuses = buses;
+        runChecked(cfg, traces, [&](const sim::SmpSystem &sys,
+                                    const CheckerSuite &suite) {
+            const auto &cells = suite.coverage().filters;
+            ASSERT_EQ(cells.size(), cfg.filterSpecs.size());
+            for (std::size_t f = 0; f < cells.size(); ++f) {
+                SCOPED_TRACE(cfg.filterSpecs[f] + " at " +
+                             std::to_string(buses) + " buses");
+                const filter::FilterStats m = sys.mergedFilterStats(f);
+                const auto &c = cells[f].cells;
+                EXPECT_EQ(c[0][0], m.wouldMiss - m.filteredWouldMiss);
+                EXPECT_EQ(c[0][1],
+                          m.probes - m.wouldMiss - m.safetyViolations);
+                EXPECT_EQ(c[1][0], m.filteredWouldMiss);
+                EXPECT_EQ(c[1][1], m.safetyViolations);
+                EXPECT_GT(m.probes, 0u);
+            }
+            EXPECT_GT(cells.back().cells[1][1], 0u);
+        });
+    }
+}
+
+TEST(Differential, BrokenFilterIsCaughtAtTwoAndFourBuses)
+{
+    // The no-false-negative check holds on the split interconnect: each
+    // lie of FAULTY-7 is reported once, naming the filter, the snooped
+    // processor and the unit, and the first report's processor is one
+    // whose bank counted a violation.
+    const TraceSet traces = fuzzedTraces(1024);
+    const std::regex detail(
+        "FAULTY-7 on proc ([0-9]+) filtered a snoop to cached unit "
+        "0x[0-9a-f]+");
+    sim::SmpConfig cfg = smallConfig();
+    cfg.filterSpecs = {"NULL", "FAULTY-7"};
+    for (const unsigned buses : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(buses) + " buses");
+        cfg.snoopBuses = buses;
+        runChecked(cfg, traces, [&](const sim::SmpSystem &sys,
+                                    const CheckerSuite &suite) {
+            ASSERT_FALSE(suite.log().clean());
+            const Violation &first = suite.log().violations().front();
+            EXPECT_EQ(first.invariant, "no-false-negative");
+            std::smatch m;
+            ASSERT_TRUE(std::regex_match(first.detail, m, detail))
+                << first.detail;
+            const unsigned proc =
+                static_cast<unsigned>(std::stoul(m[1].str()));
+            ASSERT_LT(proc, cfg.nprocs);
+            EXPECT_GT(sys.bank(proc).statsAt(1).safetyViolations, 0u);
+            EXPECT_EQ(suite.log().total(),
+                      sys.mergedFilterStats(1).safetyViolations);
+        });
+    }
 }
 
 TEST(Fuzzer, GenerationIsDeterministic)

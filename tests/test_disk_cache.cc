@@ -113,6 +113,41 @@ rootEntryBytes(const std::string &root)
     return total;
 }
 
+/** runResultFromJson through a reader at @p path: "" or its failure. */
+std::string
+decodeRunResult(const json::Value &v, AppRunResult &out,
+                const char *path = "result")
+{
+    json::FieldReader rd(path);
+    experiments::runResultFromJson(rd, v, out);
+    return rd.error();
+}
+
+/** Copy of @p v without the member at @p path: object keys, and
+ *  decimal indexes into arrays. */
+json::Value
+withoutMember(const json::Value &v, const std::vector<std::string> &path,
+              std::size_t at = 0)
+{
+    if (v.isArray()) {
+        json::Value out = json::Value::array();
+        const std::size_t idx = std::stoul(path[at]);
+        for (std::size_t i = 0; i < v.items().size(); ++i) {
+            out.push(i == idx ? withoutMember(v.items()[i], path, at + 1)
+                              : v.items()[i]);
+        }
+        return out;
+    }
+    json::Value out = json::Value::object();
+    for (const auto &[key, member] : v.members()) {
+        if (key != path[at])
+            out.set(key, member);
+        else if (at + 1 < path.size())
+            out.set(key, withoutMember(member, path, at + 1));
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(RunResultJson, RoundTripIsLossless)
@@ -121,8 +156,7 @@ TEST(RunResultJson, RoundTripIsLossless)
     const json::Value encoded = experiments::runResultToJson(original);
 
     AppRunResult restored;
-    const std::string err = experiments::runResultFromJson(encoded,
-                                                           restored);
+    const std::string err = decodeRunResult(encoded, restored);
     ASSERT_EQ(err, "");
 
     // Value identity through a second encode: canonical text equality
@@ -139,14 +173,51 @@ TEST(RunResultJson, RoundTripIsLossless)
 TEST(RunResultJson, ReaderRejectsMalformedPayloads)
 {
     AppRunResult out;
-    EXPECT_NE(experiments::runResultFromJson(json::Value::object(), out),
-              "");
+    EXPECT_NE(decodeRunResult(json::Value::object(), out), "");
     json::Value half = experiments::runResultToJson(sampleResult());
     half.set("totalRefs", "not a number");
-    EXPECT_NE(experiments::runResultFromJson(half, out), "");
+    EXPECT_NE(decodeRunResult(half, out), "");
     // The first failure, named by its dotted path.
-    EXPECT_EQ(experiments::runResultFromJson(half, out, "entry.result"),
+    EXPECT_EQ(decodeRunResult(half, out, "entry.result"),
               "entry.result.totalRefs: not a u64");
+}
+
+TEST(RunResultJson, NestedFailuresNameTheirIndexedPath)
+{
+    AppRunResult result;
+    result.stats = sim::SimStats(4, 2);
+    for (const char *name : {"EJ-32x4", "EJ-16x2", "VEJ-32x4-8", "NULL"}) {
+        result.filterNames.push_back(name);
+        result.filterStats.emplace_back();
+        result.filterCosts.emplace_back();
+    }
+    const json::Value encoded = experiments::runResultToJson(result);
+    const auto errorWithout = [&](const std::vector<std::string> &path) {
+        AppRunResult out;
+        return decodeRunResult(withoutMember(encoded, path), out);
+    };
+    AppRunResult whole;
+    EXPECT_EQ(decodeRunResult(encoded, whole), "");
+    EXPECT_EQ(errorWithout({"filters", "3", "stats", "snoopAllocs"}),
+              "result.filters[3].stats.snoopAllocs: missing field");
+    EXPECT_EQ(errorWithout({"filters", "1", "costs", "probe"}),
+              "result.filters[1].costs.probe: missing field");
+    EXPECT_EQ(errorWithout({"filters", "0", "name"}),
+              "result.filters[0].name: missing field");
+    for (const char *field : {"accesses", "l1Misses", "wbDrains"}) {
+        EXPECT_EQ(errorWithout({"stats", "procs", "2", field}),
+                  std::string("result.stats.procs[2].") + field +
+                      ": missing field");
+    }
+    EXPECT_EQ(errorWithout({"stats", "procs", "0", "traffic",
+                            "snoopTagProbes"}),
+              "result.stats.procs[0].traffic.snoopTagProbes: missing field");
+    EXPECT_EQ(errorWithout({"stats", "perBus", "1", "readXs"}),
+              "result.stats.perBus[1].readXs: missing field");
+    EXPECT_EQ(errorWithout({"stats", "remoteHits", "total"}),
+              "result.stats.remoteHits.total: missing field");
+    EXPECT_EQ(errorWithout({"traffic", "localDataReads"}),
+              "result.traffic.localDataReads: missing field");
 }
 
 TEST(DiskCacheTest, PublishThenLookupRoundTrips)

@@ -214,6 +214,21 @@ TEST(ShardEnvelope, MalformedFieldNamesItsDottedPath)
     const std::string err = dist::shardResponseFromJson(wire, back);
     EXPECT_NE(err.find("shard_response.wallSeconds"), std::string::npos)
         << err;
+
+    // Inside a cell's result the path carries the cell's index.
+    dist::ShardResponse two = fakeResponse(0, "k0", 1.0);
+    json::Value bad = experiments::runResultToJson(two.results[0].result);
+    bad.set("totalRefs", -1);
+    json::Value cell = json::Value::object();
+    cell.set("key", "k1");
+    cell.set("result", std::move(bad));
+    json::Value results = json::Value::array();
+    results.push(shardResponseToJson(two).find("results")->items()[0]);
+    results.push(std::move(cell));
+    json::Value twoWire = shardResponseToJson(two);
+    twoWire.set("results", std::move(results));
+    EXPECT_EQ(dist::shardResponseFromJson(twoWire, back),
+              "shard_response.results[1].result.totalRefs: not a u64");
 }
 
 TEST(MergeTable, EmptyResponseIsLegalNoOp)

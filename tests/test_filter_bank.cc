@@ -67,6 +67,28 @@ TEST(FilterBank, FillEventsFanOut)
     }
 }
 
+TEST(FilterBank, DeferredBatchReplaysAtFlush)
+{
+    // Inside a deferred batch events wait in their bus queues until a
+    // flush; outside one each event is replayed as soon as it is queued.
+    FilterBank bank({"EJ-8x2"}, amap(), /*checkSafety=*/true,
+                    /*snoopBuses=*/2);
+    bank.beginDeferred();
+    bank.observeSnoop(0x100, false, false);  // block 4: bus 0
+    bank.unitFilled(0x140);                  // block 5: bus 1
+    EXPECT_EQ(bank.statsAt(0).probes, 0u);
+    EXPECT_EQ(bank.statsAt(0).fillUpdates, 0u);
+    bank.flushDeferred();
+    EXPECT_EQ(bank.statsAt(0).probes, 1u);
+    EXPECT_EQ(bank.statsAt(0).snoopAllocs, 1u);
+    EXPECT_EQ(bank.statsAt(0).fillUpdates, 1u);
+
+    bank.endDeferred();
+    bank.observeSnoop(0x100, false, false);  // the allocation filters it
+    EXPECT_EQ(bank.statsAt(0).probes, 2u);
+    EXPECT_EQ(bank.statsAt(0).filtered, 1u);
+}
+
 TEST(FilterBank, StatsMerge)
 {
     FilterStats a, b;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/filter_spec.hh"
 #include "sim/observer.hh"
 #include "sim/smp_system.hh"
@@ -496,6 +498,59 @@ TEST(SmpSystem, FilterStatsDoNotDependOnBankMates)
             const RunOutcome alone =
                 runOutcomeWithBatch(64, false, nullptr, buses, {bank[f]});
             expectIdenticalFilterStats(alone.filters, {mixed.filters[f]});
+        }
+    }
+}
+
+TEST(SmpSystem, MultiBusStepRouteFilterStatsArePinned)
+{
+    // The step route replays each bank event as it is queued, so every
+    // filter learns in capture order at any bus count. These counts
+    // were recorded from the per-filter immediate walk the step route
+    // used before the bank became queue-only; they are the same at 2
+    // and 4 buses, and at 1 bus, where run() matches them too.
+    // Columns: probes, filtered, wouldMiss, filteredWouldMiss,
+    // snoopAllocs, fillUpdates, evictUpdates.
+    using Row = std::array<std::uint64_t, 7>;
+    const std::vector<Row> batch = {
+        {42693, 0, 41334, 0, 41334, 14705, 9188},          // NULL
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 34324, 41334, 34324, 7010, 14705, 9188},   // HJ(IJ,EJ)
+    };
+    const std::vector<Row> figure4 = {
+        {42693, 15266, 41334, 15266, 26068, 14705, 9188},  // EJ-32x4
+        {42693, 14883, 41334, 14883, 26451, 14705, 9188},  // EJ-32x2
+        {42693, 15171, 41334, 15171, 26163, 14705, 9188},  // EJ-16x4
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 15027, 41334, 15027, 26307, 14705, 9188},  // EJ-8x4
+        {42693, 13174, 41334, 13174, 28160, 14705, 9188},  // EJ-8x2
+        {42693, 15777, 41334, 15777, 25557, 14705, 9188},  // VEJ-32x4-8
+        {42693, 15508, 41334, 15508, 25826, 14705, 9188},  // VEJ-32x4-4
+        {42693, 15236, 41334, 15236, 26098, 14705, 9188},  // VEJ-16x4-8
+        {42693, 15181, 41334, 15181, 26153, 14705, 9188},  // VEJ-16x4-4
+    };
+    std::vector<std::string> figure4Bank = filter::paperExcludeSpecs();
+    for (const auto &spec : filter::paperVectorExcludeSpecs())
+        figure4Bank.push_back(spec);
+
+    for (const unsigned buses : {2u, 4u}) {
+        for (const auto &[filters, pinned] :
+             {std::pair{kBatchFilters, batch},
+              std::pair{figure4Bank, figure4}}) {
+            const RunOutcome step = runOutcomeWithBatch(
+                64, /*stepDriven=*/true, nullptr, buses, filters);
+            ASSERT_EQ(step.filters.size(), pinned.size());
+            for (std::size_t f = 0; f < pinned.size(); ++f) {
+                SCOPED_TRACE(filters[f] + " at " + std::to_string(buses) +
+                             " buses");
+                const filter::FilterStats &st = step.filters[f];
+                const Row got = {st.probes,      st.filtered,
+                                 st.wouldMiss,   st.filteredWouldMiss,
+                                 st.snoopAllocs, st.fillUpdates,
+                                 st.evictUpdates};
+                EXPECT_EQ(got, pinned[f]);
+                EXPECT_EQ(st.safetyViolations, 0u);
+            }
         }
     }
 }

@@ -408,6 +408,44 @@ TEST(FieldReader, NegativesAndFractionsAreNotUnsigned)
     EXPECT_EQ(list.error(), "m.list: holds a non-u64 element");
 }
 
+TEST(FieldReader, ArrayItemsAreNamedByIndex)
+{
+    const json::Value v = doc(R"({"filters": [{"stats": {"snoopAllocs": 1}},
+                                              {"stats": {"snoopAllocs": 2}},
+                                              {"stats": {"snoopAllocs": 3}},
+                                              {"stats": {}}],
+                                  "perBus": [{}, 7]})");
+    json::FieldReader r("result");
+    std::vector<std::uint64_t> allocs;
+    r.items(v, "filters", [&](const json::Value &f) {
+        r.nested(f, "stats", [&](const json::Value &st) {
+            r.u64(st, "snoopAllocs", allocs.emplace_back());
+        });
+    });
+    EXPECT_EQ(r.error(),
+              "result.filters[3].stats.snoopAllocs: missing field");
+    EXPECT_EQ(allocs, (std::vector<std::uint64_t>{1, 2, 3, 0}));
+
+    // Past the array the path is the reader's own again.
+    json::FieldReader after("result");
+    std::uint64_t n = 0;
+    after.items(v, "filters", [](const json::Value &) {});
+    after.u64(v, "absent", n);
+    EXPECT_EQ(after.error(), "result.absent: missing field");
+
+    // An item that is not an object is named by its index, and the
+    // items after a failure are not read.
+    json::FieldReader bus("stats");
+    std::size_t read = 0;
+    bus.items(v, "perBus", [&](const json::Value &) { ++read; });
+    EXPECT_EQ(bus.error(), "stats.perBus[1]: not an object");
+    EXPECT_EQ(read, 1u);
+
+    json::FieldReader root("");
+    root.items(v, "missing", [](const json::Value &) {});
+    EXPECT_EQ(root.error(), "missing: missing field");
+}
+
 TEST(FieldReader, TheFirstFailureWins)
 {
     const json::Value v =
