@@ -9,10 +9,14 @@
  *    per sweep through processorAccess(), each filter-bank event
  *    replayed as soon as it is queued;
  *  - run(): the batched walk (DESIGN.md "The run() walk") with the
- *    banks' queues replayed per chunk.
+ *    banks' sealed batches replayed on run()'s helper thread.
  * At each bus count the two alternate, so slow phases of a shared host
  * hit both sides alike, and `speedup_vs_step` divides step()'s median
- * time by run()'s: every ratio measures code the tree still runs.
+ * time by run()'s: every ratio measures code the tree still runs. It
+ * is two threads against one: run() overlaps the filter replay with
+ * the walk, step() replays inline, so a ratio counts the overlap too
+ * and shrinks when the helper gets no core of its own (a thread whose
+ * affinity mask holds one CPU replays inline, per chunk).
  *
  * Workloads (all 4-processor, paper base system, default filter trio
  * unless noted):

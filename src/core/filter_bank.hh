@@ -11,12 +11,16 @@
  * be a true miss), and accumulates per-filter coverage statistics that the
  * energy accountant later combines with per-event filter energies.
  *
- * The bank has one observation path: every event is queued, and the
- * queue is replayed once per filter family (flushDeferred). Outside a
- * deferred batch (run()'s chunked hot loop) each event is replayed as
- * soon as it is queued, so a step()-driven or instrumented simulation
- * sees every filter learn in capture order. Per-event verdicts are
- * visible as FilterStats deltas (the verification checkers read them).
+ * The bank has one observation path: every event is queued, and a
+ * queued batch is replayed once per filter family (replay). Outside a
+ * deferred batch (run()'s chunked walk) each event is replayed as soon
+ * as it is queued, so a step()-driven or instrumented simulation sees
+ * every filter learn in capture order. Inside one, the walk seals each
+ * chunk of the schedule (sealChunk) and either replays the batch itself
+ * (flushDeferred) or hands it to another thread (take, then replay
+ * there): the replay order is fixed by the chunk marks, never by when
+ * or where the replay runs. Per-event verdicts are visible as
+ * FilterStats deltas (the verification checkers read them).
  */
 
 #ifndef JETTY_CORE_FILTER_BANK_HH
@@ -70,30 +74,75 @@ class FilterBank : public mem::CacheEventListener
     //
     // Snoops and the L2's fill/evict notifications are queued per home
     // snoop bus (the interleave the interconnect routes transactions
-    // by), and a flush replays every queue, bus by bus, once per filter
-    // family: the bank groups its filters by dynamic type at
-    // construction, and each group walks a queue event-major through
-    // one SnoopFilter::applyBatch call, decoding each event once for
-    // all its filters. Filters are independent, so every filter sees
-    // exactly the stream it would see alone. Per bus the replay order
-    // is the capture order, and all events of one L2 block share a bus,
-    // so every block-granular (EJ/VEJ entries, IJ slices) or counting
-    // (IJ, RF) structure sees a per-structure totally ordered stream —
-    // the no-false-negative guarantee holds for any bus count. Outside
-    // a deferred batch each queued event is flushed at once, which is
-    // the capture order at every bus count; inside one, a single bus
-    // replays the capture order too, so a batched run's filter numbers
-    // equal step()'s there.
+    // by). A replay walks the sealed chunks in seal order, each chunk
+    // bus by bus, once per filter family: the bank groups its filters
+    // by dynamic type at construction, and each group walks a queue
+    // range event-major through one SnoopFilter::applyBatch call,
+    // decoding each event once for all its filters. Filters are
+    // independent, so every filter sees exactly the stream it would see
+    // alone. Per bus the replay order is the capture order, and all
+    // events of one L2 block share a bus, so every block-granular
+    // (EJ/VEJ entries, IJ slices) or counting (IJ, RF) structure sees a
+    // per-structure totally ordered stream — the no-false-negative
+    // guarantee holds for any bus count. Outside a deferred batch each
+    // queued event is replayed at once, which is the capture order at
+    // every bus count; inside one, a single bus replays the capture
+    // order too (its whole batch is one range), so a batched run's
+    // filter numbers equal step()'s there. The order depends only on
+    // the events and the chunk marks, so a batch replayed late or on
+    // another thread scores exactly what it scores replayed in place.
 
-    /** Enter a deferred batch: events stay queued until flushDeferred. */
+    /**
+     * A queued batch: per bus, the events in capture order, and per
+     * sealed chunk each bus queue's end offset. It moves between the
+     * bank and a replaying thread by take(); clear() keeps the buffers'
+     * capacity, so a steady-state pipeline does no allocator work.
+     */
+    struct Pending
+    {
+        /** [bus] -> events in capture order. */
+        std::vector<util::AlignedVec<BankEvent>> busQueues;
+        /** [chunk * buses + bus] -> end of the chunk in busQueues[bus].
+         *  Events past the last mark replay as one more chunk. */
+        std::vector<std::uint32_t> chunkEnds;
+
+        /** Queued events over all buses. */
+        std::size_t events() const;
+
+        /** Drop every event and mark, keeping the capacity. */
+        void clear();
+    };
+
+    /** Enter a deferred batch: events stay queued until replayed. */
     void beginDeferred() { deferred_ = true; }
 
     /** Replay all queued events and leave the deferred batch. */
     void endDeferred();
 
-    /** Replay all queued events bus-major. Panics on a safety violation
-     *  when the bank checks safety. */
-    void flushDeferred();
+    /** End the current chunk: a replay walks the events queued since
+     *  the previous seal bus-major, after every earlier chunk. With one
+     *  bus (bus-major is the capture order), or when nothing was queued
+     *  since the previous seal, this marks nothing. */
+    void sealChunk();
+
+    /** Events queued and not yet replayed. */
+    std::size_t queuedEvents() const { return queued_.events(); }
+
+    /** Move the queued batch into @p out (whose old contents are
+     *  dropped) and continue queueing into its cleared buffers. */
+    void take(Pending &out);
+
+    /**
+     * Replay @p batch — chunk by chunk, each bus-major — into the
+     * bank's filters and stats, then clear it. Panics on a safety
+     * violation when the bank checks safety. Touches only the filters
+     * and their stats, so one thread may replay a taken batch while
+     * another keeps queueing.
+     */
+    void replay(Pending &batch);
+
+    /** Replay the bank's own queued batch. */
+    void flushDeferred() { replay(queued_); }
 
     // CacheEventListener
     void
@@ -127,19 +176,19 @@ class FilterBank : public mem::CacheEventListener
     AddressMap amap_;
     bool checkSafety_;
 
-    /** Queue @p ev on its home bus; flush at once outside a batch. */
+    /** Queue @p ev on its home bus; replay at once outside a batch. */
     void
     enqueue(const BankEvent &ev)
     {
-        busQueues_[interleavedBus(ev.unitAddr, amap_.blockOffsetBits,
-                                  snoopBuses_)]
+        queued_.busQueues[interleavedBus(ev.unitAddr, amap_.blockOffsetBits,
+                                         snoopBuses_)]
             .push_back(ev);
         if (!deferred_)
             flushDeferred();
     }
 
     /** The filters of one dynamic type (one family), in bank order,
-     *  with their stats slots: one applyBatch call per queue. */
+     *  with their stats slots: one applyBatch call per queue range. */
     struct ReplayGroup
     {
         std::vector<SnoopFilter *> filters;
@@ -149,10 +198,9 @@ class FilterBank : public mem::CacheEventListener
 
     bool deferred_ = false;
     unsigned snoopBuses_ = 1;
-    /** [bus] -> captured events in capture order. clear() keeps the
-     *  capacity, so steady-state deferral does no allocator work, and
-     *  each queue replays as one contiguous run per group. */
-    std::vector<util::AlignedVec<BankEvent>> busQueues_;
+    /** The batch being queued (one AlignedVec per bus, so each bus
+     *  range replays as one contiguous run per group). */
+    Pending queued_;
 };
 
 } // namespace jetty::filter

@@ -1,6 +1,13 @@
 #include "sim/smp_system.hh"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <thread>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -11,6 +18,150 @@ namespace jetty::sim
 using coherence::BusOp;
 using coherence::BusResponse;
 using coherence::State;
+
+namespace
+{
+
+/**
+ * run()'s replay pipeline: the walk hands every bank's sealed batch to a
+ * ring slot, and one helper thread replays the slots in hand-off order.
+ * Each bank's batches therefore replay in capture order, chunk by chunk,
+ * exactly as an inline replay would; only the wall clock differs. The
+ * helper starts on the first hand-off and is joined before run()
+ * returns or unwinds. A hand-off moves kReplayHandoffEvents or more
+ * events, so the two sides meet rarely and simply block on one
+ * condition variable: at most one of them waits at a time (the walk
+ * for a free slot, the helper for a filled one).
+ */
+class FilterReplayer
+{
+  public:
+    /** Handed-off batches in flight at once; the walk waits for a free
+     *  slot when the replay falls this far behind. */
+    static constexpr std::uint64_t kRingSlots = 4;
+
+    explicit FilterReplayer(std::vector<filter::FilterBank *> banks)
+        : banks_(std::move(banks))
+    {
+        for (auto &slot : ring_)
+            slot.resize(banks_.size());
+    }
+
+    ~FilterReplayer() { stop(); }
+
+    FilterReplayer(const FilterReplayer &) = delete;
+    FilterReplayer &operator=(const FilterReplayer &) = delete;
+
+    /** Move every bank's queued batch into the next slot (waiting for
+     *  one to free up) and start the helper if it is not running. */
+    void
+    handOff()
+    {
+        std::uint64_t n = 0;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            changed_.wait(lock,
+                          [&] { return handed_ - replayed_ < kRingSlots; });
+            n = handed_;
+        }
+        // Slot n is outside [replayed_, handed_), so the helper does not
+        // touch it until the counter below says so.
+        auto &slot = ring_[n % kRingSlots];
+        for (std::size_t i = 0; i < banks_.size(); ++i)
+            banks_[i]->take(slot[i]);
+        advance(handed_);
+        if (!helper_.joinable())
+            helper_ = std::thread([this] { drain(); });
+    }
+
+    /** If the helper runs, hand it what is still queued and wait until
+     *  it has replayed everything. Otherwise leave the queues alone. */
+    void
+    finish()
+    {
+        if (!helper_.joinable())
+            return;
+        handOff();
+        stop();
+    }
+
+  private:
+    using Slot = std::vector<filter::FilterBank::Pending>;
+
+    /** The helper: replay slots in hand-off order until closed and
+     *  drained. A safety panic fires here. */
+    void
+    drain()
+    {
+        for (std::uint64_t n = 0;; ++n) {
+            {
+                std::unique_lock<std::mutex> lock(mutex_);
+                changed_.wait(lock, [&] { return handed_ > n || closed_; });
+                if (handed_ == n)
+                    return;
+            }
+            auto &slot = ring_[n % kRingSlots];
+            for (std::size_t i = 0; i < banks_.size(); ++i)
+                banks_[i]->replay(slot[i]);
+            advance(replayed_);
+        }
+    }
+
+    /** Close the ring and join the helper after it drains. */
+    void
+    stop()
+    {
+        if (!helper_.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            closed_ = true;
+        }
+        changed_.notify_one();
+        helper_.join();
+    }
+
+    /** Count one more slot handed off or replayed, and wake the other
+     *  side if it waits. */
+    void
+    advance(std::uint64_t &counter)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++counter;
+        }
+        changed_.notify_one();
+    }
+
+    std::vector<filter::FilterBank *> banks_;
+    std::array<Slot, kRingSlots> ring_;
+
+    std::mutex mutex_; //!< guards the counters and closed_
+    std::condition_variable changed_;
+    std::uint64_t handed_ = 0;   //!< slots handed off
+    std::uint64_t replayed_ = 0; //!< slots replayed
+    bool closed_ = false;        //!< no more hand-offs
+
+    std::thread helper_;
+};
+
+/**
+ * Whether run()'s replay can overlap the walk: the calling thread, whose
+ * CPU mask the helper inherits, may run on two CPUs or more. On one
+ * (`taskset -c 0`) the helper would only take turns with the walk on
+ * its core, which measured slower than replaying inline.
+ */
+bool
+replayCanOverlap()
+{
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return true;
+    return CPU_COUNT(&cpus) >= 2;
+}
+
+} // namespace
 
 filter::AddressMap
 SmpConfig::addressMap() const
@@ -116,19 +267,29 @@ SmpSystem::run()
     // reorders the schedule; it is the same for every L1 geometry.
     //
     // The filter banks run deferred throughout: every snoop observation
-    // and L2 fill/evict notification stays queued per home snoop bus
-    // until the chunk boundary replays it once per filter family
-    // (FilterBank::flushDeferred), whereas step() replays each event as
-    // it is queued. Both routes make identical coherence state changes,
-    // so run(), step()-driven loops, and every batchRefs value produce
-    // bit-identical statistics (and with snoopBuses == 1 the chunk-end
+    // and L2 fill/evict notification stays queued per home snoop bus,
+    // and each chunk boundary seals a chunk (FilterBank::sealChunk).
+    // Once kReplayHandoffEvents are queued the sealed batch goes to the
+    // replay thread and the walk carries on; a bank's batches replay in
+    // hand-off order, each chunk bus-major, so where and when a batch
+    // replays never changes a number. step() instead replays each event
+    // as it is queued. Both routes make identical coherence state
+    // changes, so run(), step()-driven loops, and every batchRefs value
+    // produce bit-identical statistics (and with snoopBuses == 1 the
     // replay is the capture order, making the filter numbers
-    // bit-identical too).
+    // bit-identical too). A run without filters, or one whose thread
+    // may use a single CPU, replays (or, without filters, drops) each
+    // chunk's queues at its boundary instead: the same order, inline.
     const unsigned nprocs = static_cast<unsigned>(nodes_.size());
     const Addr unit_mask = ~(static_cast<Addr>(cfg_.l2.unitBytes()) - 1);
 
-    for (auto &node : nodes_)
+    std::vector<filter::FilterBank *> banks;
+    for (auto &node : nodes_) {
         node->bank->beginDeferred();
+        banks.push_back(node->bank.get());
+    }
+    const bool handsOff = !cfg_.filterSpecs.empty() && replayCanOverlap();
+    FilterReplayer replayer(std::move(banks));
 
     /** One live processor of a chunk, resolved once so the
      *  per-reference loop does no unique_ptr chasing. */
@@ -194,13 +355,25 @@ SmpSystem::run()
             }
         }
 
-        // Chunk boundary: replay every node's queued filter events
-        // through the batched probe path before the queues grow past
-        // the cache-friendly chunk size.
-        for (auto &node : nodes_)
-            node->bank->flushDeferred();
+        // Chunk boundary: seal the chunk, and hand the batch over once
+        // it is big enough to be worth a wake-up.
+        if (!handsOff) {
+            for (auto &node : nodes_)
+                node->bank->flushDeferred();
+            continue;
+        }
+        std::size_t queued = 0;
+        for (auto &node : nodes_) {
+            node->bank->sealChunk();
+            queued += node->bank->queuedEvents();
+        }
+        if (queued >= kReplayHandoffEvents)
+            replayer.handOff();
     }
 
+    // Everything queued replays before run() returns: on the helper if
+    // it started, inline otherwise.
+    replayer.finish();
     for (auto &node : nodes_)
         node->bank->endDeferred();
 }

@@ -10,14 +10,18 @@
  * so one run scores every candidate JETTY and the energy accountant
  * evaluates them afterwards. A bank has one observation path: broadcast()
  * queues each remote node's snoop and the node's L2 queues its fills and
- * evictions; run() replays the queues at chunk boundaries, and every
- * other route (step(), processorAccess(), an observed run) replays each
- * event as it is queued.
+ * evictions. run() seals the queues at chunk boundaries and hands the
+ * sealed batches to one replay thread, so the filters learn while the
+ * walk goes on; every other route (step(), processorAccess(), an
+ * observed run) replays each event as it is queued. The replay order is
+ * fixed by the chunk marks, so every number is the same whichever
+ * thread replays and however the two threads are scheduled.
  */
 
 #ifndef JETTY_SIM_SMP_SYSTEM_HH
 #define JETTY_SIM_SMP_SYSTEM_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,9 +73,9 @@ struct SmpConfig
      * buffers, architectural statistics) untouched — all transactions
      * for one unit serialize on its home bus — and only changes the
      * per-bus occupancy stats, the latency model's contention input,
-     * and the bus-major order in which run()'s chunk-end flush replays
-     * the filter banks' queues (per-filter coverage of run() may shift
-     * for snoopBuses > 1; step()'s never does, nor does safety).
+     * and the bus-major order in which run()'s replay walks each chunk
+     * of the filter banks' queues (per-filter coverage of run() may
+     * shift for snoopBuses > 1; step()'s never does, nor does safety).
      */
     unsigned snoopBuses = 1;
 
@@ -102,10 +106,20 @@ class SmpSystem
      * Run until all streams are exhausted. This is the hot path, one walk
      * for every L1 geometry: batched delivery, one accessClassify() per
      * reference that retires hits in place, the miss tail entered
-     * directly, and deferred filter banks flushed per chunk. Produces
-     * exactly the per-reference behaviour of repeated step() calls.
+     * directly, and deferred filter banks sealed per chunk and replayed
+     * on a helper thread (see kReplayHandoffEvents), or inline per chunk
+     * when the calling thread may use only one CPU. Produces exactly
+     * the per-reference behaviour of repeated step() calls. A safety
+     * violation panics from whichever thread replays it.
      */
     void run();
+
+    // ---- run()'s filter replay pipeline ---------------------------------
+
+    /** Queued bank events, over all nodes, at which run() hands its
+     *  sealed chunks to the replay thread (starting it on first use).
+     *  A run that never queues this many replays inline at its end. */
+    static constexpr std::size_t kReplayHandoffEvents = 16 * 1024;
 
     /** Drive one reference directly (unit/integration tests). */
     void processorAccess(ProcId p, AccessType type, Addr addr);

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <regex>
 #include <string>
 
@@ -71,6 +72,19 @@ lockstepCompare(const sim::SmpConfig &cfg, std::uint64_t refs,
     ASSERT_EQ(gbus.size(), sys.stats().perBus.size());
     for (std::size_t b = 0; b < gbus.size(); ++b)
         EXPECT_EQ(gbus[b], sys.stats().perBus[b].transactions) << b;
+}
+
+/** run() hands its banks' sealed batches to the replay thread once
+ *  SmpSystem::kReplayHandoffEvents are queued: an identity test of a
+ *  run() with filters must queue more than that, so it compares the
+ *  handed-off replay. Every filter sees every event of its bank. */
+void
+expectCrossesReplayHandoff(const sim::SmpSystem &sys)
+{
+    ASSERT_GT(sys.bank(0).size(), 0u);
+    const filter::FilterStats f = sys.mergedFilterStats(0);
+    EXPECT_GT(f.probes + f.fillUpdates + f.evictUpdates,
+              sim::SmpSystem::kReplayHandoffEvents);
 }
 
 } // namespace
@@ -155,6 +169,7 @@ TEST(Differential, MillionReferenceFuzzedRunMatchesGoldenBitExactly)
     sim::SmpSystem batched(cfg.system);
     batched.attachSources(sources());
     batched.run();
+    expectCrossesReplayHandoff(batched);
 
     GoldenSmp golden(cfg.system);
     golden.attachSources(sources());
@@ -192,6 +207,7 @@ TEST(Differential, MillionReferenceSplitBusRunsStayBitExact)
     sim::SmpSystem one_bus(one_cfg);
     one_bus.attachSources(sources());
     one_bus.run();
+    expectCrossesReplayHandoff(one_bus);
     const auto one_agg = one_bus.stats().aggregate();
 
     for (const unsigned buses : {2u, 4u}) {
@@ -201,6 +217,7 @@ TEST(Differential, MillionReferenceSplitBusRunsStayBitExact)
         sim::SmpSystem batched(bus_cfg);
         batched.attachSources(sources());
         batched.run();
+        expectCrossesReplayHandoff(batched);
 
         GoldenSmp golden(bus_cfg);
         golden.attachSources(sources());
@@ -273,6 +290,7 @@ TEST(Differential, AssociativeWalkBitIdenticalAtOneTwoFourBuses)
             sim::SmpSystem batched(cfg);
             batched.attachSources(sources());
             batched.run();
+            expectCrossesReplayHandoff(batched);
 
             sim::SmpSystem seq(cfg);
             seq.attachSources(sources());
@@ -722,6 +740,33 @@ TEST(Differential, BrokenFilterIsCaughtAtTwoAndFourBuses)
                       sys.mergedFilterStats(1).safetyViolations);
         });
     }
+}
+
+TEST(DifferentialDeathTest, SafetyPanicFiresFromTheReplayThread)
+{
+    // An unobserved run() replays its banks on a helper thread once a
+    // batch crosses kReplayHandoffEvents, and then every later batch
+    // too; a checking bank's lie must still end the process with the
+    // bank's own panic text. The unchecked run sizes the trace: it
+    // queues more than kReplayHandoffEvents and FAULTY-7 lies in it.
+    const TraceSet traces = fuzzedTraces(8192);
+    const auto run = [&traces](bool checkSafety) {
+        sim::SmpConfig cfg = smallConfig();
+        cfg.filterSpecs = {"NULL", "FAULTY-7"};
+        cfg.checkSafety = checkSafety;
+        auto sys = std::make_unique<sim::SmpSystem>(cfg);
+        std::vector<trace::TraceSourcePtr> sources;
+        for (const auto &t : traces)
+            sources.push_back(std::make_unique<trace::VectorTraceSource>(t));
+        sys->attachSources(std::move(sources));
+        sys->run();
+        return sys;
+    };
+    const auto unchecked = run(false);
+    expectCrossesReplayHandoff(*unchecked);
+    EXPECT_GT(unchecked->mergedFilterStats(1).safetyViolations, 0u);
+    EXPECT_DEATH(run(true), "JETTY safety violation: FAULTY-7 filtered a "
+                            "snoop to a cached unit");
 }
 
 TEST(Fuzzer, GenerationIsDeterministic)

@@ -8,6 +8,7 @@
 
 #include "core/filter_bank.hh"
 #include "core/filter_spec.hh"
+#include "util/random.hh"
 
 using namespace jetty;
 using namespace jetty::filter;
@@ -87,6 +88,91 @@ TEST(FilterBank, DeferredBatchReplaysAtFlush)
     bank.observeSnoop(0x100, false, false);  // the allocation filters it
     EXPECT_EQ(bank.statsAt(0).probes, 2u);
     EXPECT_EQ(bank.statsAt(0).filtered, 1u);
+}
+
+TEST(FilterBank, TakenBatchReplaysLikePerChunkFlushes)
+{
+    // run() seals each chunk, takes the batch and replays it elsewhere.
+    // The chunk marks must reproduce exactly the per-chunk flushes the
+    // batch stands for (each chunk bus-major, chunks in order), at every
+    // bus count, however many chunks a batch holds.
+    const std::vector<std::string> specs = {
+        "EJ-8x2", "IJ-6x5x6", "VEJ-8x4-4", "HJ(IJ-6x5x6,EJ-8x2)"};
+    for (const unsigned buses : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(buses) + " buses");
+        FilterBank flushed(specs, amap(), /*checkSafety=*/true, buses);
+        FilterBank piped(specs, amap(), /*checkSafety=*/true, buses);
+        flushed.beginDeferred();
+        piped.beginDeferred();
+        FilterBank::Pending batch;
+        Rng rng(buses);
+        std::vector<bool> cached(1024);  // the modelled L2, by unit
+        for (int chunk = 0; chunk < 60; ++chunk) {
+            const std::uint64_t events = rng.below(40);
+            for (std::uint64_t e = 0; e < events; ++e) {
+                const std::size_t u = rng.below(cached.size());
+                const Addr unit = u * 32;
+                const bool snoop = rng.chance(0.5);
+                for (FilterBank *bank : {&flushed, &piped}) {
+                    if (snoop)
+                        bank->observeSnoop(unit, cached[u],
+                                           cached[u] || cached[u ^ 1]);
+                    else if (cached[u])
+                        bank->unitEvicted(unit);
+                    else
+                        bank->unitFilled(unit);
+                }
+                if (!snoop)
+                    cached[u] = !cached[u];
+            }
+            flushed.flushDeferred();
+            piped.sealChunk();
+            if (chunk % 7 == 6) {
+                piped.take(batch);
+                EXPECT_EQ(piped.queuedEvents(), 0u);
+                piped.replay(batch);
+                EXPECT_EQ(batch.events(), 0u);
+            }
+        }
+        EXPECT_GT(piped.queuedEvents(), 0u);
+        piped.endDeferred();
+        EXPECT_EQ(piped.queuedEvents(), 0u);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE(specs[i]);
+            const FilterStats &a = flushed.statsAt(i);
+            const FilterStats &b = piped.statsAt(i);
+            EXPECT_GT(a.probes, 0u);
+            EXPECT_EQ(a.probes, b.probes);
+            EXPECT_EQ(a.filtered, b.filtered);
+            EXPECT_EQ(a.wouldMiss, b.wouldMiss);
+            EXPECT_EQ(a.snoopAllocs, b.snoopAllocs);
+            EXPECT_EQ(a.fillUpdates, b.fillUpdates);
+            EXPECT_EQ(a.evictUpdates, b.evictUpdates);
+        }
+    }
+}
+
+TEST(FilterBank, EmptyChunksLeaveNoMark)
+{
+    // A run that rarely queues must not grow a mark per chunk: only a
+    // seal after new events records the bus queues' ends.
+    FilterBank bank({"EJ-8x2"}, amap(), /*checkSafety=*/true, /*buses=*/2);
+    bank.beginDeferred();
+    FilterBank::Pending batch;
+    bank.sealChunk();
+    bank.take(batch);
+    EXPECT_TRUE(batch.chunkEnds.empty());
+    bank.observeSnoop(0, false, false);
+    bank.sealChunk();
+    bank.sealChunk();
+    bank.sealChunk();
+    bank.take(batch);
+    EXPECT_EQ(batch.chunkEnds.size(), 2u);
+    bank.replay(batch);
+    bank.sealChunk();
+    bank.take(batch);
+    EXPECT_TRUE(batch.chunkEnds.empty());
+    bank.endDeferred();
 }
 
 TEST(FilterBank, StatsMerge)

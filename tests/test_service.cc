@@ -17,9 +17,12 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/experiment_spec.hh"
 #include "dist/shard.hh"
@@ -53,19 +56,67 @@ tinyRunSpec()
 }
 
 /** This process's virtual size in kB (VmSize, /proc/self/status). */
-std::size_t
-vmSizeKb()
+/** One line of /proc/self/maps: its address range and its path (empty
+ *  for an anonymous mapping). */
+struct Mapping
 {
-    std::ifstream in("/proc/self/status");
-    std::string word;
-    while (in >> word) {
-        if (word == "VmSize:") {
-            std::size_t kb = 0;
-            in >> kb;
-            return kb;
-        }
+    std::uintptr_t start = 0;
+    std::uintptr_t end = 0;
+    std::string path;
+};
+
+std::vector<Mapping>
+selfMappings()
+{
+    std::vector<Mapping> maps;
+    std::ifstream in("/proc/self/maps");
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string range, perms, offset, dev, inode;
+        fields >> range >> perms >> offset >> dev >> inode;
+        Mapping m;
+        const std::size_t dash = range.find('-');
+        m.start = std::stoull(range.substr(0, dash), nullptr, 16);
+        m.end = std::stoull(range.substr(dash + 1), nullptr, 16);
+        fields >> m.path;
+        maps.push_back(m);
     }
-    return 0;
+    return maps;
+}
+
+/** Bytes of the mapping that holds a fresh thread's stack. */
+std::size_t
+threadStackBytes()
+{
+    std::size_t bytes = 0;
+    std::thread([&bytes] {
+        int local = 0;
+        const auto at = reinterpret_cast<std::uintptr_t>(&local);
+        for (const Mapping &m : selfMappings()) {
+            if (m.start <= at && at < m.end)
+                bytes = m.end - m.start;
+        }
+    }).join();
+    return bytes;
+}
+
+/**
+ * Bytes of this process's anonymous mappings of exactly @p stackBytes:
+ * the stacks of live threads, of finished threads nobody joined, and
+ * of joined ones the C library keeps for reuse. A malloc arena, which
+ * glibc reserves 64 MiB at a time when threads contend, is not
+ * stack-sized and does not count.
+ */
+std::size_t
+stackMappingBytes(std::size_t stackBytes)
+{
+    std::size_t total = 0;
+    for (const Mapping &m : selfMappings()) {
+        if (m.path.empty() && m.end - m.start == stackBytes)
+            total += stackBytes;
+    }
+    return total;
 }
 
 } // namespace
@@ -536,18 +587,23 @@ TEST(ExperimentService, FinishedConnectionThreadsAreReaped)
         return service::requestResponse(
             socket, service::makeRequest("ping"), resp);
     };
-    // Warm-up connections map what any thread of this process maps once
-    // (allocator arenas), so the measurement below sees only what each
-    // connection leaves behind — until joined, a finished thread keeps
-    // its whole stack mapped.
+    // Until joined, a finished thread keeps its whole stack mapped, so
+    // the server's stack-sized mappings must stay flat over many
+    // connections. Only those mappings are counted: the process's
+    // virtual size also grows by a 64 MiB malloc arena whenever
+    // connection threads happen to contend, joined or not. Warm-up
+    // connections fill the C library's cache of joined stacks first.
+    const std::size_t stack = threadStackBytes();
+    ASSERT_GT(stack, 0u);
     for (int i = 0; i < 8; ++i)
         ASSERT_EQ(ping(), "");
-    const std::size_t before = vmSizeKb();
+    const std::size_t before = stackMappingBytes(stack);
     for (int i = 0; i < 64; ++i)
         ASSERT_EQ(ping(), "");
-    const std::size_t after = vmSizeKb();
-    EXPECT_LT(after, before + 64 * 1024)
-        << "VmSize " << before << " kB -> " << after << " kB";
+    const std::size_t after = stackMappingBytes(stack);
+    EXPECT_LT(after, before + 64 * 1024 * 1024)
+        << "stack mappings " << before << " B -> " << after << " B ("
+        << stack << " B a stack)";
 
     server.requestStop();
     serverThread.join();

@@ -6,8 +6,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <array>
+#include <optional>
 
 #include "core/filter_spec.hh"
 #include "sim/observer.hh"
@@ -430,24 +432,66 @@ expectIdenticalFilterStats(const std::vector<filter::FilterStats> &a,
     }
 }
 
+/**
+ * run() hands its banks' sealed batches to the replay thread once
+ * SmpSystem::kReplayHandoffEvents are queued. An identity test of a
+ * run() with filters must queue more than that over the whole run, so
+ * the handed-off replay is what it compares. Every filter of a bank
+ * sees every event, so the first filter's merged counts total them.
+ */
+void
+expectCrossesReplayHandoff(const RunOutcome &run)
+{
+    ASSERT_FALSE(run.filters.empty());
+    const filter::FilterStats &f = run.filters.front();
+    EXPECT_GT(f.probes + f.fillUpdates + f.evictUpdates,
+              SmpSystem::kReplayHandoffEvents);
+}
+
+/** Confines the calling thread to the CPU it is on while in scope:
+ *  run() then replays inline, as under `taskset -c 0`. */
+class OnOneCpu
+{
+  public:
+    OnOneCpu()
+    {
+        CPU_ZERO(&saved_);
+        EXPECT_EQ(sched_getaffinity(0, sizeof saved_, &saved_), 0);
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(sched_getcpu(), &one);
+        EXPECT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    }
+    ~OnOneCpu() { sched_setaffinity(0, sizeof saved_, &saved_); }
+
+    OnOneCpu(const OnOneCpu &) = delete;
+    OnOneCpu &operator=(const OnOneCpu &) = delete;
+
+  private:
+    cpu_set_t saved_;
+};
+
 } // namespace
 
 TEST(SmpSystem, BatchedAndScalarDeliveryAreBitIdentical)
 {
     // The determinism anchor of the streaming refactor: the delivery
     // batch size is a transport knob, never a semantic one.
-    const SimStats scalar = runWithBatch(1);
-    expectIdenticalStats(scalar, runWithBatch(256));
-    expectIdenticalStats(scalar, runWithBatch(5));  // odd size: refills
-                                                    // land mid-sweep
+    const RunOutcome scalar = runOutcomeWithBatch(1);
+    expectCrossesReplayHandoff(scalar);
+    expectIdenticalStats(scalar.stats, runWithBatch(256));
+    expectIdenticalStats(scalar.stats, runWithBatch(5));  // odd size:
+                                                          // refills land
+                                                          // mid-sweep
 }
 
 TEST(SmpSystem, StepDrivenAndRunAreBitIdentical)
 {
     // step() (the instrumentable path) and run() (the batched hot path
     // with the inlined L1 fast path) must simulate identically.
-    expectIdenticalStats(runWithBatch(64, /*stepDriven=*/true),
-                         runWithBatch(64, /*stepDriven=*/false));
+    const RunOutcome run = runOutcomeWithBatch(64, /*stepDriven=*/false);
+    expectCrossesReplayHandoff(run);
+    expectIdenticalStats(runWithBatch(64, /*stepDriven=*/true), run.stats);
 }
 
 TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
@@ -473,6 +517,7 @@ TEST(SmpSystem, SingleBusDeferredFilterReplayIsBitIdentical)
             64, /*stepDriven=*/true, nullptr, 1, filters);
         const RunOutcome deferred = runOutcomeWithBatch(
             64, /*stepDriven=*/false, nullptr, 1, filters);
+        expectCrossesReplayHandoff(deferred);
         expectIdenticalStats(immediate.stats, deferred.stats);
         expectIdenticalFilterStats(immediate.filters, deferred.filters);
     }
@@ -491,6 +536,7 @@ TEST(SmpSystem, FilterStatsDoNotDependOnBankMates)
     for (const unsigned buses : {1u, 2u, 4u}) {
         const RunOutcome mixed =
             runOutcomeWithBatch(64, false, nullptr, buses, bank);
+        expectCrossesReplayHandoff(mixed);
         ASSERT_EQ(mixed.filters.size(), bank.size());
         for (std::size_t f = 0; f < bank.size(); ++f) {
             SCOPED_TRACE(bank[f] + " at " + std::to_string(buses) +
@@ -555,6 +601,87 @@ TEST(SmpSystem, MultiBusStepRouteFilterStatsArePinned)
     }
 }
 
+TEST(SmpSystem, MultiBusRunFilterStatsArePinned)
+{
+    // run() replays each chunk bus-major, on the replay thread once a
+    // batch is big enough, so above one bus its filter counts depend on
+    // the chunk marks and on nothing else: not on which thread replays,
+    // nor on how the two are scheduled. These counts were recorded from
+    // the inline per-chunk flush that run() used before the hand-off;
+    // some HJ and VEJ rows differ from the step route's and between 2
+    // and 4 buses, so a replay that loses the marks or reorders chunks
+    // shows here. Columns as in MultiBusStepRouteFilterStatsArePinned.
+    using Row = std::array<std::uint64_t, 7>;
+    const std::vector<Row> batch2 = {
+        {42693, 0, 41334, 0, 41334, 14705, 9188},          // NULL
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 34322, 41334, 34322, 7012, 14705, 9188},   // HJ(IJ,EJ)
+    };
+    const std::vector<Row> batch4 = {
+        {42693, 0, 41334, 0, 41334, 14705, 9188},          // NULL
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 34324, 41334, 34324, 7010, 14705, 9188},   // HJ(IJ,EJ)
+    };
+    const std::vector<Row> figure4At2 = {
+        {42693, 15266, 41334, 15266, 26068, 14705, 9188},  // EJ-32x4
+        {42693, 14883, 41334, 14883, 26451, 14705, 9188},  // EJ-32x2
+        {42693, 15171, 41334, 15171, 26163, 14705, 9188},  // EJ-16x4
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 15027, 41334, 15027, 26307, 14705, 9188},  // EJ-8x4
+        {42693, 13174, 41334, 13174, 28160, 14705, 9188},  // EJ-8x2
+        {42693, 15777, 41334, 15777, 25557, 14705, 9188},  // VEJ-32x4-8
+        {42693, 15505, 41334, 15505, 25829, 14705, 9188},  // VEJ-32x4-4
+        {42693, 15242, 41334, 15242, 26092, 14705, 9188},  // VEJ-16x4-8
+        {42693, 15170, 41334, 15170, 26164, 14705, 9188},  // VEJ-16x4-4
+    };
+    const std::vector<Row> figure4At4 = {
+        {42693, 15266, 41334, 15266, 26068, 14705, 9188},  // EJ-32x4
+        {42693, 14883, 41334, 14883, 26451, 14705, 9188},  // EJ-32x2
+        {42693, 15171, 41334, 15171, 26163, 14705, 9188},  // EJ-16x4
+        {42693, 14405, 41334, 14405, 26929, 14705, 9188},  // EJ-16x2
+        {42693, 15027, 41334, 15027, 26307, 14705, 9188},  // EJ-8x4
+        {42693, 13174, 41334, 13174, 28160, 14705, 9188},  // EJ-8x2
+        {42693, 15782, 41334, 15782, 25552, 14705, 9188},  // VEJ-32x4-8
+        {42693, 15504, 41334, 15504, 25830, 14705, 9188},  // VEJ-32x4-4
+        {42693, 15234, 41334, 15234, 26100, 14705, 9188},  // VEJ-16x4-8
+        {42693, 15168, 41334, 15168, 26166, 14705, 9188},  // VEJ-16x4-4
+    };
+    std::vector<std::string> figure4Bank = filter::paperExcludeSpecs();
+    for (const auto &spec : filter::paperVectorExcludeSpecs())
+        figure4Bank.push_back(spec);
+
+    // On one CPU run() replays each chunk inline instead of handing it
+    // off: the same order, so the same counts.
+    for (const bool oneCpu : {false, true}) {
+        for (const unsigned buses : {2u, 4u}) {
+            for (const auto &[filters, pinned] :
+                 {std::pair{kBatchFilters, buses == 2 ? batch2 : batch4},
+                  std::pair{figure4Bank,
+                            buses == 2 ? figure4At2 : figure4At4}}) {
+                std::optional<OnOneCpu> confined;
+                if (oneCpu)
+                    confined.emplace();
+                const RunOutcome run = runOutcomeWithBatch(
+                    64, /*stepDriven=*/false, nullptr, buses, filters);
+                confined.reset();
+                expectCrossesReplayHandoff(run);
+                ASSERT_EQ(run.filters.size(), pinned.size());
+                for (std::size_t f = 0; f < pinned.size(); ++f) {
+                    SCOPED_TRACE(filters[f] + " at " + std::to_string(buses) +
+                                 " buses" + (oneCpu ? " on one CPU" : ""));
+                    const filter::FilterStats &st = run.filters[f];
+                    const Row got = {st.probes,      st.filtered,
+                                     st.wouldMiss,   st.filteredWouldMiss,
+                                     st.snoopAllocs, st.fillUpdates,
+                                     st.evictUpdates};
+                    EXPECT_EQ(got, pinned[f]);
+                    EXPECT_EQ(st.safetyViolations, 0u);
+                }
+            }
+        }
+    }
+}
+
 TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
 {
     // snoopBuses is a routing/reporting axis: every architectural
@@ -562,9 +689,11 @@ TEST(SmpSystem, SnoopBusCountNeverChangesArchitecturalNumbers)
     // and 4 buses; the per-bus occupancy vectors partition the single
     // total; and the bus-major filter replay stays safe at every count.
     const RunOutcome one = runOutcomeWithBatch(64, false, nullptr, 1);
+    expectCrossesReplayHandoff(one);
     for (const unsigned buses : {2u, 4u}) {
         const RunOutcome split =
             runOutcomeWithBatch(64, false, nullptr, buses);
+        expectCrossesReplayHandoff(split);
         expectIdenticalStats(one.stats, split.stats);
 
         ASSERT_EQ(split.stats.perBus.size(), buses);
@@ -634,11 +763,12 @@ TEST(SmpSystem, ObserverIsBehaviourNeutralAndComplete)
     // per-reference path; the simulated numbers must not move by a bit,
     // and the observer must see every reference, every per-target snoop
     // and every transaction.
-    const SimStats plain = runWithBatch(64);
+    const RunOutcome plain = runOutcomeWithBatch(64);
+    expectCrossesReplayHandoff(plain);
     CountingObserver counting;
     const SimStats observed = runWithBatch(64, /*stepDriven=*/false,
                                            &counting);
-    expectIdenticalStats(plain, observed);
+    expectIdenticalStats(plain.stats, observed);
 
     const auto agg = observed.aggregate();
     EXPECT_EQ(counting.refs, agg.accesses);
