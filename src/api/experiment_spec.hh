@@ -2,7 +2,7 @@
  * @file
  * ExperimentSpec: the one versioned, serializable description of "what
  * to simulate" shared by every entry point — `jetty_cli run/sweep/bench/
- * fuzz`, the bench binaries, and the fuzzer's repro sidecars.
+ * fuzz/paper` and the fuzzer's repro sidecars.
  *
  * Before this layer every knob (filters, batchRefs, snoopBuses, ...)
  * had to be threaded by hand through five overlapping config structs

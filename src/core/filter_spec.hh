@@ -48,7 +48,7 @@ bool isValidFilterSpec(const std::string &spec);
 std::string canonicalFilterName(const std::string &spec,
                                 const AddressMap &amap);
 
-/** The paper's evaluated configurations, for the benches. */
+/** The paper's evaluated configurations, for its tables. */
 std::vector<std::string> paperExcludeSpecs();        //!< Figure 4(a)
 std::vector<std::string> paperVectorExcludeSpecs();  //!< Figure 4(b)
 std::vector<std::string> paperIncludeSpecs();        //!< Figure 5(a)

@@ -62,8 +62,7 @@ responseEnvelope(const char *type)
 std::string
 cellCacheKey(const experiments::RunRequest &req)
 {
-    const double scale =
-        req.accessScale > 0 ? req.accessScale : experiments::defaultScale();
+    const double scale = req.accessScale > 0 ? req.accessScale : 1.0;
     return experiments::runCacheKey(req, scale);
 }
 

@@ -98,18 +98,6 @@ AppRunResult::costsFor(const std::string &name) const
     fatal("AppRunResult: unknown filter '" + name + "'");
 }
 
-double
-defaultScale()
-{
-    if (const char *env = std::getenv("JETTY_SCALE")) {
-        double v = 0;
-        if (parseDouble(env, v) && v > 0)
-            return v;
-        warn("ignoring JETTY_SCALE: not a finite number > 0");
-    }
-    return 1.0;
-}
-
 // ---- The keyed run cache ---------------------------------------------
 
 namespace
@@ -546,7 +534,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
     for (std::size_t r = 0; r < requests.size(); ++r) {
         const RunRequest &req = requests[r];
         const double scale =
-            req.accessScale > 0 ? req.accessScale : defaultScale();
+            req.accessScale > 0 ? req.accessScale : 1.0;
         const filter::AddressMap amap =
             req.variant.smpConfig().addressMap();
         prepared[r].key = runCacheKey(req, scale);
@@ -649,7 +637,7 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
             sj.cfg = req.variant.smpConfig();
             sj.cfg.filterSpecs = job.names;
             sj.accessScale =
-                req.accessScale > 0 ? req.accessScale : defaultScale();
+                req.accessScale > 0 ? req.accessScale : 1.0;
             sj.traceFiles = req.traceFiles;
             sweepJobs.push_back(std::move(sj));
             order.push_back(&job);
@@ -724,23 +712,6 @@ runApp(const trace::AppProfile &app, const SystemVariant &variant,
     std::vector<RunRequest> requests;
     requests.push_back(std::move(req));
     return std::move(runMany(requests).front());
-}
-
-std::vector<AppRunResult>
-runAllApps(const SystemVariant &variant,
-           const std::vector<std::string> &specs, double accessScale,
-           unsigned jobs)
-{
-    std::vector<RunRequest> requests;
-    for (const auto &app : trace::paperApps()) {
-        RunRequest req;
-        req.app = app;
-        req.variant = variant;
-        req.filterSpecs = specs;
-        req.accessScale = accessScale;
-        requests.push_back(std::move(req));
-    }
-    return runMany(requests, jobs);
 }
 
 EnergyResult

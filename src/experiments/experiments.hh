@@ -1,17 +1,18 @@
 /**
  * @file
- * Shared experiment kit for the bench harness: canonical paper
- * configurations, declarative application runs, per-app result bundles,
- * and energy evaluation helpers. Every bench binary (one per paper table
- * and figure) builds on these.
+ * Shared experiment kit: canonical paper configurations, declarative
+ * application runs, per-app result bundles, and energy evaluation
+ * helpers. The service executor (service/executor.hh) and through it
+ * every jetty_cli verb, the paper's tables (service/paper.hh) included,
+ * build on these.
  *
  * Runs are served through a process-wide keyed cache (RunCache) backed by
- * the parallel SweepRunner engine: benches *request* runs declaratively —
- * runApp()/runMany()/runAllApps() — and identical (app, variant, scale)
- * pairs simulate exactly once per process, whatever order the tables and
- * panels pull them in. Because the filter bank is a passive observer, a
- * cached simulation covering a superset of the requested filter specs
- * answers the request exactly.
+ * the parallel SweepRunner engine: callers *request* runs declaratively —
+ * runApp()/runMany() — and identical (app, variant, scale) pairs simulate
+ * exactly once per process, whatever order the tables and panels pull
+ * them in. Because the filter bank is a passive observer, a cached
+ * simulation covering a superset of the requested filter specs answers
+ * the request exactly.
  */
 
 #ifndef JETTY_EXPERIMENTS_EXPERIMENTS_HH
@@ -98,7 +99,7 @@ struct RunRequest
     SystemVariant variant;
     std::vector<std::string> filterSpecs;
 
-    /** Scales the reference count (defaultScale() when <= 0). */
+    /** Scales the reference count (1.0 when <= 0). */
     double accessScale = -1.0;
 
     /**
@@ -169,25 +170,15 @@ std::vector<AppRunResult> runMany(const std::vector<RunRequest> &requests,
 
 /**
  * Run application @p app on @p variant evaluating @p filterSpecs.
- * @param accessScale scales the reference count (JETTY_SCALE env or
- *                    defaultScale() when <= 0).
+ * @param accessScale scales the reference count (1.0 when <= 0).
  */
 AppRunResult runApp(const trace::AppProfile &app,
                     const SystemVariant &variant,
                     const std::vector<std::string> &filterSpecs,
                     double accessScale = -1.0);
 
-/** Run all ten paper applications (Table 2 order), concurrently. */
-std::vector<AppRunResult> runAllApps(const SystemVariant &variant,
-                                     const std::vector<std::string> &specs,
-                                     double accessScale = -1.0,
-                                     unsigned jobs = 0);
-
-/** The access scale used by benches: 1.0, or the JETTY_SCALE env var. */
-double defaultScale();
-
 /**
- * The process-wide run cache behind runApp()/runMany()/runAllApps(),
+ * The process-wide run cache behind runApp()/runMany(),
  * keyed by runCacheKey() — the canonical (sorted-keys, minimal)
  * JSON serialization of the simulated cell's machine + workload
  * fingerprint + scale. File-backed workloads fingerprint the trace

@@ -245,59 +245,6 @@ writeTraceFile(const std::string &path,
     writer.close();
 }
 
-// ---- Readers ----------------------------------------------------------
-
-std::vector<TraceRecord>
-readTraceStream(const std::string &path, std::size_t stream)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("readTraceFile: cannot open '" + path + "'");
-    const TraceFileInfo info = parseInfo(f, path);
-    if (stream >= info.streams()) {
-        fatal("readTraceStream: '" + path + "' has " +
-              std::to_string(info.streams()) + " stream(s), requested " +
-              std::to_string(stream));
-    }
-    if (::fseeko(f, static_cast<off_t>(info.offsets[stream]),
-                    SEEK_SET) != 0) {
-        fatal("readTraceStream: cannot seek in '" + path + "'");
-    }
-
-    const std::uint64_t count = info.counts[stream];
-    std::vector<TraceRecord> records;
-    records.reserve(count);  // safe: validated against the file size
-    std::vector<unsigned char> buf(kIoChunkBytes);
-    std::uint64_t left = count;
-    while (left > 0) {
-        const std::size_t batch = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, buf.size() / kTraceRecordBytes));
-        if (std::fread(buf.data(), kTraceRecordBytes, batch, f) != batch) {
-            std::fclose(f);
-            fatal("readTraceFile: truncated record in '" + path + "'");
-        }
-        for (std::size_t i = 0; i < batch; ++i)
-            records.push_back(
-                decodeTraceRecord(buf.data() + i * kTraceRecordBytes));
-        left -= batch;
-    }
-    std::fclose(f);
-    return records;
-}
-
-std::vector<TraceRecord>
-readTraceFile(const std::string &path)
-{
-    const TraceFileInfo info = readTraceFileInfo(path);
-    if (info.streams() != 1) {
-        fatal("readTraceFile: '" + path + "' holds " +
-              std::to_string(info.streams()) +
-              " per-processor streams; use readTraceStream or "
-              "FileStreamSource");
-    }
-    return readTraceStream(path, 0);
-}
-
 std::uint64_t
 traceFileDigest(const std::string &path)
 {

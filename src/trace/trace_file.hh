@@ -15,9 +15,10 @@
  *
  * Readers validate the header's record counts against the actual file
  * size before allocating anything, so a corrupt or truncated header
- * fails cleanly instead of triggering an unbounded allocation. Traces
- * larger than memory are replayed with trace::FileStreamSource
- * (file_stream_source.hh) instead of readTraceFile().
+ * fails cleanly instead of triggering an unbounded allocation. A section
+ * is read through trace::FileStreamSource (file_stream_source.hh), which
+ * streams one section in chunks, so a trace larger than memory replays
+ * too; collect() drains one into a vector.
  */
 
 #ifndef JETTY_TRACE_TRACE_FILE_HH
@@ -147,14 +148,6 @@ class TraceFileWriter
 /** Write @p records to @p path as a single-section JTTRACE2 file. */
 void writeTraceFile(const std::string &path,
                     const std::vector<TraceRecord> &records);
-
-/** Read stream section @p stream of a trace file. */
-std::vector<TraceRecord> readTraceStream(const std::string &path,
-                                         std::size_t stream);
-
-/** Read a single-stream trace file; fatal() when the file has multiple
- *  sections (use readTraceStream or FileStreamSource). */
-std::vector<TraceRecord> readTraceFile(const std::string &path);
 
 /** FNV-1a digest of the file's full contents; identifies a captured
  *  workload by what it replays, not where it lives (RunCache keying). */

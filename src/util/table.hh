@@ -1,8 +1,8 @@
 /**
  * @file
- * Plain-text table formatter used by the benchmark harness to print the
- * rows/series of every paper table and figure, plus a CSV emitter so the
- * data can be re-plotted.
+ * Plain-text table formatter used by jetty_cli to print its results and
+ * every paper table and figure (service/paper.hh), plus a CSV emitter so
+ * the data can be re-plotted.
  */
 
 #ifndef JETTY_UTIL_TABLE_HH

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "api/experiment_spec.hh"
+#include "trace/file_stream_source.hh"
 #include "trace/trace_file.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -526,8 +527,10 @@ readReproTraces(const std::string &path)
     const auto info = trace::readTraceFileInfo(path);
     TraceSet traces;
     traces.reserve(info.streams());
-    for (std::size_t s = 0; s < info.streams(); ++s)
-        traces.push_back(trace::readTraceStream(path, s));
+    for (std::size_t s = 0; s < info.streams(); ++s) {
+        trace::FileStreamSource src(path, s);
+        traces.push_back(trace::collect(src));
+    }
     return traces;
 }
 

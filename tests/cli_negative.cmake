@@ -69,6 +69,13 @@ expect_failure("--limit abc: expected a count"
 expect_failure("--proc x: expected a count"
                capture --app lu --out ${out} --proc x)
 
+# paper: an unknown table names the valid set, a flag outside the verb's
+# table is rejected, and --scale fails with the schema's reason.
+expect_failure("unknown table 'figure3' \\(valid: figure2, figure4, .*, all\\)"
+               paper figure3)
+expect_failure("unknown flag '--filters'" paper figure4 --filters EJ-32x4)
+expect_failure("--scale 0: spec: workload.scale" paper figure4 --scale 0)
+
 # Two workloads: the diagnostic names both flags.
 expect_failure("--app lu --in F: .*mutually exclusive"
                bench --app lu --in F)

@@ -105,6 +105,21 @@ run_cli(q run --spec ${EXAMPLES}/quickstart.spec.json --dump-spec)
 run_cli(p sweep --spec ${EXAMPLES}/paper_figure4.spec.json --dump-spec)
 run_cli(z fuzz --spec ${EXAMPLES}/fuzz_smoke.spec.json --dump-spec)
 
+# A paper table's dumped spec is a sweep spec: sweep --spec resolves it
+# to a fixed point, and figure 4 at scale 0.25 is the committed example.
+run_cli(pdump paper figure4 --scale 0.01 --dump-spec)
+file(WRITE ${work}/paper.spec.json "${pdump}")
+run_cli(pdump2 sweep --spec ${work}/paper.spec.json --dump-spec)
+if(NOT pdump STREQUAL pdump2)
+  message(FATAL_ERROR "paper figure4 --dump-spec is not a fixed point of "
+                      "sweep --spec:\n${pdump}\nvs\n${pdump2}")
+endif()
+run_cli(pfig4 paper figure4 --scale 0.25 --dump-spec)
+if(NOT pfig4 STREQUAL p)
+  message(FATAL_ERROR "paper figure4 --scale 0.25 differs from the "
+                      "resolved paper_figure4.spec.json:\n${pfig4}\nvs\n${p}")
+endif()
+
 # ... and the quickstart spec actually runs (scaled down for CI).
 run_cli(smoke run --spec ${EXAMPLES}/quickstart.spec.json --scale 0.01)
 

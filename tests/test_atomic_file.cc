@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "trace/file_stream_source.hh"
 #include "trace/trace_file.hh"
 #include "trace/synthetic.hh"
 #include "trace/apps.hh"
@@ -147,6 +148,7 @@ TEST(AtomicFile, TraceWriterAbandonedMidCaptureLeavesNoFile)
         writer.close();
     }
     EXPECT_TRUE(fileExists(path));
-    EXPECT_EQ(trace::readTraceStream(path, 0).size(), 1000u);
+    trace::FileStreamSource back(path, 0);
+    EXPECT_EQ(trace::collect(back).size(), 1000u);
     std::remove(path.c_str());
 }

@@ -17,6 +17,7 @@
 #include "experiments/experiments.hh"
 #include "sim/sweep.hh"
 #include "trace/apps.hh"
+#include "trace/file_stream_source.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
 
@@ -246,11 +247,20 @@ TEST(RunCacheTest, MergedResultsIdenticalForAnyJobsCount)
     auto &cache = RunCache::instance();
     SystemVariant variant;
     const std::vector<std::string> specs{"EJ-32x4", "HJ(IJ-9x4x7,EJ-32x4)"};
+    std::vector<RunRequest> requests;
+    for (const auto &app : trace::paperApps()) {
+        RunRequest req;
+        req.app = app;
+        req.variant = variant;
+        req.filterSpecs = specs;
+        req.accessScale = 0.01;
+        requests.push_back(std::move(req));
+    }
 
     cache.clear();
-    const auto serial = experiments::runAllApps(variant, specs, 0.01, 1);
+    const auto serial = experiments::runMany(requests, 1);
     cache.clear();
-    const auto parallel = experiments::runAllApps(variant, specs, 0.01, 4);
+    const auto parallel = experiments::runMany(requests, 4);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -370,9 +380,11 @@ TEST(SweepRunner, FileBackedJobMatchesInMemoryReplay)
 
     sim::SmpSystem sys(job.cfg);
     std::vector<trace::TraceSourcePtr> sources;
-    for (unsigned p = 0; p < 4; ++p)
+    for (unsigned p = 0; p < 4; ++p) {
+        trace::FileStreamSource section(path, p);
         sources.push_back(std::make_unique<trace::VectorTraceSource>(
-            trace::readTraceStream(path, p)));
+            trace::collect(section)));
+    }
     sys.attachSources(std::move(sources));
     sys.run();
 

@@ -265,6 +265,19 @@ TEST(Streams, ReadSharedOnlyReads)
     }
 }
 
+namespace
+{
+
+/** Every record of section @p stream of @p path. */
+std::vector<TraceRecord>
+readSection(const std::string &path, std::size_t stream = 0)
+{
+    FileStreamSource src(path, stream);
+    return collect(src);
+}
+
+} // namespace
+
 TEST(TraceFile, RoundTrip)
 {
     std::vector<TraceRecord> recs;
@@ -274,7 +287,7 @@ TEST(TraceFile, RoundTrip)
 
     const std::string path = "/tmp/jetty_test_trace.bin";
     writeTraceFile(path, recs);
-    const auto back = readTraceFile(path);
+    const auto back = readSection(path);
     ASSERT_EQ(back.size(), recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i) {
         EXPECT_EQ(back[i].addr, recs[i].addr);
@@ -292,7 +305,7 @@ TEST(TraceFile, CollectAndReplay)
 
     const std::string path = "/tmp/jetty_test_trace2.bin";
     writeTraceFile(path, recs);
-    VectorTraceSource replay(readTraceFile(path));
+    VectorTraceSource replay(readSection(path));
     auto fresh = w.makeSource(0);
     TraceRecord a, b;
     for (int i = 0; i < 100; ++i) {
@@ -305,7 +318,9 @@ TEST(TraceFile, CollectAndReplay)
 
 TEST(TraceFile, RejectsMissingFile)
 {
-    EXPECT_EXIT(readTraceFile("/tmp/definitely_missing_jetty_trace.bin"),
+    EXPECT_EXIT(readSection("/tmp/definitely_missing_jetty_trace.bin"),
+                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_EXIT(readTraceFileInfo("/tmp/definitely_missing_jetty_trace.bin"),
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 
@@ -345,7 +360,7 @@ TEST(TraceFile, EmptyTraceRoundTrips)
 {
     const std::string path = "/tmp/jetty_test_trace_empty.bin";
     writeTraceFile(path, {});
-    EXPECT_TRUE(readTraceFile(path).empty());
+    EXPECT_TRUE(readSection(path).empty());
 
     FileStreamSource src(path);
     EXPECT_EQ(src.records(), 0u);
@@ -358,7 +373,7 @@ TEST(TraceFile, Max56BitAddressRoundTrips)
 {
     const std::string path = "/tmp/jetty_test_trace_max.bin";
     writeTraceFile(path, {{AccessType::Write, kMaxTraceAddr}});
-    const auto back = readTraceFile(path);
+    const auto back = readSection(path);
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0].addr, kMaxTraceAddr);
     EXPECT_EQ(back[0].type, AccessType::Write);
@@ -392,13 +407,10 @@ TEST(TraceFile, MultiStreamSectionsRoundTrip)
     const auto info = readTraceFileInfo(path);
     ASSERT_EQ(info.streams(), 3u);
     for (unsigned s = 0; s < 3; ++s) {
-        const auto recs = readTraceStream(path, s);
+        const auto recs = readSection(path, s);
         ASSERT_EQ(recs.size(), s + 1u) << s;
         EXPECT_EQ(recs[0].addr, Addr{0x1000} * (s + 1)) << s;
     }
-    // The single-stream reader refuses a multi-section capture.
-    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
-                "readTraceStream");
     std::remove(path.c_str());
 }
 
@@ -419,7 +431,9 @@ TEST(TraceFile, CorruptHeaderCountRejectedBeforeAllocation)
         ASSERT_EQ(std::fwrite(bogus, 1, 8, f), 8u);
         std::fclose(f);
     }
-    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(readTraceFileInfo(path), ::testing::ExitedWithCode(1),
+                "exceeds the file size");
+    EXPECT_EXIT(readSection(path), ::testing::ExitedWithCode(1),
                 "exceeds the file size");
     std::remove(path.c_str());
 }
@@ -444,7 +458,7 @@ TEST(TraceFile, TruncatedFileRejected)
         std::fclose(in);
         std::fclose(out);
     }
-    EXPECT_EXIT(readTraceFile(cut), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(readTraceFileInfo(cut), ::testing::ExitedWithCode(1),
                 "exceeds the file size|inconsistent");
     EXPECT_EXIT(FileStreamSource{cut}, ::testing::ExitedWithCode(1),
                 "exceeds the file size|inconsistent");

@@ -54,6 +54,7 @@
 #include "experiments/experiments.hh"
 #include "service/client.hh"
 #include "service/executor.hh"
+#include "service/paper.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
 #include "sim/latency.hh"
@@ -768,6 +769,42 @@ cmdSweep(const Options &o)
     return 0;
 }
 
+/**
+ * The paper's evaluation: each table's sweep specs come from the
+ * catalogue (service/paper.hh) and execute exactly as `sweep` would,
+ * and its panels print as the paper's tables. `--dump-spec` prints the
+ * specs instead, one document each, so any table can be handed to
+ * `sweep --spec`, `--workers N` or `submit`.
+ */
+int
+cmdPaper(const Options &o)
+{
+    // --scale is the verb's one spec field: the schema validates it.
+    const double given = specOf(o, specDoc(""), "").scale;
+    const double scale = given > 0 ? given : 1.0;
+    const std::vector<std::string> names =
+        o.positional == "all" ? service::paper::tableNames()
+                              : std::vector<std::string>{o.positional};
+    const auto jobs = static_cast<unsigned>(o.count("jobs", 0));
+    if (!o.has("dump-spec"))
+        enableDiskCache(o);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        std::vector<api::ExperimentSpec> specs;
+        std::vector<service::paper::Panel> panels;
+        const std::string err =
+            o.has("dump-spec")
+                ? service::paper::tableSpecs(names[i], scale, specs)
+                : service::paper::runTable(names[i], scale, jobs, panels);
+        if (!err.empty())
+            fatal(err);
+        for (const auto &spec : specs)
+            std::fputs(spec.emit().c_str(), stdout);
+        std::printf("%s", i && !panels.empty() ? "\n" : "");
+        service::paper::print(panels);
+    }
+    return 0;
+}
+
 /** Enumerate the registered filter families and the paper's specs. */
 int
 cmdFilters(const Options &)
@@ -1325,6 +1362,9 @@ const std::vector<Verb> kVerbs = {
       {"events", Kind::Text, "", "FILE  write the shard event log"},
       {"kill-worker-after", Kind::Positive, "",
        "N  fault injection: the first worker dies on its Nth request"}}},
+    {"paper", cmdPaper,
+     "the paper's figures and tables, run as sweeps",
+     "NAME|all", {kScale, kJobs, kCacheDir, kDumpSpec}},
     {"apps", cmdApps, "list the application profiles", nullptr, {}},
     {"filters", cmdFilters, "list the filter families and paper configs",
      nullptr, {}},
