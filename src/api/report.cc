@@ -4,23 +4,47 @@
 
 #include "sim/latency.hh"
 #include "trace/trace_file.hh"
-#include "util/simd.hh"
 
 namespace jetty::api
 {
+
+namespace
+{
+
+/** The host's widest vector ISA and its width in 64-bit lanes. */
+struct HostIsa
+{
+    const char *name;
+    unsigned lanesU64;
+};
+
+HostIsa
+hostIsa()
+{
+#if defined(__x86_64__) || defined(__SSE2__)
+    return __builtin_cpu_supports("avx2") ? HostIsa{"avx2", 4}
+                                          : HostIsa{"sse2", 2};
+#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+    return {"neon", 2};
+#else
+    return {"scalar", 1};
+#endif
+}
+
+} // namespace
 
 Report::Report(const std::string &kind)
 {
     root_ = json::Value::object();
     root_.set("jetty_report", kVersion);
     root_.set("kind", kind);
-    // Kernel provenance: which SIMD tier produced these numbers and at
-    // what 64-bit width. Simulated numbers never depend on the tier
-    // (util/simd.hh), but committed BENCH_*.json timings do, and
-    // bench_compare refuses to call a cross-tier slowdown a regression
-    // without this context.
-    root_.set("simd_isa", simd::isaName());
-    root_.set("simd_width", simd::lanesU64());
+    // Host provenance: the vector ISA of the machine that produced these
+    // numbers. Simulated numbers never depend on it, but committed
+    // BENCH_*.json timings do, and bench_compare notes when a fresh
+    // report's host differs from the baseline's.
+    static const HostIsa host = hostIsa();
+    root_.set("simd_isa", host.name);
+    root_.set("simd_width", host.lanesU64);
 }
 
 void

@@ -14,9 +14,10 @@
  *     "simd_isa": "<avx2|sse2|neon|scalar>", "simd_width": N,
  *     "spec": { ...ExperimentSpec echo... }, ...kind payload... }
  *
- * simd_isa/simd_width record which util/simd.hh kernel tier produced the
- * numbers (run-time resolved on x86): provenance for the committed
- * BENCH_*.json baselines and for tools/bench_compare.
+ * simd_isa/simd_width name the host's widest vector ISA and its width in
+ * 64-bit lanes (run-time detected on x86): provenance for the committed
+ * BENCH_*.json baselines and for tools/bench_compare. No simulated
+ * number depends on them.
  *
  * The shared sub-trees are built by the static node builders below, so
  * a field rename is one edit, not six.

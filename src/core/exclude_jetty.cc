@@ -3,7 +3,6 @@
 #include "energy/sram_array.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::filter
 {
@@ -41,7 +40,7 @@ ExcludeJetty::lookup(Addr blk) const
     const std::uint64_t key = ((blk >> (vecBits_ + setBits_)) << 1) | 1;
     const std::uint64_t vecMask = (std::uint64_t{1} << vecBits_) - 1;
     return {base, key, std::uint64_t{1} << (blk & vecMask),
-            simd::findEqU64(&tagValid_[base], cfg_.assoc, key)};
+            findEqU64(&tagValid_[base], cfg_.assoc, key)};
 }
 
 inline bool

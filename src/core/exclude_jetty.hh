@@ -101,11 +101,10 @@ class ExcludeJetty : public SnoopFilter
      * Flat [set * assoc + way] arrays, cache-line aligned: packed
      * (tag << 1) | valid words, the present vectors (bit i set => block
      * i of the entry's chunk is absent; an entry dies when its vector
-     * empties) and the LRU clocks. A lookup is one equality scan of a
-     * set's words for (tag << 1) | 1 (an invalid way can never match —
-     * the key's low bit is set), which the SIMD kernel compares a whole
-     * vector of ways at a time; the other arrays sit beside the words so
-     * the scan stays dense.
+     * empties) and the LRU clocks. A lookup is one equality scan
+     * (findEqU64, util/bits.hh) of a set's words for (tag << 1) | 1 (an
+     * invalid way can never match — the key's low bit is set); the
+     * other arrays sit beside the words so the scan stays dense.
      */
     util::AlignedVec<std::uint64_t> tagValid_;
     util::AlignedVec<std::uint64_t> vector_;

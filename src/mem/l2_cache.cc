@@ -5,7 +5,6 @@
 
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace jetty::mem
 {
@@ -76,7 +75,7 @@ L2Cache::findWay(Addr a) const
 {
     const std::size_t base = frameOf(setIndex(a), 0);
     const std::uint64_t want = (tagOf(a) << 1) | 1;
-    return simd::findEqU64(&tagValid_[base], cfg_.assoc, want);
+    return findEqU64(&tagValid_[base], cfg_.assoc, want);
 }
 
 L2LookupResult

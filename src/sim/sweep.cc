@@ -39,7 +39,6 @@ SweepRunner::~SweepRunner() = default;
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobList)
 {
-    const auto batch_start = std::chrono::steady_clock::now();
     std::vector<SweepResult> results(jobList.size());
 
     // Each task writes its own slot, so the result vector is identical
@@ -47,23 +46,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobList)
     pool_.parallelFor(jobList.size(), [&results, &jobList](std::size_t i) {
         results[i] = runOne(jobList[i]);
     });
-
-    lastBatchSeconds_ = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - batch_start)
-                            .count();
     return results;
-}
-
-double
-SweepRunner::aggregateRefsPerSecond(const std::vector<SweepResult> &results)
-{
-    std::uint64_t refs = 0;
-    double seconds = 0;
-    for (const auto &r : results) {
-        refs += r.totalRefs;
-        seconds += r.elapsedSeconds;
-    }
-    return seconds > 0 ? static_cast<double>(refs) / seconds : 0.0;
 }
 
 SweepResult

@@ -18,7 +18,6 @@
 #ifndef JETTY_SIM_SWEEP_HH
 #define JETTY_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,7 +56,7 @@ struct SweepJob
      * streaming FileStreamSources instead of synthesizing from @ref app
      * (which then only contributes its name to reports): one file per
      * processor, one multi-section file, or one single-section file
-     * cloned onto every processor (trace::makeFileSources rules).
+     * replayed on every processor (trace::makeFileSources rules).
      * accessScale/pageSpread/seedOffset do not apply to replays.
      */
     std::vector<std::string> traceFiles;
@@ -137,20 +136,11 @@ class SweepRunner
      */
     std::vector<SweepResult> run(const std::vector<SweepJob> &jobs);
 
-    /** Wall-clock seconds of the most recent run() batch on this runner
-     *  (reporting only: aggregate refs/sec = Σ totalRefs / this). */
-    double lastBatchSeconds() const { return lastBatchSeconds_; }
-
-    /** Σ refs / Σ wall-clock over @p results (per-job timing). */
-    static double aggregateRefsPerSecond(
-        const std::vector<SweepResult> &results);
-
     /** Simulate a single job synchronously on the calling thread. */
     static SweepResult runOne(const SweepJob &job);
 
   private:
     unsigned jobs_;
-    std::atomic<double> lastBatchSeconds_{0};
     WorkerPool pool_;  //!< shared engine (sim/worker_pool.hh)
 };
 

@@ -10,8 +10,7 @@ namespace jetty::trace
 FileStreamSource::FileStreamSource(const std::string &path,
                                    std::size_t stream,
                                    std::size_t chunkRecords)
-    : path_(path), stream_(stream),
-      chunkRecords_(chunkRecords >= 1 ? chunkRecords : 1)
+    : path_(path), chunkRecords_(chunkRecords >= 1 ? chunkRecords : 1)
 {
     const TraceFileInfo info = readTraceFileInfo(path);
     if (stream >= info.streams()) {
@@ -101,12 +100,6 @@ FileStreamSource::nextBatch(TraceRecord *out, std::size_t max)
     return done;
 }
 
-TraceSourcePtr
-FileStreamSource::clone() const
-{
-    return std::make_unique<FileStreamSource>(path_, stream_, chunkRecords_);
-}
-
 std::vector<TraceSourcePtr>
 makeFileSources(const std::vector<std::string> &files, unsigned nprocs)
 {
@@ -125,7 +118,7 @@ makeFileSources(const std::vector<std::string> &files, unsigned nprocs)
                 sources.push_back(
                     std::make_unique<FileStreamSource>(files[0], p));
         } else if (info.streams() == 1) {
-            // Homogeneous load: clone one captured stream everywhere.
+            // Homogeneous load: one captured stream on every processor.
             for (unsigned p = 0; p < nprocs; ++p)
                 sources.push_back(
                     std::make_unique<FileStreamSource>(files[0], 0));

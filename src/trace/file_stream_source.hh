@@ -21,10 +21,9 @@ namespace jetty::trace
 
 /**
  * A TraceSource that streams one section of a trace file through a
- * fixed-size chunk buffer. Satisfies the full replay contract: reset()
- * rewinds to the section start and clone() opens an independent handle
- * on the same section, so one captured stream can feed many processors
- * or many concurrently running systems.
+ * fixed-size chunk buffer. Each source owns its file handle, so one
+ * captured section can feed many processors or many concurrently running
+ * systems through one source each.
  */
 class FileStreamSource : public TraceSource
 {
@@ -49,8 +48,6 @@ class FileStreamSource : public TraceSource
 
     bool next(TraceRecord &out) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
-    void reset() override { seekTo(0); }
-    TraceSourcePtr clone() const override;
 
     /**
      * Position the cursor so the next record delivered is record
@@ -90,7 +87,6 @@ class FileStreamSource : public TraceSource
     bool refill();
 
     std::string path_;
-    std::size_t stream_;
     std::size_t chunkRecords_;
     std::uint64_t sectionOffset_ = 0;  //!< byte offset of the section
     std::uint64_t count_ = 0;          //!< records in the section
@@ -105,7 +101,8 @@ class FileStreamSource : public TraceSource
  * Build one replay source per processor from trace files:
  *  - one file whose section count equals @p nprocs: section p feeds
  *    processor p;
- *  - one single-section file: independent clones feed every processor;
+ *  - one single-section file: one independent source per processor
+ *    replays it;
  *  - @p nprocs files: file p's single section feeds processor p.
  * Anything else is fatal().
  */
@@ -116,7 +113,7 @@ makeFileSources(const std::vector<std::string> &files, unsigned nprocs);
  * How many processors @p files drive under the makeFileSources rules:
  * the file count when several files are given, a single file's section
  * count when it has more than one, and @p fallback for one
- * single-section file (whose clones can feed any machine size).
+ * single-section file (which can feed any machine size).
  */
 unsigned inferReplayProcs(const std::vector<std::string> &files,
                           unsigned fallback);

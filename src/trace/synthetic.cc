@@ -38,18 +38,6 @@ alignUp(std::uint64_t v)
 }
 
 /**
- * The one place a (profile seed, processor) pair becomes an Rng seed.
- * Construction and reset() must derive the identical value or a rewound
- * source would replay a different stream, so the derivation lives here
- * rather than being spelled out at each site.
- */
-std::uint64_t
-sourceSeed(std::uint64_t profileSeed, ProcId proc)
-{
-    return profileSeed * kSeedMix + proc * 7919 + 1;
-}
-
-/**
  * Per-processor generator. Holds per-stream walk state and a small reuse
  * ring that models register/L1-resident temporal locality.
  */
@@ -60,8 +48,8 @@ class SyntheticSource : public TraceSource
                     unsigned nprocs, ProcId proc, std::uint64_t accesses,
                     const std::vector<StreamLayout> &layouts)
         : workload_(workload), profile_(profile), nprocs_(nprocs),
-          proc_(proc), accesses_(accesses), remaining_(accesses),
-          rng_(sourceSeed(profile.seed, proc))
+          proc_(proc), remaining_(accesses),
+          rng_(profile.seed * kSeedMix + proc * 7919 + 1)
     {
         streams_.reserve(layouts.size());
         double total_weight = 0;
@@ -85,47 +73,6 @@ class SyntheticSource : public TraceSource
         reuseRing_.assign(kReuseRing, 0);
     }
 
-    void
-    reset() override
-    {
-        remaining_ = accesses_;
-        issued_ = 0;
-        rng_ = Rng(sourceSeed(profile_.seed, proc_));
-        for (auto &st : streams_) {
-            st.accesses = 0;
-            st.runLeft = 0;
-            st.runAddr = 0;
-            st.runBase = 0;
-            st.runBytes = 0;
-            st.posMod = 0;
-            st.pcEpoch = 0;
-            st.pcWithin = 0;
-            st.pcOffset = 0;
-            st.migWithinWord = 0;
-            st.migWithinByte = 0;
-            st.migSlot = 0;
-            st.migSlotN = 0;
-            st.migRotor = proc_ % nprocs_;
-        }
-        reuseRing_.assign(kReuseRing, 0);
-        reusePos_ = 0;
-        reuseFill_ = 0;
-    }
-
-    TraceSourcePtr
-    clone() const override
-    {
-        // The clone replays the full stream from the start; it shares the
-        // Workload (read-only: layout facts and the page table) with its
-        // origin, which is what lets one workload feed many systems.
-        std::vector<StreamLayout> layouts;
-        layouts.reserve(streams_.size());
-        for (const auto &st : streams_)
-            layouts.push_back(st.layout);
-        return std::make_unique<SyntheticSource>(
-            workload_, profile_, nprocs_, proc_, accesses_, layouts);
-    }
-
     bool next(TraceRecord &out) override { return nextImpl(out); }
 
     std::size_t
@@ -147,7 +94,6 @@ class SyntheticSource : public TraceSource
         if (remaining_ == 0)
             return false;
         --remaining_;
-        ++issued_;
 
         // Temporal-locality reuse: re-touch a recently used address.
         if (reuseFill_ > 0 && rng_.chance(profile_.reuseProb)) {
@@ -174,9 +120,9 @@ class SyntheticSource : public TraceSource
         Addr runBase = 0;            //!< burst region base (for wrap)
         std::uint64_t runBytes = 0;  //!< burst region size
 
-        // Derived constants (initDerived: layout + profile + proc only,
-        // so construction and reset leave them untouched). Hoisting them
-        // replaces the per-reference divisions of the fresh* generators.
+        // Derived constants (initDerived: layout + profile + proc only).
+        // Hoisting them replaces the per-reference divisions of the
+        // fresh* generators.
         Addr myBase = 0;             //!< this processor's slice / region
         Addr neighborBase = 0;       //!< next processor's slice
         std::uint64_t residentWords = 0;  //!< private resident words
@@ -193,8 +139,7 @@ class SyntheticSource : public TraceSource
         // Wrapped incremental cursors — each tracks one of the original
         // per-reference '%' expressions exactly (the increment is always
         // strictly smaller than the modulus, so a single conditional
-        // subtract is the full reduction). reset() zeroes them with the
-        // walk so a rewound source replays bit-identically.
+        // subtract is the full reduction).
         std::uint64_t posMod = 0;     //!< pos % streamBytes (or % part)
         std::uint64_t pcEpoch = 0;    //!< accesses / epochLen
         std::uint64_t pcWithin = 0;   //!< accesses % epochLen
@@ -321,9 +266,7 @@ class SyntheticSource : public TraceSource
     const AppProfile profile_;
     const unsigned nprocs_;
     const ProcId proc_;
-    const std::uint64_t accesses_;  //!< full stream length (for reset/clone)
     std::uint64_t remaining_;
-    std::uint64_t issued_ = 0;
     Rng rng_;
     std::vector<StreamState> streams_;
     std::vector<Addr> reuseRing_;

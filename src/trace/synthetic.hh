@@ -62,7 +62,7 @@ class Workload
     Addr translate(Addr vaddr) const;
 
     /** The deterministic reference stream of processor @p proc. The
-     *  source (and any clone() of it) reads this Workload's layout and
+     *  source reads this Workload's layout and
      *  page table and must not outlive it; one Workload can feed many
      *  concurrently running systems because that shared state is
      *  immutable after construction. */

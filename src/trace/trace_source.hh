@@ -26,16 +26,9 @@ struct TraceRecord
 };
 
 /**
- * A finite stream of references for one processor.
- *
- * Sources are replayable: reset() rewinds to the first reference and
- * clone() manufactures an independent source replaying the same full
- * stream from the beginning, regardless of how far this source has been
- * consumed. The contract lets one stream definition feed many systems —
- * `jetty_cli replay` clones a single captured trace onto every processor,
- * and concurrent sweep jobs (sim/sweep.hh) rely on the same property via
- * Workload::makeSource, which hands out fresh equivalents of a clone.
- * Clones share no mutable state with their origin.
+ * A finite stream of references for one processor. A source is consumed
+ * once; a second run asks its producer (Workload::makeSource, or a new
+ * FileStreamSource on the same file section) for a fresh one.
  */
 class TraceSource
 {
@@ -68,16 +61,6 @@ class TraceSource
             ++n;
         return n;
     }
-
-    /** Rewind to the beginning of the stream. */
-    virtual void reset() = 0;
-
-    /**
-     * An independent source that replays this source's full stream from
-     * the beginning. Clones of sources bound to external state (e.g. a
-     * Workload) share that state read-only and must not outlive it.
-     */
-    virtual std::unique_ptr<TraceSource> clone() const = 0;
 };
 
 using TraceSourcePtr = std::unique_ptr<TraceSource>;
@@ -108,14 +91,6 @@ class VectorTraceSource : public TraceSource
                     out);
         pos_ += n;
         return n;
-    }
-
-    void reset() override { pos_ = 0; }
-
-    std::unique_ptr<TraceSource>
-    clone() const override
-    {
-        return std::make_unique<VectorTraceSource>(records_);
     }
 
   private:

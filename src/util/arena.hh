@@ -4,9 +4,8 @@
  *
  * AlignedVec<T> is a std::vector over a cache-line-aligned allocator. It
  * backs the packed tag/p-bit arrays the probe paths scan (a 64-byte-
- * aligned base keeps a whole L2 set's packed words, or a full vector
- * step of util/simd.hh, inside one host cache line) and the per-bus
- * deferred event queues of core/filter_bank.hh.
+ * aligned base keeps a whole set's packed words inside one host cache
+ * line) and the per-bus deferred event queues of core/filter_bank.hh.
  */
 
 #ifndef JETTY_UTIL_ARENA_HH

@@ -1,13 +1,14 @@
 /**
  * @file
- * Bit-manipulation helpers used by cache index/tag extraction and the
- * JETTY index generators.
+ * Bit-manipulation helpers used by cache index/tag extraction, the
+ * JETTY index generators and the snoop-probe tag scans.
  */
 
 #ifndef JETTY_UTIL_BITS_HH
 #define JETTY_UTIL_BITS_HH
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/types.hh"
@@ -86,6 +87,23 @@ interleavedBus(Addr unitAddr, unsigned blockOffsetBits, unsigned buses)
     const Addr block = unitAddr >> blockOffsetBits;
     return static_cast<unsigned>(isPowerOfTwo(buses) ? block & (buses - 1)
                                                      : block % buses);
+}
+
+/**
+ * First index in [0, @p n) with words[i] == @p key, else -1: the probe
+ * scan of L2Cache::findWay and ExcludeJetty::lookup over one set's packed
+ * (tag << 1) | valid words. The paper's configurations scan 1 way (the
+ * direct-mapped L2) to 4 (the EJ/VEJ sets), so a vector body has nothing
+ * to win (DESIGN.md, "The probe scan").
+ */
+inline int
+findEqU64(const std::uint64_t *words, std::size_t n, std::uint64_t key)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        if (words[i] == key)
+            return static_cast<int>(i);
+    }
+    return -1;
 }
 
 } // namespace jetty

@@ -40,18 +40,4 @@ TextTable::print(std::FILE *out) const
         emit(r);
 }
 
-void
-TextTable::printCsv(std::FILE *out) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            std::fprintf(out, "%s%s", i ? "," : "", cells[i].c_str());
-        std::fprintf(out, "\n");
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
-}
-
 } // namespace jetty

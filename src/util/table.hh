@@ -1,8 +1,7 @@
 /**
  * @file
  * Plain-text table formatter used by jetty_cli to print its results and
- * every paper table and figure (service/paper.hh), plus a CSV emitter so
- * the data can be re-plotted.
+ * every paper table and figure (service/paper.hh).
  */
 
 #ifndef JETTY_UTIL_TABLE_HH
@@ -63,9 +62,6 @@ class TextTable
 
     /** Print aligned columns to @p out (default stdout). */
     void print(std::FILE *out = stdout) const;
-
-    /** Print comma-separated values to @p out. */
-    void printCsv(std::FILE *out = stdout) const;
 
   private:
     std::vector<std::string> header_;

@@ -420,6 +420,27 @@ TEST(Spec, ExpandIsTheSweepCrossProduct)
 
 // ---- Report schema golden --------------------------------------------
 
+TEST(Report, HostIsaProvenanceIsPaired)
+{
+    // simd_isa/simd_width name the host's vector ISA and its 64-bit lane
+    // count; perfbench digests hash both, so the pairing is fixed.
+    const api::Report report("provenance");
+    const json::Value *isa = report.root().find("simd_isa");
+    const json::Value *width = report.root().find("simd_width");
+    ASSERT_NE(isa, nullptr);
+    ASSERT_NE(width, nullptr);
+    const std::string name = isa->asString();
+    const std::uint64_t lanes = width->asU64();
+    if (name == "avx2")
+        EXPECT_EQ(lanes, 4u);
+    else if (name == "sse2" || name == "neon")
+        EXPECT_EQ(lanes, 2u);
+    else {
+        EXPECT_EQ(name, "scalar");
+        EXPECT_EQ(lanes, 1u);
+    }
+}
+
 TEST(Report, GoldenFixturePinsTheSchema)
 {
     // A fully deterministic report: fixed spec, fixed stats. Emitted
@@ -449,8 +470,8 @@ TEST(Report, GoldenFixturePinsTheSchema)
     stats.busSnoopTagProbes = {4, 3};
 
     api::Report report("golden");
-    // The envelope's SIMD provenance is resolved from the running host;
-    // pin it so the golden bytes stay machine- and tier-independent
+    // The envelope's ISA provenance is resolved from the running host;
+    // pin it so the golden bytes stay machine-independent
     // (set() replaces in place, keeping the envelope field order).
     report.root().set("simd_isa", "scalar");
     report.root().set("simd_width", 1);

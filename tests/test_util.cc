@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "util/bits.hh"
 #include "util/json.hh"
@@ -62,6 +63,36 @@ TEST(Bits, MaskAndAlign)
     EXPECT_EQ(maskBits(64), ~0ull);
     EXPECT_EQ(alignDown(0x1234, 0x100), 0x1200ull);
     EXPECT_EQ(alignDown(0x1200, 0x100), 0x1200ull);
+}
+
+TEST(Bits, FindEqU64FirstMatch)
+{
+    // Packed (tag << 1) | valid words with full 56-bit tags, so a key
+    // differing only in a high bit must not match.
+    const std::uint64_t top = std::uint64_t{1} << 55;
+    std::vector<std::uint64_t> words;
+    for (std::size_t n = 0; n <= 9; ++n) {
+        words.assign(n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            words[i] = ((top | (i * 0x9e3779b9ull)) << 1) | 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(findEqU64(words.data(), n, words[i]),
+                      static_cast<int>(i))
+                << "n=" << n;
+            // Misses: the tag's top bit, or the valid bit, differs.
+            EXPECT_EQ(findEqU64(words.data(), n, words[i] ^ (top << 1)), -1)
+                << "n=" << n;
+            EXPECT_EQ(findEqU64(words.data(), n, words[i] ^ 1), -1)
+                << "n=" << n;
+        }
+        EXPECT_EQ(findEqU64(words.data(), n, ~std::uint64_t{0}), -1)
+            << "n=" << n;
+        if (n >= 3) {
+            // A repeated key reports its lowest index.
+            words[n - 1] = words[1];
+            EXPECT_EQ(findEqU64(words.data(), n, words[1]), 1) << "n=" << n;
+        }
+    }
 }
 
 TEST(Rng, Deterministic)
@@ -220,7 +251,7 @@ TEST(Table, Formatters)
     EXPECT_EQ(TextTable::count(42), "42");
 }
 
-TEST(Table, PrintAndCsvDoNotCrash)
+TEST(Table, PrintDoesNotCrash)
 {
     TextTable t;
     t.header({"a", "b"});
@@ -229,7 +260,6 @@ TEST(Table, PrintAndCsvDoNotCrash)
     std::FILE *dev_null = std::fopen("/dev/null", "w");
     ASSERT_NE(dev_null, nullptr);
     t.print(dev_null);
-    t.printCsv(dev_null);
     std::fclose(dev_null);
 }
 

@@ -218,7 +218,7 @@ main(int argc, char **argv)
     const std::string base_isa = stringField(baseline, "simd_isa");
     const std::string fresh_isa = stringField(fresh, "simd_isa");
     if (base_isa != fresh_isa) {
-        std::printf("note: SIMD tier differs (baseline %s, fresh %s) — "
+        std::printf("note: host vector ISA differs (baseline %s, fresh %s) — "
                     "absolute rates are not like-for-like\n",
                     base_isa.c_str(), fresh_isa.c_str());
     }
