@@ -546,10 +546,12 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
         }
     }
 
-    // Decide, under the lock, which keys need a (re-)simulation. A key
-    // re-simulates when no entry covers the requested names; the new job
-    // evaluates the union of the old entry's specs and every name this
-    // batch requests for the key, so the replacement covers both.
+    // Decide, under the lock, which keys need a simulation. A key
+    // simulates when no entry covers the requested names; the job
+    // evaluates only the names this batch requests for the key that the
+    // entry does not cover, and its rows are folded into the entry.
+    // Filters are passive observers, so a filter's row does not depend
+    // on which others share its bank.
     struct PendingJob
     {
         std::size_t request = 0;  //!< exemplar request (app/variant/scale)
@@ -560,7 +562,8 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
         std::lock_guard<std::mutex> lock(cache.mu);
         for (std::size_t r = 0; r < requests.size(); ++r) {
             const Prepared &p = prepared[r];
-            const auto pend_it = pending.find(p.key);
+            auto it = cache.entries.find(p.key);
+            auto pend_it = pending.find(p.key);
             if (pend_it == pending.end()) {
                 const auto coversAll = [&p](const CacheEntry &entry) {
                     for (const auto &name : p.names) {
@@ -569,7 +572,6 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                     }
                     return true;
                 };
-                auto it = cache.entries.find(p.key);
                 if (it != cache.entries.end() && coversAll(it->second)) {
                     ++cache.hits;
                     continue;
@@ -600,24 +602,15 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                         }
                     }
                 }
-                PendingJob job;
-                job.request = r;
-                if (it != cache.entries.end())
-                    job.names = it->second.result.filterNames;
-                for (const auto &name : p.names) {
-                    if (std::find(job.names.begin(), job.names.end(),
-                                  name) == job.names.end()) {
-                        job.names.push_back(name);
-                    }
-                }
-                pending.emplace(p.key, std::move(job));
-            } else {
-                for (const auto &name : p.names) {
-                    auto &names = pend_it->second.names;
-                    if (std::find(names.begin(), names.end(), name) ==
+                pend_it = pending.emplace(p.key, PendingJob{r, {}}).first;
+            }
+            auto &names = pend_it->second.names;
+            for (const auto &name : p.names) {
+                if ((it == cache.entries.end() ||
+                     !it->second.covered.count(name)) &&
+                    std::find(names.begin(), names.end(), name) ==
                         names.end()) {
-                        names.push_back(name);
-                    }
+                    names.push_back(name);
                 }
             }
         }

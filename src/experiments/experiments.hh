@@ -184,7 +184,9 @@ AppRunResult runApp(const trace::AppProfile &app,
  * fingerprint + scale. File-backed workloads fingerprint the trace
  * files' content digests instead of the app identity. A request whose
  * filter specs are covered by the cached entry is a hit; otherwise the
- * cell re-simulates once with the union of the old and new specs.
+ * cell simulates once with just the specs the entry lacks, and their
+ * rows are folded into it (filters are passive observers, so a row does
+ * not depend on its bank mates).
  * Thread-safe.
  *
  * An optional on-disk tier (experiments/disk_cache.hh) persists every

@@ -19,7 +19,6 @@ L1Cache::L1Cache(const L1Config &cfg) : cfg_(cfg)
     if (sets == 0)
         fatal("L1Cache: size too small for block/assoc");
 
-    lineMask_ = cfg.blockBytes - 1;
     offsetBits_ = floorLog2(cfg.blockBytes);
     indexBits_ = floorLog2(sets);
     assocShift_ = floorLog2(cfg.assoc);
@@ -77,42 +76,20 @@ L1Cache::probe(Addr addr) const
 }
 
 void
-L1Cache::touch(Addr addr)
-{
-    const int w = findWay(addr);
-    if (w >= 0) {
-        lastUse_[(static_cast<std::size_t>(setIndex(addr)) << assocShift_) +
-                 w] = ++useClock_;
-    }
-}
-
-void
-L1Cache::markDirty(Addr addr)
+L1Cache::grantWrite(Addr addr)
 {
     const int w = findWay(addr);
     if (w < 0)
-        panic("L1Cache::markDirty on absent line");
+        panic("L1Cache::grantWrite on absent line");
     const std::size_t frame =
         (static_cast<std::size_t>(setIndex(addr)) << assocShift_) + w;
-    if (!(tagw_[frame] & 2))
-        panic("L1Cache::markDirty on non-writable line");
+    tagw_[frame] |= 2;
     dirty_[frame] = 1;
+    lastUse_[frame] = ++useClock_;
 }
 
 void
-L1Cache::setWritable(Addr addr, bool writable)
-{
-    const int w = findWay(addr);
-    if (w < 0)
-        panic("L1Cache::setWritable on absent line");
-    const std::size_t frame =
-        (static_cast<std::size_t>(setIndex(addr)) << assocShift_) + w;
-    tagw_[frame] = (tagw_[frame] & ~std::uint64_t{2}) |
-                   (writable ? std::uint64_t{2} : 0);
-}
-
-void
-L1Cache::fill(Addr addr, bool writable, L1Victim &victim)
+L1Cache::fill(Addr addr, bool writable, bool dirty, L1Victim &victim)
 {
     victim = L1Victim{};
     const std::uint64_t set = setIndex(addr);
@@ -120,6 +97,7 @@ L1Cache::fill(Addr addr, bool writable, L1Victim &victim)
 
     if (findWay(addr) >= 0)
         panic("L1Cache::fill of an already-present line");
+    assert(writable || !dirty);
 
     const std::size_t base = static_cast<std::size_t>(set) << assocShift_;
     int target = -1;
@@ -148,7 +126,7 @@ L1Cache::fill(Addr addr, bool writable, L1Victim &victim)
     }
     tagw_[frame] = (static_cast<std::uint64_t>(tag) << 2) |
                    (writable ? std::uint64_t{2} : 0) | 1;
-    dirty_[frame] = 0;
+    dirty_[frame] = dirty ? 1 : 0;
     lastUse_[frame] = ++useClock_;
     ++validLines_;
 }

@@ -6,10 +6,14 @@
  * permission bit derived from the L2's MOESI state, and the inclusion
  * property (L2 superset of L1) is enforced by the owning processor node.
  *
- * Storage is packed for the run() walk (DESIGN.md, "The run() walk"):
- * each (set, way) frame is one 64-bit word
- * (tag << 2) | (writable << 1) | valid, so a way check is a single
- * masked compare and accessClassify() scans a set's tags without
+ * A reference enters the cache one way (DESIGN.md, "The run() walk"):
+ * accessClassify() retires a hit, and a Blocked write or a miss ends in
+ * grantWrite() or fill(). probe() is the one side-effect-free query,
+ * for the invariant checkers and tests.
+ *
+ * Storage is packed for that lookup: each (set, way) frame is one
+ * 64-bit word (tag << 2) | (writable << 1) | valid, so a way check is a
+ * single masked compare and accessClassify() scans a set's tags without
  * touching anything else. LRU clocks and dirty flags sit in parallel
  * cold arrays, written only when a hit retires or a line fills.
  */
@@ -66,25 +70,21 @@ class L1Cache
   public:
     explicit L1Cache(const L1Config &cfg);
 
-    /** Line-align an address. */
-    Addr lineAlign(Addr a) const { return a & ~lineMask_; }
-
-    /** Probe without side effects. */
+    /** Probe without side effects (the invariant checkers and tests). */
     L1LookupResult probe(Addr addr) const;
 
     /**
-     * Single-lookup fast path, one call per reference in the run() walk.
-     * A hit needing no L2 help — a read hit, or a write hit on a
-     * writable line — is retired in place with exactly the state changes
-     * of probe() + touch() (+ markDirty() for writes): same LRU clock
-     * advance, same dirty marking. Otherwise the cache is left
-     * completely untouched and the verdict says why: Blocked (a write
-     * hit lacking permission — the full processorAccess route applies)
-     * or Miss (the line is absent, so the caller can enter the L1-miss
-     * route without re-probing).
+     * The one per-reference lookup, made by SmpSystem::access() for the
+     * run() walk and step() alike. A hit needing no L2 help — a read
+     * hit, or a write hit on a writable line — is retired in place: the
+     * line's LRU clock advances and a write marks it dirty. Otherwise
+     * the cache is left completely untouched and the verdict says why:
+     * Blocked (a write hit lacking permission; the caller upgrades the
+     * L2 and then calls grantWrite()) or Miss (the line is absent, so
+     * the caller enters the L1-miss route without re-probing).
      *
-     * test_caches asserts it against that probe/touch/markDirty slow
-     * path at assoc 1, 2, 4 and 8.
+     * test_caches checks it against a reference LRU model at assoc 1,
+     * 2, 4 and 8.
      */
     L1FastOutcome
     accessClassify(Addr addr, bool write)
@@ -108,20 +108,20 @@ class L1Cache
         return L1FastOutcome::Miss;
     }
 
-    /** Update LRU for a hit on @p addr's line. */
-    void touch(Addr addr);
-
-    /** Mark the (present) line dirty after a permitted write. */
-    void markDirty(Addr addr);
-
-    /** Grant write permission to the (present) line. */
-    void setWritable(Addr addr, bool writable);
+    /**
+     * Retire a Blocked write once the L2 holds the unit writable: one
+     * scan advances the (present) line's LRU clock and sets its
+     * writable and dirty bits.
+     */
+    void grantWrite(Addr addr);
 
     /**
-     * Allocate the line for @p addr, returning the displaced line (if any)
-     * through @p victim. The caller writes dirty victims back to L2.
+     * Allocate the line for @p addr, writable and dirty as given (a
+     * write-allocate fill is dirty at once), returning the displaced
+     * line (if any) through @p victim. The caller writes dirty victims
+     * back to L2.
      */
-    void fill(Addr addr, bool writable, L1Victim &victim);
+    void fill(Addr addr, bool writable, bool dirty, L1Victim &victim);
 
     /**
      * Invalidate @p addr's line if present (inclusion enforcement).
@@ -156,7 +156,6 @@ class L1Cache
     util::AlignedVec<std::uint64_t> tagw_;
     util::AlignedVec<std::uint64_t> lastUse_;  //!< [frame] LRU clocks
     std::vector<std::uint8_t> dirty_;          //!< [frame] dirty flags
-    std::uint64_t lineMask_;
     unsigned offsetBits_;
     unsigned indexBits_;
     unsigned assocShift_;  //!< log2(assoc), precomputed

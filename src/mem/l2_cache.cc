@@ -78,21 +78,6 @@ L2Cache::findWay(Addr a) const
     return findEqU64(&tagValid_[base], cfg_.assoc, want);
 }
 
-L2LookupResult
-L2Cache::probe(Addr addr) const
-{
-    L2LookupResult res;
-    const int w = findWay(addr);
-    if (w < 0)
-        return res;
-    res.tagMatch = true;
-    const State s =
-        unitsOf(frameOf(setIndex(addr), w))[unitIndex(addr)];
-    res.unitValid = coherence::isValid(s);
-    res.state = s;
-    return res;
-}
-
 int
 L2Cache::probeWay(Addr addr, L2LookupResult &res) const
 {
@@ -129,38 +114,15 @@ L2Cache::snoopAtWay(int way, Addr addr, BusOp op)
     return out;
 }
 
-bool
-L2Cache::hasBlock(Addr addr) const
-{
-    return findWay(addr) >= 0;
-}
-
-void
-L2Cache::touch(Addr addr)
-{
-    const int w = findWay(addr);
-    if (w >= 0)
-        touchAt(w, addr);
-}
-
-void
-L2Cache::setState(Addr addr, State next)
-{
-    const int w = findWay(addr);
-    if (w < 0)
-        panic("L2Cache::setState on absent block");
-    setStateAt(w, addr, next);
-}
-
 void
 L2Cache::setStateAt(int way, Addr addr, State next)
 {
     assert(way == findWay(addr));
     State &s = unitsOf(frameOf(setIndex(addr), way))[unitIndex(addr)];
     if (!coherence::isValid(s))
-        panic("L2Cache::setState on invalid unit");
+        panic("L2Cache::setStateAt on invalid unit");
     if (!coherence::isValid(next))
-        panic("L2Cache::setState cannot invalidate; use snoop/invalidate");
+        panic("L2Cache::setStateAt cannot invalidate; use snoopAtWay");
     s = next;
 }
 
@@ -225,26 +187,6 @@ L2Cache::fill(Addr addr, State state, std::vector<L2Victim> &victims)
     ++validUnits_;
     notifyFill(unitAlign(addr));
     return evicted;
-}
-
-SnoopOutcome
-L2Cache::snoop(Addr addr, BusOp op)
-{
-    return snoopAtWay(findWay(addr), addr, op);
-}
-
-void
-L2Cache::invalidateUnit(Addr addr)
-{
-    const int w = findWay(addr);
-    if (w < 0)
-        return;
-    State &s = unitsOf(frameOf(setIndex(addr), w))[unitIndex(addr)];
-    if (coherence::isValid(s)) {
-        s = State::Invalid;
-        --validUnits_;
-        notifyEvict(unitAlign(addr));
-    }
 }
 
 std::vector<L2UnitInfo>

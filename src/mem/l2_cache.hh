@@ -6,6 +6,10 @@
  * filtered probes this cache's tag array. The cache is purely functional
  * (tags + states, no data payloads) because the experiments only need
  * access/hit/miss/supply event streams for coverage and energy accounting.
+ *
+ * Every access is a fill() or one probeWay() whose way the calls that
+ * follow reuse: touchAt(), setStateAt() or snoopAtWay(). probe() is
+ * probeWay() for callers that only look.
  */
 
 #ifndef JETTY_MEM_L2_CACHE_HH
@@ -66,51 +70,47 @@ class L2Cache
     Addr blockAlign(Addr a) const { return a & ~blockMask_; }
 
     /**
-     * Probe the cache for the unit containing @p addr without changing any
-     * state (used for lookups, ground truth, and snoop queries).
-     */
-    L2LookupResult probe(Addr addr) const;
-
-    /**
-     * probe() that additionally reports which way holds the block
-     * (-1 on a tag miss), so a following snoopAtWay() can reuse the
-     * lookup — the batched snoop path's single-lookup discipline.
+     * Locate the unit containing @p addr without changing any state:
+     * fills @p res and returns the way holding the block (-1 on a tag
+     * miss), so the touchAt(), setStateAt() or snoopAtWay() calls that
+     * follow reuse the lookup. Nothing else may mutate the cache in
+     * between.
      */
     int probeWay(Addr addr, L2LookupResult &res) const;
 
+    /** probeWay() for a caller that needs only the result (the
+     *  invariant checkers and tests). */
+    L2LookupResult
+    probe(Addr addr) const
+    {
+        L2LookupResult res;
+        probeWay(addr, res);
+        return res;
+    }
+
     /**
-     * Apply a snoop to the unit containing @p addr when probeWay()
-     * already located the block at @p way (-1 = tag miss, a no-op
-     * outcome). Exactly snoop() minus the repeated tag lookup; the
-     * caller must not have mutated the cache in between.
+     * Apply a snoop to the unit containing @p addr, which probeWay()
+     * located at @p way (-1 = tag miss, a no-op outcome), and return the
+     * outcome. An invalidation is announced to listeners. The caller
+     * decides whether to probe at all (JETTY filtering happens outside).
      */
     coherence::SnoopOutcome snoopAtWay(int way, Addr addr,
                                        coherence::BusOp op);
 
-    /** True when any unit of the block containing @p addr is valid; used
-     *  to size up what a snoop tag probe would find. */
-    bool hasBlock(Addr addr) const;
-
-    /** Update LRU for a local access that hit the block of @p addr. */
-    void touch(Addr addr);
-
-    /** touch() when probeWay() already located the block at @p way
-     *  (>= 0) and nothing mutated the cache in between. */
+    /** Update LRU for a local access that hit the block probeWay()
+     *  located at @p way (>= 0). */
     void
     touchAt(int way, Addr addr)
     {
         lastUse_[frameOf(setIndex(addr), way)] = ++useClock_;
     }
 
-    /** setState() when probeWay() already located the block at @p way
-     *  (>= 0, valid unit) and nothing mutated the cache in between. */
-    void setStateAt(int way, Addr addr, coherence::State next);
-
     /**
-     * Set the state of an already-present unit (upgrade, downgrade);
-     * the unit must be valid.
+     * Set the state of the valid unit whose block probeWay() located at
+     * @p way (>= 0): an upgrade or downgrade, never an invalidation
+     * (that is a snoop's job).
      */
-    void setState(Addr addr, coherence::State next);
+    void setStateAt(int way, Addr addr, coherence::State next);
 
     /**
      * Allocate (if needed) the block containing @p addr and fill its unit
@@ -122,16 +122,6 @@ class L2Cache
      */
     bool fill(Addr addr, coherence::State state,
               std::vector<L2Victim> &victims);
-
-    /**
-     * Apply a snoop to the unit containing @p addr and return the outcome.
-     * Invalidation outcomes are announced to listeners. The caller decides
-     * whether to probe at all (JETTY filtering happens outside).
-     */
-    coherence::SnoopOutcome snoop(Addr addr, coherence::BusOp op);
-
-    /** Invalidate one unit (e.g., inclusion forcing). No-op when absent. */
-    void invalidateUnit(Addr addr);
 
     /** Count of currently valid coherence units (for invariant checks). */
     std::uint64_t validUnits() const { return validUnits_; }

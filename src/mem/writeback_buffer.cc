@@ -26,16 +26,6 @@ WritebackBuffer::pop()
 }
 
 bool
-WritebackBuffer::contains(Addr unitAddr) const
-{
-    for (const auto &e : entries_) {
-        if (e.unitAddr == unitAddr)
-            return true;
-    }
-    return false;
-}
-
-bool
 WritebackBuffer::snoop(Addr unitAddr, bool invalidate)
 {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -48,19 +38,6 @@ WritebackBuffer::snoop(Addr unitAddr, bool invalidate)
             it->state = coherence::State::Owned;
         }
         return true;
-    }
-    return false;
-}
-
-bool
-WritebackBuffer::demoteForRead(Addr unitAddr)
-{
-    for (auto &e : entries_) {
-        if (e.unitAddr == unitAddr) {
-            if (e.state == coherence::State::Modified)
-                e.state = coherence::State::Owned;
-            return true;
-        }
     }
     return false;
 }

@@ -4,7 +4,8 @@
  * wait here until the bus drains them to memory. Snoops always probe the
  * buffer (the JETTY never filters it -- the paper points out the WB array
  * is tiny compared to the L2 tags, so probing it is cheap), and a
- * processor's own miss may reclaim an in-flight victim.
+ * processor's own miss may reclaim an in-flight victim. A snoop is one
+ * snoop() call behind a maybeContainsSig() gate; a reclaim is take().
  */
 
 #ifndef JETTY_MEM_WRITEBACK_BUFFER_HH
@@ -52,27 +53,15 @@ class WritebackBuffer
     /** Drain the oldest victim (caller issues the memory write). */
     WbEntry pop();
 
-    /** Snoop probe: does the buffer hold @p unitAddr? */
-    bool contains(Addr unitAddr) const;
-
     /**
-     * Conservative one-load presence test: false guarantees the buffer
-     * does not hold @p unitAddr (the batched snoop path skips the scan);
-     * true only means "possibly". Backed by a 64-bit Bloom signature
-     * maintained across push/pop/take/snoop, so it is exact-safe — a
-     * stale bit can only cause a redundant scan, never a missed entry.
-     */
-    bool
-    maybeContains(Addr unitAddr) const
-    {
-        return (signature_ & signatureBitOf(unitAddr)) != 0;
-    }
-
-    /**
-     * maybeContains() with the signature bit already in hand: the
-     * broadcast path computes signatureBitOf(addr) once and tests it
-     * against every remote node's buffer instead of re-hashing the
-     * address per node.
+     * Conservative one-load presence test of the unit whose
+     * signatureBitOf() is @p bit: false guarantees the buffer does not
+     * hold it (the snoop path skips the scan); true only means
+     * "possibly". The broadcast path hashes the address once and tests
+     * the bit against every remote node's buffer. Backed by a 64-bit
+     * Bloom signature maintained across push/pop/take/snoop, so it is
+     * exact-safe — a stale bit can only cause a redundant scan, never a
+     * missed entry.
      */
     bool
     maybeContainsSig(std::uint64_t bit) const
@@ -105,27 +94,21 @@ class WritebackBuffer
     WbEntry take(Addr unitAddr, bool &found);
 
     /**
-     * A remote BusRead snooped @p unitAddr here and the buffer supplied
-     * the data: a Modified entry is no longer the only copy and demotes
-     * to Owned (still dirty, still responsible for the memory update, but
-     * a later reclaim must not resurrect write permission while the
-     * reader holds its Shared copy). Owned entries are unchanged.
-     *
-     * @return true when an entry for @p unitAddr existed.
-     */
-    bool demoteForRead(Addr unitAddr);
-
-    /**
      * One bus snoop's whole buffer interaction in a single scan:
      * @p invalidate (BusReadX/BusUpgrade — the requester takes
-     * ownership) removes the entry; otherwise (a supplying BusRead) a
-     * Modified entry demotes to Owned as in demoteForRead().
+     * ownership) removes the entry. Otherwise a remote BusRead is
+     * supplied from the buffer: a Modified entry is no longer the only
+     * copy and demotes to Owned (still dirty, still responsible for the
+     * memory update, but a later reclaim must not resurrect write
+     * permission while the reader holds its Shared copy). Owned entries
+     * are unchanged.
      *
      * @return true when the buffer held @p unitAddr (the snoop "hit").
      */
     bool snoop(Addr unitAddr, bool invalidate);
 
-    /** The pending victims in FIFO order (verification / tests). */
+    /** The pending victims in FIFO order (verification / tests; the
+     *  presence query a test needs is a scan of this). */
     const std::deque<WbEntry> &entries() const { return entries_; }
 
   private:

@@ -257,14 +257,13 @@ SmpSystem::run()
 
     // The batched hot loop walks chunks of the round-robin schedule
     // (DESIGN.md, "The run() walk"). The interleaving is exactly
-    // step()'s — one reference per live processor per sweep — but each
-    // reference costs one accessClassify() straight off the trace
+    // step()'s — one reference per live processor per sweep — and each
+    // reference takes step()'s access() dispatch straight off the trace
     // record: a hit retires in place (it touches only its own L1's
-    // LRU/dirty state), a miss enters missTail() without a second L1
-    // probe, and the rare Blocked write (a hit lacking permission) takes
-    // the general processorAccess() route. Misses interact across
-    // processors (fill states, evictions, WB FIFOs), so the walk never
-    // reorders the schedule; it is the same for every L1 geometry.
+    // LRU/dirty state), and a Blocked write or a miss takes its tail
+    // without a second L1 lookup. Misses interact across processors
+    // (fill states, evictions, WB FIFOs), so the walk never reorders the
+    // schedule; it is the same for every L1 geometry.
     //
     // The filter banks run deferred throughout: every snoop observation
     // and L2 fill/evict notification stays queued per home snoop bus,
@@ -330,28 +329,7 @@ SmpSystem::run()
         for (std::size_t r = 0; r < rounds; ++r) {
             for (const Lane &ln : lanes) {
                 const trace::TraceRecord &rc = ln.rec[r];
-                const Addr unit = rc.addr & unit_mask;
-                const bool write = rc.type == AccessType::Write;
-                const mem::L1FastOutcome out =
-                    ln.l1->accessClassify(unit, write);
-                if (out == mem::L1FastOutcome::Blocked) {
-                    // A write hit lacking permission — the rare upgrade
-                    // path; take the fully general route.
-                    processorAccess(ln.proc, rc.type, unit);
-                    continue;
-                }
-                ProcStats &ps = stats_.procs[ln.proc];
-                ++ps.accesses;
-                if (write)
-                    ++ps.writes;
-                else
-                    ++ps.reads;
-                if (out == mem::L1FastOutcome::Hit) {
-                    ++ps.l1Hits;
-                    continue;
-                }
-                ++ps.l1Misses;
-                missTail(ln.proc, rc.type, unit, unit);
+                access(ln.proc, *ln.l1, rc.type, rc.addr & unit_mask);
             }
         }
 
@@ -604,70 +582,44 @@ void
 SmpSystem::processorAccess(ProcId p, AccessType type, Addr addr)
 {
     Node &node = *nodes_[p];
-    ProcStats &ps = stats_.procs[p];
-
-    ++ps.accesses;
-    if (type == AccessType::Read)
-        ++ps.reads;
-    else
-        ++ps.writes;
-
-    const Addr unit = node.l2->unitAlign(addr);
-
-    // ---- L1 ----
-    const auto l1_res = node.l1->probe(unit);
-    if (l1_res.hit && (type == AccessType::Read || l1_res.writable)) {
-        ++ps.l1Hits;
-        node.l1->touch(unit);
-        if (type == AccessType::Write)
-            node.l1->markDirty(unit);
-        if (observer_)
-            observer_->onReference(p, type, addr);
-        return;
-    }
-
-    if (l1_res.hit) {
-        // Write hit on a non-writable line: obtain write permission.
-        ++ps.l1Hits;
-        node.l1->touch(unit);
-
-        ++ps.l2LocalAccesses;
-        ++ps.traffic.localTagProbes;
-        mem::L2LookupResult l2_res;
-        const int way = node.l2->probeWay(unit, l2_res);
-        if (!l2_res.unitValid)
-            panic("inclusion violated: L1 line without L2 unit");
-        ++ps.l2LocalHits;
-        node.l2->touchAt(way, unit);
-
-        if (coherence::isWritable(l2_res.state)) {
-            if (l2_res.state == State::Exclusive) {
-                node.l2->setStateAt(way, unit, State::Modified);
-                ++ps.upgradesSilent;
-                ++ps.traffic.localTagUpdates;
-            }
-        } else {
-            // Shared or Owned: invalidate the other copies. (The bus
-            // only snoops remote nodes, so the located way survives.)
-            broadcast(p, BusOp::BusUpgrade, unit);
-            ++ps.busUpgrades;
-            node.l2->setStateAt(way, unit, State::Modified);
-            ++ps.traffic.localTagUpdates;
-        }
-        node.l1->setWritable(unit, true);
-        node.l1->markDirty(unit);
-        if (observer_)
-            observer_->onReference(p, type, addr);
-        return;
-    }
-
-    // ---- L1 miss: go to the L2. ----
-    ++ps.l1Misses;
-    missTail(p, type, addr, unit);
+    access(p, *node.l1, type, node.l2->unitAlign(addr));
+    if (observer_)
+        observer_->onReference(p, type, addr);
 }
 
 void
-SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit)
+SmpSystem::upgradeForWrite(ProcId p, Addr unit)
+{
+    Node &node = *nodes_[p];
+    ProcStats &ps = stats_.procs[p];
+
+    ++ps.l2LocalAccesses;
+    ++ps.traffic.localTagProbes;
+    mem::L2LookupResult l2_res;
+    const int way = node.l2->probeWay(unit, l2_res);
+    if (!l2_res.unitValid)
+        panic("inclusion violated: L1 line without L2 unit");
+    ++ps.l2LocalHits;
+    node.l2->touchAt(way, unit);
+
+    if (coherence::isWritable(l2_res.state)) {
+        if (l2_res.state == State::Exclusive) {
+            node.l2->setStateAt(way, unit, State::Modified);
+            ++ps.upgradesSilent;
+            ++ps.traffic.localTagUpdates;
+        }
+    } else {
+        // Shared or Owned: invalidate the other copies. (The bus only
+        // snoops remote nodes, so the located way survives.)
+        broadcast(p, BusOp::BusUpgrade, unit);
+        ++ps.busUpgrades;
+        node.l2->setStateAt(way, unit, State::Modified);
+        ++ps.traffic.localTagUpdates;
+    }
+}
+
+void
+SmpSystem::missTail(ProcId p, AccessType type, Addr unit)
 {
     Node &node = *nodes_[p];
     ProcStats &ps = stats_.procs[p];
@@ -706,9 +658,8 @@ SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit)
 
     // ---- Fill the L1 (write-allocate). ----
     mem::L1Victim victim;
-    node.l1->fill(unit, coherence::isWritable(unit_state), victim);
-    if (type == AccessType::Write)
-        node.l1->markDirty(unit);
+    node.l1->fill(unit, coherence::isWritable(unit_state),
+                  type == AccessType::Write, victim);
 
     if (victim.valid && victim.dirty) {
         // Dirty L1 victim: write its data back into the L2 unit. By the
@@ -730,9 +681,6 @@ SmpSystem::missTail(ProcId p, AccessType type, Addr addr, Addr unit)
         }
         ++ps.traffic.localDataWrites;
     }
-
-    if (observer_)
-        observer_->onReference(p, type, addr);
 }
 
 } // namespace jetty::sim

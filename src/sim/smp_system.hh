@@ -104,9 +104,9 @@ class SmpSystem
 
     /**
      * Run until all streams are exhausted. This is the hot path, one walk
-     * for every L1 geometry: batched delivery, one accessClassify() per
-     * reference that retires hits in place, the miss tail entered
-     * directly, and deferred filter banks sealed per chunk and replayed
+     * for every L1 geometry: batched delivery, step()'s access()
+     * dispatch per reference with the lane's L1 already resolved, and
+     * deferred filter banks sealed per chunk and replayed
      * on a helper thread (see kReplayHandoffEvents), or inline per chunk
      * when the calling thread may use only one CPU. Produces exactly
      * the per-reference behaviour of repeated step() calls. A safety
@@ -121,7 +121,12 @@ class SmpSystem
      *  A run that never queues this many replays inline at its end. */
     static constexpr std::size_t kReplayHandoffEvents = 16 * 1024;
 
-    /** Drive one reference directly (unit/integration tests). */
+    /**
+     * Drive one reference: align @p addr to its coherence unit, take
+     * the access() dispatch the run() walk takes, and report the
+     * reference to the observer. step() issues every reference through
+     * here; tests drive single references with it.
+     */
     void processorAccess(ProcId p, AccessType type, Addr addr);
 
     /** Gathered statistics. */
@@ -150,11 +155,11 @@ class SmpSystem
     /**
      * Attach (or detach with nullptr) a passive observer of references,
      * snoops, and bus transactions (sim/observer.hh). While an observer
-     * is attached run() routes every reference through the fully
-     * instrumented per-reference path instead of the inlined L1 fast
-     * path — the two paths are bit-identical, so the observed simulation
-     * is exactly the unobserved one. With no observer the hot loop pays
-     * nothing.
+     * is attached run() takes the step() route, where processorAccess()
+     * reports each reference and every filter event replays as it is
+     * queued; both routes make the same access() calls, so the observed
+     * simulation is exactly the unobserved one. With no observer the
+     * hot loop pays nothing.
      */
     void setObserver(SimObserver *obs) { observer_ = obs; }
 
@@ -192,11 +197,47 @@ class SmpSystem
      *  L2 (and victim) bookkeeping. Returns the unit's final L2 state. */
     coherence::State fetchUnit(ProcId p, Addr unitAddr, bool forWrite);
 
-    /** The L1-miss tail of processorAccess(): L2 lookup/upgrade/fetch,
-     *  L1 fill, dirty-victim writeback, observer. Entered directly by
-     *  the run() walk once accessClassify() reported a miss, so the L1
-     *  is not probed twice; @p unit is the aligned address. */
-    void missTail(ProcId p, AccessType type, Addr addr, Addr unit);
+    /**
+     * One reference's local route, the only one: processorAccess() and
+     * the run() walk both call it with the node's L1 and the
+     * unit-aligned address. accessClassify() retires a hit in place; a
+     * Blocked write (a hit lacking permission) upgrades the L2 unit and
+     * then grants the L1 line write permission; a miss takes
+     * missTail(). The L1 is looked up once either way.
+     */
+    void
+    access(ProcId p, mem::L1Cache &l1, AccessType type, Addr unit)
+    {
+        const bool write = type == AccessType::Write;
+        ProcStats &ps = stats_.procs[p];
+        ++ps.accesses;
+        if (write)
+            ++ps.writes;
+        else
+            ++ps.reads;
+        switch (l1.accessClassify(unit, write)) {
+          case mem::L1FastOutcome::Hit:
+            ++ps.l1Hits;
+            return;
+          case mem::L1FastOutcome::Blocked:
+            ++ps.l1Hits;
+            upgradeForWrite(p, unit);
+            l1.grantWrite(unit);
+            return;
+          case mem::L1FastOutcome::Miss:
+            ++ps.l1Misses;
+            missTail(p, type, unit);
+            return;
+        }
+    }
+
+    /** Make the L2 unit backing a Blocked L1 write hit Modified: a
+     *  silent E->M, or a BusUpgrade from S/O. */
+    void upgradeForWrite(ProcId p, Addr unit);
+
+    /** The L1-miss tail of access(): L2 lookup/upgrade/fetch, L1 fill,
+     *  dirty-victim writeback. @p unit is the aligned address. */
+    void missTail(ProcId p, AccessType type, Addr unit);
 
     /** Make room in the WB, then insert a victim. */
     void pushVictim(ProcId p, const mem::L2Victim &victim);

@@ -89,7 +89,7 @@ SweepRunner::runOne(const SweepJob &job)
 
     // A sub-batch trace finishes inside the timer's resolution, so a
     // rate derived from it is noise (historically inf when the elapsed
-    // time rounded to exactly zero). Flag it; refsPerSecond() reports 0.
+    // time rounded to exactly zero). Flag it; reports print no rate.
     // The documented threshold is one delivery batch *per processor*.
     const std::uint64_t batch =
         job.cfg.batchRefs >= 1 ? job.cfg.batchRefs : 1;

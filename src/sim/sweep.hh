@@ -79,20 +79,10 @@ struct SweepResult
     /**
      * True when the job was too short to rate meaningfully: it retired
      * fewer references than one delivery batch per processor, or the
-     * wall clock rounded to zero. refsPerSecond() then reports 0
-     * instead of an inf/garbage rate; reporting layers print "-".
+     * wall clock rounded to zero. Reporting layers then print "-"
+     * instead of an inf/garbage rate.
      */
     bool refsTooFewForRate = false;
-
-    /** Sustained simulation throughput of this job (0 when
-     *  refsTooFewForRate). */
-    double
-    refsPerSecond() const
-    {
-        return !refsTooFewForRate && elapsedSeconds > 0
-                   ? static_cast<double>(totalRefs) / elapsedSeconds
-                   : 0.0;
-    }
 
     /** Canonical names of the evaluated filters, in bank order. */
     std::vector<std::string> filterNames;

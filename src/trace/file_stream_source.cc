@@ -34,12 +34,6 @@ FileStreamSource::~FileStreamSource()
         std::fclose(f_);
 }
 
-std::uint64_t
-FileStreamSource::position() const
-{
-    return fileRecord_ - (bufLen_ - bufPos_) / kTraceRecordBytes;
-}
-
 void
 FileStreamSource::seekTo(std::uint64_t record)
 {

@@ -49,19 +49,8 @@ class FileStreamSource : public TraceSource
     bool next(TraceRecord &out) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
 
-    /**
-     * Position the cursor so the next record delivered is record
-     * @p record (0-based) of the section. Seeking to records() makes the
-     * stream immediately exhausted. The byte offset is computed in
-     * 64 bits, so seeks beyond 4 Gi records address the file correctly.
-     */
-    void seekTo(std::uint64_t record);
-
     /** Records in this stream section. */
     std::uint64_t records() const { return count_; }
-
-    /** Index of the next record next()/nextBatch() will deliver. */
-    std::uint64_t position() const;
 
     /** File byte offset of record @p record of a section that starts at
      *  byte @p sectionOffset (the chunking arithmetic, kept pure and
@@ -83,6 +72,15 @@ class FileStreamSource : public TraceSource
     }
 
   private:
+    /**
+     * Position the cursor so the next record delivered is record
+     * @p record (0-based) of the section. Seeking to records() makes the
+     * stream immediately exhausted. The byte offset is computed in
+     * 64 bits, so sections beyond 4 Gi records address the file
+     * correctly.
+     */
+    void seekTo(std::uint64_t record);
+
     /** Load the chunk at fileRecord_; returns false at end of stream. */
     bool refill();
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/l1_cache.hh"
@@ -40,7 +41,7 @@ TEST(L1Cache, MissThenFillThenHit)
     L1Cache l1(smallL1());
     EXPECT_FALSE(l1.probe(0x1000).hit);
     L1Victim victim;
-    l1.fill(0x1000, false, victim);
+    l1.fill(0x1000, false, false, victim);
     EXPECT_FALSE(victim.valid);
     const auto res = l1.probe(0x1000);
     EXPECT_TRUE(res.hit);
@@ -52,7 +53,7 @@ TEST(L1Cache, LineAlignment)
 {
     L1Cache l1(smallL1());
     L1Victim victim;
-    l1.fill(0x1000, false, victim);
+    l1.fill(0x1000, false, false, victim);
     EXPECT_TRUE(l1.probe(0x101f).hit);   // same 32B line
     EXPECT_FALSE(l1.probe(0x1020).hit);  // next line
 }
@@ -61,10 +62,9 @@ TEST(L1Cache, DirectMappedConflictEvicts)
 {
     L1Cache l1(smallL1());
     L1Victim victim;
-    l1.fill(0x0, true, victim);
-    l1.markDirty(0x0);
+    l1.fill(0x0, true, true, victim);
     // 1KB direct mapped: 0x400 aliases with 0x0.
-    l1.fill(0x400, false, victim);
+    l1.fill(0x400, false, false, victim);
     EXPECT_TRUE(victim.valid);
     EXPECT_TRUE(victim.dirty);
     EXPECT_EQ(victim.lineAddr, 0x0u);
@@ -75,8 +75,8 @@ TEST(L1Cache, CleanVictimReported)
 {
     L1Cache l1(smallL1());
     L1Victim victim;
-    l1.fill(0x0, false, victim);
-    l1.fill(0x400, false, victim);
+    l1.fill(0x0, false, false, victim);
+    l1.fill(0x400, false, false, victim);
     EXPECT_TRUE(victim.valid);
     EXPECT_FALSE(victim.dirty);
 }
@@ -85,20 +85,31 @@ TEST(L1Cache, WritableAndDirtyFlags)
 {
     L1Cache l1(smallL1());
     L1Victim victim;
-    l1.fill(0x40, true, victim);
+    l1.fill(0x40, true, false, victim);
     EXPECT_TRUE(l1.probe(0x40).writable);
-    l1.markDirty(0x40);
+    EXPECT_FALSE(l1.probe(0x40).dirty);
+    EXPECT_EQ(l1.accessClassify(0x40, true), L1FastOutcome::Hit);
     EXPECT_TRUE(l1.probe(0x40).dirty);
-    l1.setWritable(0x40, false);
-    EXPECT_FALSE(l1.probe(0x40).writable);
+
+    // A read-only line refuses the write until grantWrite() sets both
+    // flags at once.
+    l1.fill(0x60, false, false, victim);
+    EXPECT_EQ(l1.accessClassify(0x60, true), L1FastOutcome::Blocked);
+    EXPECT_FALSE(l1.probe(0x60).dirty);
+    l1.grantWrite(0x60);
+    EXPECT_TRUE(l1.probe(0x60).writable);
+    EXPECT_TRUE(l1.probe(0x60).dirty);
+
+    // A write-allocate fill is dirty from the start.
+    l1.fill(0x80, true, true, victim);
+    EXPECT_TRUE(l1.probe(0x80).dirty);
 }
 
 TEST(L1Cache, InvalidateReportsDirtiness)
 {
     L1Cache l1(smallL1());
     L1Victim victim;
-    l1.fill(0x40, true, victim);
-    l1.markDirty(0x40);
+    l1.fill(0x40, true, true, victim);
     EXPECT_TRUE(l1.invalidate(0x40));
     EXPECT_FALSE(l1.probe(0x40).hit);
     EXPECT_FALSE(l1.invalidate(0x40));  // already gone
@@ -111,10 +122,11 @@ TEST(L1Cache, SetAssociativeLru)
     L1Cache l1(cfg);
     L1Victim victim;
     const Addr set_stride = 16 * 32;  // same-set stride
-    l1.fill(0x0, false, victim);
-    l1.fill(set_stride, false, victim);
-    l1.touch(0x0);  // make way holding 0x0 the MRU
-    l1.fill(2 * set_stride, false, victim);
+    l1.fill(0x0, false, false, victim);
+    l1.fill(set_stride, false, false, victim);
+    // A read hit makes the way holding 0x0 the MRU.
+    EXPECT_EQ(l1.accessClassify(0x0, false), L1FastOutcome::Hit);
+    l1.fill(2 * set_stride, false, false, victim);
     EXPECT_TRUE(victim.valid);
     EXPECT_EQ(victim.lineAddr, set_stride);  // LRU evicted
     EXPECT_TRUE(l1.probe(0x0).hit);
@@ -125,8 +137,8 @@ TEST(L1Cache, ValidLineCount)
     L1Cache l1(smallL1());
     L1Victim victim;
     EXPECT_EQ(l1.validLines(), 0u);
-    l1.fill(0x0, false, victim);
-    l1.fill(0x20, false, victim);
+    l1.fill(0x0, false, false, victim);
+    l1.fill(0x20, false, false, victim);
     EXPECT_EQ(l1.validLines(), 2u);
     l1.invalidate(0x0);
     EXPECT_EQ(l1.validLines(), 1u);
@@ -155,6 +167,14 @@ struct RecordingListener : public CacheEventListener
     void unitEvicted(Addr a) override { evicts.push_back(a); }
 };
 
+/** A remote snoop as the bus applies it: locate, then transition. */
+coherence::SnoopOutcome
+snoop(L2Cache &l2, Addr a, BusOp op)
+{
+    L2LookupResult res;
+    return l2.snoopAtWay(l2.probeWay(a, res), a, op);
+}
+
 } // namespace
 
 TEST(L2Cache, FillAndProbeSubblocks)
@@ -174,8 +194,7 @@ TEST(L2Cache, FillAndProbeSubblocks)
     EXPECT_TRUE(sub1.tagMatch);
     EXPECT_FALSE(sub1.unitValid);
 
-    EXPECT_TRUE(l2.hasBlock(0x1020));
-    EXPECT_FALSE(l2.hasBlock(0x2000));
+    EXPECT_FALSE(l2.probe(0x2000).tagMatch);
 }
 
 TEST(L2Cache, UnitAlignment)
@@ -199,7 +218,7 @@ TEST(L2Cache, ConflictEvictionReturnsAllValidUnits)
     EXPECT_EQ(victims[0].state, State::Modified);
     EXPECT_EQ(victims[1].unitAddr, 0x20u);
     EXPECT_EQ(victims[1].state, State::Shared);
-    EXPECT_FALSE(l2.hasBlock(0x0));
+    EXPECT_FALSE(l2.probe(0x0).tagMatch);
 }
 
 TEST(L2Cache, ListenersSeeFillsAndEvictions)
@@ -225,7 +244,7 @@ TEST(L2Cache, SnoopBusReadDowngradesModified)
     L2Cache l2(smallL2());
     std::vector<L2Victim> victims;
     l2.fill(0x80, State::Modified, victims);
-    const auto out = l2.snoop(0x80, BusOp::BusRead);
+    const auto out = snoop(l2, 0x80, BusOp::BusRead);
     EXPECT_TRUE(out.hadCopy);
     EXPECT_TRUE(out.supplied);
     EXPECT_EQ(l2.probe(0x80).state, State::Owned);
@@ -238,7 +257,7 @@ TEST(L2Cache, SnoopBusReadXInvalidatesAndNotifies)
     l2.addListener(&rec);
     std::vector<L2Victim> victims;
     l2.fill(0x80, State::Shared, victims);
-    const auto out = l2.snoop(0x80, BusOp::BusReadX);
+    const auto out = snoop(l2, 0x80, BusOp::BusReadX);
     EXPECT_TRUE(out.hadCopy);
     EXPECT_FALSE(l2.probe(0x80).unitValid);
     ASSERT_EQ(rec.evicts.size(), 1u);
@@ -248,7 +267,7 @@ TEST(L2Cache, SnoopBusReadXInvalidatesAndNotifies)
 TEST(L2Cache, SnoopMissOnAbsentBlock)
 {
     L2Cache l2(smallL2());
-    const auto out = l2.snoop(0xbeef00, BusOp::BusRead);
+    const auto out = snoop(l2, 0xbeef00, BusOp::BusRead);
     EXPECT_FALSE(out.hadCopy);
 }
 
@@ -257,7 +276,7 @@ TEST(L2Cache, SnoopMissOnInvalidSibling)
     L2Cache l2(smallL2());
     std::vector<L2Victim> victims;
     l2.fill(0x1000, State::Exclusive, victims);
-    const auto out = l2.snoop(0x1020, BusOp::BusRead);
+    const auto out = snoop(l2, 0x1020, BusOp::BusRead);
     EXPECT_FALSE(out.hadCopy);
     // The valid sibling is untouched.
     EXPECT_TRUE(l2.probe(0x1000).unitValid);
@@ -268,21 +287,25 @@ TEST(L2Cache, SetStateTransitions)
     L2Cache l2(smallL2());
     std::vector<L2Victim> victims;
     l2.fill(0xc0, State::Exclusive, victims);
-    l2.setState(0xc0, State::Modified);
+    L2LookupResult res;
+    const int way = l2.probeWay(0xc0, res);
+    ASSERT_GE(way, 0);
+    l2.setStateAt(way, 0xc0, State::Modified);
     EXPECT_EQ(l2.probe(0xc0).state, State::Modified);
 }
 
-TEST(L2Cache, InvalidateUnit)
+TEST(L2Cache, ReadXSnoopInvalidatesOnce)
 {
     L2Cache l2(smallL2());
     RecordingListener rec;
     l2.addListener(&rec);
     std::vector<L2Victim> victims;
     l2.fill(0xc0, State::Shared, victims);
-    l2.invalidateUnit(0xc0);
+    snoop(l2, 0xc0, BusOp::BusReadX);
     EXPECT_FALSE(l2.probe(0xc0).unitValid);
+    EXPECT_TRUE(l2.probe(0xc0).tagMatch);  // the tag keeps its way
     EXPECT_EQ(rec.evicts.size(), 1u);
-    l2.invalidateUnit(0xc0);  // no-op
+    snoop(l2, 0xc0, BusOp::BusReadX);  // no-op
     EXPECT_EQ(rec.evicts.size(), 1u);
 }
 
@@ -295,7 +318,7 @@ TEST(L2Cache, ValidUnitCountTracksEverything)
     l2.fill(0x20, State::Exclusive, victims);
     l2.fill(0x40, State::Modified, victims);
     EXPECT_EQ(l2.validUnits(), 3u);
-    l2.snoop(0x40, BusOp::BusReadX);
+    snoop(l2, 0x40, BusOp::BusReadX);
     EXPECT_EQ(l2.validUnits(), 2u);
     l2.fill(0x1000, State::Shared, victims);  // evicts block 0 (2 units)
     EXPECT_EQ(l2.validUnits(), 1u);
@@ -310,12 +333,13 @@ TEST(L2Cache, SetAssociativeLru)
     const Addr stride = 32 * 64;  // same-set stride
     l2.fill(0x0, State::Exclusive, victims);
     l2.fill(stride, State::Exclusive, victims);
-    l2.touch(0x0);
+    L2LookupResult res;
+    l2.touchAt(l2.probeWay(0x0, res), 0x0);
     victims.clear();
     l2.fill(2 * stride, State::Exclusive, victims);
     ASSERT_EQ(victims.size(), 1u);
     EXPECT_EQ(victims[0].unitAddr, stride);
-    EXPECT_TRUE(l2.hasBlock(0x0));
+    EXPECT_TRUE(l2.probe(0x0).tagMatch);
 }
 
 TEST(L2Cache, NonSubblockedConfig)
@@ -333,6 +357,21 @@ TEST(L2Cache, NonSubblockedConfig)
 
 // ------------------------------------------------------ WritebackBuffer --
 
+namespace
+{
+
+/** Whether @p wb holds @p unitAddr, read off its FIFO view. */
+bool
+holds(const WritebackBuffer &wb, Addr unitAddr)
+{
+    const auto &e = wb.entries();
+    return std::any_of(e.begin(), e.end(), [unitAddr](const WbEntry &x) {
+        return x.unitAddr == unitAddr;
+    });
+}
+
+} // namespace
+
 TEST(WritebackBuffer, FifoOrder)
 {
     WritebackBuffer wb(2);
@@ -345,19 +384,19 @@ TEST(WritebackBuffer, FifoOrder)
     EXPECT_TRUE(wb.empty());
 }
 
-TEST(WritebackBuffer, ContainsAndTake)
+TEST(WritebackBuffer, TakeReclaimsEntry)
 {
     WritebackBuffer wb(4);
     wb.push({0x100, State::Modified});
     wb.push({0x200, State::Owned});
-    EXPECT_TRUE(wb.contains(0x200));
-    EXPECT_FALSE(wb.contains(0x300));
+    EXPECT_TRUE(holds(wb, 0x200));
+    EXPECT_FALSE(holds(wb, 0x300));
 
     bool found = false;
     const auto e = wb.take(0x200, found);
     EXPECT_TRUE(found);
     EXPECT_EQ(e.state, State::Owned);
-    EXPECT_FALSE(wb.contains(0x200));
+    EXPECT_FALSE(holds(wb, 0x200));
     EXPECT_EQ(wb.size(), 1u);
 
     bool found2 = true;
@@ -376,20 +415,17 @@ TEST(WritebackBuffer, CapacityReported)
 
 TEST(WritebackBuffer, DrainOrderSurvivesSnoopPressure)
 {
-    // Remote snoops remove (take) and demote (demoteForRead) entries at
+    // Remote snoops remove (BusReadX) and demote (BusRead) entries at
     // arbitrary positions; the survivors must still drain oldest-first,
     // in their original relative order.
     WritebackBuffer wb(8);
     for (Addr a = 0x100; a <= 0x800; a += 0x100)
         wb.push({a, State::Modified});
 
-    bool found = false;
-    wb.take(0x300, found);  // BusReadX mid-buffer
-    EXPECT_TRUE(found);
-    wb.take(0x100, found);  // BusReadX at the head
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(wb.demoteForRead(0x500));  // BusRead mid-buffer
-    wb.push({0x900, State::Owned});        // new victim behind everyone
+    EXPECT_TRUE(wb.snoop(0x300, true));   // BusReadX mid-buffer
+    EXPECT_TRUE(wb.snoop(0x100, true));   // BusReadX at the head
+    EXPECT_TRUE(wb.snoop(0x500, false));  // BusRead mid-buffer
+    wb.push({0x900, State::Owned});       // new victim behind everyone
 
     const Addr expect_order[] = {0x200, 0x400, 0x500, 0x600,
                                  0x700, 0x800, 0x900};
@@ -399,15 +435,16 @@ TEST(WritebackBuffer, DrainOrderSurvivesSnoopPressure)
     EXPECT_TRUE(wb.empty());
 }
 
-TEST(WritebackBuffer, DemoteForReadOnlyTouchesModified)
+TEST(WritebackBuffer, ReadSnoopDemotesOnlyModified)
 {
     WritebackBuffer wb(4);
     wb.push({0x100, State::Modified});
     wb.push({0x200, State::Owned});
 
-    EXPECT_TRUE(wb.demoteForRead(0x100));
-    EXPECT_TRUE(wb.demoteForRead(0x200));   // Owned stays Owned
-    EXPECT_FALSE(wb.demoteForRead(0x300));  // absent
+    EXPECT_TRUE(wb.snoop(0x100, false));
+    EXPECT_TRUE(wb.snoop(0x200, false));   // Owned stays Owned
+    EXPECT_FALSE(wb.snoop(0x300, false));  // absent
+    EXPECT_EQ(wb.size(), 2u);
 
     EXPECT_EQ(wb.pop().state, State::Owned);
     EXPECT_EQ(wb.pop().state, State::Owned);
@@ -424,14 +461,14 @@ TEST(WritebackBuffer, SnoopCombinesHitTakeAndDemoteInOneCall)
 
     // Supplying BusRead: hit, entry stays, M demotes to O (idempotent).
     EXPECT_TRUE(wb.snoop(0x100, false));
-    EXPECT_TRUE(wb.contains(0x100));
+    EXPECT_TRUE(holds(wb, 0x100));
     EXPECT_EQ(wb.entries().front().state, State::Owned);
     EXPECT_TRUE(wb.snoop(0x100, false));
     EXPECT_EQ(wb.entries().front().state, State::Owned);
 
     // BusReadX/Upgrade: hit and ownership transfer (entry removed).
     EXPECT_TRUE(wb.snoop(0x200, true));
-    EXPECT_FALSE(wb.contains(0x200));
+    EXPECT_FALSE(holds(wb, 0x200));
     EXPECT_EQ(wb.size(), 1u);
 }
 
@@ -447,7 +484,7 @@ TEST(WritebackBuffer, EntriesExposeFifoView)
 
 TEST(WritebackBuffer, SignatureIsTheOrOfLiveEntryBits)
 {
-    // The snoop path skips the buffer scan when maybeContains() is
+    // The snoop path skips the buffer scan when maybeContainsSig() is
     // false, so the signature must cover every live entry after every
     // mutation. A seeded random push/pop/take/snoop sequence checks it
     // is exactly the OR of signatureBitOf over entries() throughout.
@@ -461,7 +498,7 @@ TEST(WritebackBuffer, SignatureIsTheOrOfLiveEntryBits)
         bool found = false;
         switch (rng.below(4)) {
           case 0:
-            if (wb.hasRoom() && !wb.contains(a))
+            if (wb.hasRoom() && !holds(wb, a))
                 wb.push({a, State::Modified});
             break;
           case 1:
@@ -478,97 +515,184 @@ TEST(WritebackBuffer, SignatureIsTheOrOfLiveEntryBits)
         std::uint64_t want = 0;
         for (const WbEntry &e : wb.entries()) {
             want |= WritebackBuffer::signatureBitOf(e.unitAddr);
-            ASSERT_TRUE(wb.maybeContains(e.unitAddr)) << "step " << step;
+            ASSERT_TRUE(wb.maybeContainsSig(
+                WritebackBuffer::signatureBitOf(e.unitAddr)))
+                << "step " << step;
         }
         ASSERT_EQ(wb.signature(), want) << "step " << step;
     }
 }
 
-// ---------------------------------------- L1 fast path vs slow path ----
+// ------------------------------------ L1 against a reference model ----
 
 namespace
 {
 
-/** The slow-path equivalent of one accessClassify() call: probe, and on
- *  a serviceable hit touch (+ markDirty for writes). Returns the verdict
- *  accessClassify() must return. */
-L1FastOutcome
-slowClassify(L1Cache &l1, Addr addr, bool write)
+/**
+ * The L1's documented behaviour written plainly: per set, a list of
+ * lines with LRU clocks. A full set evicts its least recently used
+ * line; a hit needing no L2 help advances the clock (and dirties a
+ * write); a refused access changes nothing.
+ */
+class L1Model
 {
-    const auto res = l1.probe(addr);
-    if (!res.hit)
-        return L1FastOutcome::Miss;
-    if (write && !res.writable)
-        return L1FastOutcome::Blocked;
-    l1.touch(addr);
-    if (write)
-        l1.markDirty(addr);
-    return L1FastOutcome::Hit;
-}
+  public:
+    explicit L1Model(const L1Config &cfg) : cfg_(cfg), sets_(cfg.sets()) {}
 
-/** Two caches of one geometry: `fast` driven through accessClassify(),
- *  `slow` through the probe/touch/markDirty route. */
-struct FastSlowPair
-{
-    explicit FastSlowPair(const L1Config &cfg) : fast(cfg), slow(cfg) {}
-
-    /** One reference through both caches; the verdicts must agree. */
     L1FastOutcome
     access(Addr addr, bool write)
     {
-        const L1FastOutcome f = fast.accessClassify(addr, write);
-        EXPECT_EQ(f, slowClassify(slow, addr, write))
+        Line *l = find(addr);
+        if (!l)
+            return L1FastOutcome::Miss;
+        if (write && !l->writable)
+            return L1FastOutcome::Blocked;
+        l->lastUse = ++clock_;
+        l->dirty = l->dirty || write;
+        return L1FastOutcome::Hit;
+    }
+
+    void
+    grantWrite(Addr addr)
+    {
+        Line *l = find(addr);
+        ASSERT_NE(l, nullptr);
+        l->writable = l->dirty = true;
+        l->lastUse = ++clock_;
+    }
+
+    L1Victim
+    fill(Addr addr, bool writable, bool dirty)
+    {
+        auto &set = sets_[setOf(addr)];
+        L1Victim victim;
+        if (set.size() == cfg_.assoc) {
+            const auto lru = std::min_element(
+                set.begin(), set.end(), [](const Line &x, const Line &y) {
+                    return x.lastUse < y.lastUse;
+                });
+            victim.valid = true;
+            victim.dirty = lru->dirty;
+            victim.lineAddr = lru->lineAddr;
+            set.erase(lru);
+        }
+        set.push_back({lineOf(addr), writable, dirty, ++clock_});
+        return victim;
+    }
+
+    /** Every line, sorted by address (L1Cache::validLineInfo's form). */
+    std::vector<L1LineInfo>
+    lines() const
+    {
+        std::vector<L1LineInfo> out;
+        for (const auto &set : sets_) {
+            for (const Line &l : set)
+                out.push_back({l.lineAddr, l.writable, l.dirty});
+        }
+        std::sort(out.begin(), out.end(),
+                  [](const L1LineInfo &x, const L1LineInfo &y) {
+                      return x.lineAddr < y.lineAddr;
+                  });
+        return out;
+    }
+
+  private:
+    struct Line
+    {
+        Addr lineAddr;
+        bool writable;
+        bool dirty;
+        std::uint64_t lastUse;
+    };
+
+    Addr lineOf(Addr a) const { return a & ~Addr{cfg_.blockBytes - 1}; }
+    std::size_t
+    setOf(Addr a) const
+    {
+        return static_cast<std::size_t>((a / cfg_.blockBytes) %
+                                        sets_.size());
+    }
+
+    Line *
+    find(Addr addr)
+    {
+        for (Line &l : sets_[setOf(addr)]) {
+            if (l.lineAddr == lineOf(addr))
+                return &l;
+        }
+        return nullptr;
+    }
+
+    L1Config cfg_;
+    std::vector<std::vector<Line>> sets_;
+    std::uint64_t clock_ = 0;
+};
+
+/** An L1Cache and the model, driven by the same calls. */
+struct CacheModelPair
+{
+    explicit CacheModelPair(const L1Config &cfg) : cache(cfg), model(cfg) {}
+
+    /** One reference through both; the verdicts must agree. */
+    L1FastOutcome
+    access(Addr addr, bool write)
+    {
+        const L1FastOutcome f = cache.accessClassify(addr, write);
+        EXPECT_EQ(f, model.access(addr, write))
             << std::hex << addr << (write ? " W" : " R");
         return f;
     }
 
-    /** Install @p addr in both (dirty on a permitted write); the
-     *  displaced lines must agree. */
+    void
+    grantWrite(Addr addr)
+    {
+        cache.grantWrite(addr);
+        model.grantWrite(addr);
+    }
+
+    /** Install @p addr in both (dirty on a write); the displaced lines
+     *  must agree. */
     void
     fill(Addr addr, bool writable, bool write = false)
     {
-        L1Victim vf, vs;
-        fast.fill(addr, writable, vf);
-        slow.fill(addr, writable, vs);
-        if (write && writable) {
-            fast.markDirty(addr);
-            slow.markDirty(addr);
-        }
-        EXPECT_EQ(vf.valid, vs.valid);
-        EXPECT_EQ(vf.dirty, vs.dirty);
-        EXPECT_EQ(vf.lineAddr, vs.lineAddr);
+        L1Victim vc;
+        cache.fill(addr, writable, write, vc);
+        const L1Victim vm = model.fill(addr, writable, write);
+        EXPECT_EQ(vc.valid, vm.valid);
+        EXPECT_EQ(vc.dirty, vm.dirty);
+        EXPECT_EQ(vc.lineAddr, vm.lineAddr);
     }
 
     /** Full line state (presence, permission, dirtiness) agrees. */
     void
     expectSameLines() const
     {
-        const auto lf = fast.validLineInfo();
-        const auto ls = slow.validLineInfo();
-        ASSERT_EQ(lf.size(), ls.size());
-        for (std::size_t k = 0; k < lf.size(); ++k) {
-            EXPECT_EQ(lf[k].lineAddr, ls[k].lineAddr) << k;
-            EXPECT_EQ(lf[k].writable, ls[k].writable) << k;
-            EXPECT_EQ(lf[k].dirty, ls[k].dirty) << k;
+        const auto lc = cache.validLineInfo();
+        const auto lm = model.lines();
+        ASSERT_EQ(lc.size(), lm.size());
+        for (std::size_t k = 0; k < lc.size(); ++k) {
+            EXPECT_EQ(lc[k].lineAddr, lm[k].lineAddr) << k;
+            EXPECT_EQ(lc[k].writable, lm[k].writable) << k;
+            EXPECT_EQ(lc[k].dirty, lm[k].dirty) << k;
         }
-        EXPECT_EQ(fast.validLines(), slow.validLines());
+        EXPECT_EQ(cache.validLines(), lm.size());
     }
 
-    L1Cache fast;
-    L1Cache slow;
+    L1Cache cache;
+    L1Model model;
 };
 
 } // namespace
 
-TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
+TEST(L1Cache, MatchesReferenceModelAcrossDirtyEvictionBoundaries)
 {
-    // Two identical caches driven by the same access/fill sequences, one
-    // through accessClassify(), one through the probe/touch/markDirty
-    // route, at every associativity the run() walk serves. Both must
-    // agree on every verdict, every victim (especially dirty ones at
-    // eviction boundaries), and the full final line state — i.e. the
-    // fast path's single associative search changes exactly the state
-    // the slow path changes.
+    // An L1Cache and the plain reference model driven by the same
+    // access/grant/fill sequences, at every associativity the run()
+    // walk serves. Both must agree on every verdict, every victim
+    // (especially dirty ones at eviction boundaries), and the full
+    // final line state — i.e. the single associative search of
+    // accessClassify() and grantWrite() changes exactly the state the
+    // model changes.
     for (const unsigned assoc : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE(testing::Message() << "assoc " << assoc);
         L1Config cfg;
@@ -579,16 +703,22 @@ TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
         // Randomized: 24 lines over 16 frames keep hits, permission
         // misses and capacity misses all frequent.
         {
-            FastSlowPair c(cfg);
+            CacheModelPair c(cfg);
             jetty::Rng rng(99);
             for (int i = 0; i < 20000; ++i) {
                 const Addr addr = 0x1000 + rng.below(24) * 32;
                 const bool write = rng.chance(0.45);
-                if (c.access(addr, write) == L1FastOutcome::Miss) {
+                const L1FastOutcome out = c.access(addr, write);
+                if (out == L1FastOutcome::Miss) {
                     // Genuine miss: fill both with the same permission.
                     // This is where dirty victims cross the eviction
                     // boundary.
-                    c.fill(addr, rng.chance(0.6), write);
+                    const bool writable = write || rng.chance(0.6);
+                    c.fill(addr, writable, write);
+                } else if (out == L1FastOutcome::Blocked &&
+                           rng.chance(0.5)) {
+                    // The L2 upgrade went through: the write retires.
+                    c.grantWrite(addr);
                 }
                 if (i % 1000 == 0)
                     c.expectSameLines();
@@ -601,13 +731,17 @@ TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
         cfg.sizeBytes = 1024;
 
         // An all-Blocked chunk: writes against read-only lines, none of
-        // which may touch LRU or dirty state.
+        // which may touch LRU or dirty state; then one write is granted
+        // and a fill lands in its set.
         {
-            FastSlowPair c(cfg);
+            CacheModelPair c(cfg);
             for (Addr a = 0x4000; a < 0x4000 + 8 * 32; a += 32)
                 c.fill(a, false);
             for (Addr a = 0x4000; a < 0x4000 + 8 * 32; a += 32)
                 EXPECT_EQ(c.access(a, true), L1FastOutcome::Blocked);
+            c.expectSameLines();
+            c.grantWrite(0x4000);
+            c.fill(0x4000 + 32 * 32 * assoc, false);
             c.expectSameLines();
         }
 
@@ -615,13 +749,15 @@ TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
         // simulator configures): no lookup may narrow a tag.
         {
             const Addr top = ((Addr{1} << 56) - 1) & ~Addr{31};
-            FastSlowPair c(cfg);
+            CacheModelPair c(cfg);
             c.fill(top, true);
             c.fill(top - 32, false);
             EXPECT_EQ(c.access(top, true), L1FastOutcome::Hit);
             EXPECT_EQ(c.access(top - 32, false), L1FastOutcome::Hit);
             EXPECT_EQ(c.access(top - 64, false), L1FastOutcome::Miss);
             EXPECT_EQ(c.access(top - 32, true), L1FastOutcome::Blocked);
+            c.grantWrite(top - 32);
+            EXPECT_EQ(c.access(top - 32, true), L1FastOutcome::Hit);
             EXPECT_EQ(c.access(top, false), L1FastOutcome::Hit);
             c.expectSameLines();
         }
@@ -629,7 +765,7 @@ TEST(L1Cache, FastPathMatchesSlowPathAcrossDirtyEvictionBoundaries)
         // Alternating hit/miss: every other line present, with read
         // hits, misses and Blocked writes interleaved.
         {
-            FastSlowPair c(cfg);
+            CacheModelPair c(cfg);
             for (unsigned k = 0; k < 16; k += 2)
                 c.fill(0x8000 + 32 * k, k % 4 == 0);
             for (unsigned k = 0; k < 16; ++k)
@@ -652,16 +788,17 @@ TEST(L1Cache, FastPathRefusalLeavesCacheUntouched)
 
     L1Cache l1(cfg);
     L1Victim victim;
-    l1.fill(0x0, false, victim);
-    l1.fill(set_stride, true, victim);
-    l1.touch(0x0);  // 0x0 is MRU, set_stride is LRU
+    l1.fill(0x0, false, false, victim);
+    l1.fill(set_stride, true, false, victim);
+    // A read hit: 0x0 is MRU, set_stride is LRU.
+    EXPECT_EQ(l1.accessClassify(0x0, false), L1FastOutcome::Hit);
 
     // Refused accesses: a write to the non-writable MRU line and a read
     // of an absent line. Neither may reorder the set.
     EXPECT_EQ(l1.accessClassify(0x0, true), L1FastOutcome::Blocked);
     EXPECT_EQ(l1.accessClassify(3 * set_stride, false), L1FastOutcome::Miss);
 
-    l1.fill(2 * set_stride, false, victim);
+    l1.fill(2 * set_stride, false, false, victim);
     ASSERT_TRUE(victim.valid);
     EXPECT_EQ(victim.lineAddr, set_stride);  // still the LRU
     EXPECT_TRUE(l1.probe(0x0).hit);

@@ -439,7 +439,8 @@ TEST(CheckerSuite, AuditCatchesInjectedSingleWriterViolation)
     EXPECT_TRUE(suite.log().clean());
 
     // White-box corruption: promote one copy behind the protocol's back.
-    sys.l2(0).setState(kA, State::Modified);
+    mem::L2LookupResult res;
+    sys.l2(0).setStateAt(sys.l2(0).probeWay(kA, res), kA, State::Modified);
     suite.audit();
     EXPECT_FALSE(suite.log().clean());
     EXPECT_EQ(suite.log().violations().front().invariant, "single-writer");
@@ -452,7 +453,10 @@ TEST(CheckerSuite, AuditCatchesInclusionBreak)
     sim::SmpSystem sys(cfg);
     const Addr kA = 0x20000;
     sys.processorAccess(0, AccessType::Read, kA);
-    sys.l2(0).invalidateUnit(kA);  // L1 line now orphaned
+    // A snoop that skips inclusion enforcement: the L1 line is orphaned.
+    mem::L2LookupResult res;
+    sys.l2(0).snoopAtWay(sys.l2(0).probeWay(kA, res), kA,
+                         coherence::BusOp::BusReadX);
     CheckerSuite suite(sys, 0);
     suite.audit();
     ASSERT_FALSE(suite.log().clean());

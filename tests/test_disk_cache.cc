@@ -439,8 +439,9 @@ TEST(RunCacheDiskTier, SupersetOnDiskAnswersSubsetAndSubsetMerges)
     EXPECT_EQ(cache.simulations(), 0u);
     EXPECT_EQ(cache.diskHits(), 1u);
 
-    // A strict superset re-simulates the union once and republishes;
-    // the next fresh process sees all three filters covered.
+    // A strict superset simulates only the filter the disk entry lacks,
+    // folds its row into the two cached ones and republishes; the next
+    // fresh process sees all three filters covered.
     cache.clear();
     experiments::runMany(
         {sampleRequest("lu", {"EJ-16x2", "IJ-8x4x7", "EJ-32x4"})});

@@ -80,11 +80,12 @@ TEST_P(FilterSafety, NeverFiltersACachedUnit)
         const unsigned action = static_cast<unsigned>(rng.below(100));
         if (action < 45) {
             // Incoming snoop with ground truth, then protocol action.
-            const auto pr = l2.probe(a);
+            mem::L2LookupResult pr;
+            const int way = l2.probeWay(a, pr);
             bank.observeSnoop(a, pr.unitValid, pr.tagMatch);
             const BusOp op = rng.chance(0.3) ? BusOp::BusReadX
                                              : BusOp::BusRead;
-            l2.snoop(a, op);
+            l2.snoopAtWay(way, a, op);
         } else if (action < 85) {
             // Local fill (if absent).
             if (!l2.probe(a).unitValid) {
@@ -94,8 +95,10 @@ TEST_P(FilterSafety, NeverFiltersACachedUnit)
                         victims);
             }
         } else {
-            // Local invalidation (inclusion-style).
-            l2.invalidateUnit(a);
+            // Local invalidation (inclusion-style): the bank sees the
+            // eviction but no snoop.
+            mem::L2LookupResult pr;
+            l2.snoopAtWay(l2.probeWay(a, pr), a, BusOp::BusReadX);
         }
     }
 
@@ -157,8 +160,10 @@ TEST_P(IncludeJettyCoherence, DrainsToEmpty)
     // Drain the cache via snoop invalidations at every unit address the
     // cache still holds (walk the whole address range we used).
     for (Addr a = 0; a < (1ull << 25); a += 32) {
-        if (l2.probe(a).unitValid)
-            l2.snoop(a, BusOp::BusReadX);
+        mem::L2LookupResult pr;
+        const int way = l2.probeWay(a, pr);
+        if (pr.unitValid)
+            l2.snoopAtWay(way, a, BusOp::BusReadX);
     }
     ASSERT_EQ(l2.validUnits(), 0u);
 

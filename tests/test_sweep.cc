@@ -11,7 +11,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 
-#include <cmath>
 #include <cstdio>
 
 #include "experiments/experiments.hh"
@@ -142,7 +141,8 @@ TEST(RunCacheTest, IdenticalPairsSimulateOncePerProcess)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(hit.filterNames, std::vector<std::string>{"NULL"});
 
-    // A new spec for the same pair re-simulates once, with the union.
+    // A new spec for the same pair simulates once, for the missing spec
+    // only; the answer carries both rows.
     const auto grown =
         experiments::runApp(app, variant, {"IJ-8x4x7", "EJ-32x4"}, 0.01);
     EXPECT_EQ(cache.simulations(), 2u);
@@ -153,6 +153,25 @@ TEST(RunCacheTest, IdenticalPairsSimulateOncePerProcess)
     v8.nprocs = 8;
     experiments::runApp(app, v8, {"NULL"}, 0.01);
     EXPECT_EQ(cache.simulations(), 3u);
+
+    // The merged rows are exactly what one cold simulation of both
+    // specs scores.
+    cache.clear();
+    const auto cold =
+        experiments::runApp(app, variant, {"IJ-8x4x7", "EJ-32x4"}, 0.01);
+    ASSERT_EQ(cold.filterNames, grown.filterNames);
+    for (std::size_t f = 0; f < cold.filterNames.size(); ++f) {
+        const auto &c = cold.filterStats[f];
+        const auto &g = grown.filterStats[f];
+        EXPECT_EQ(c.probes, g.probes) << cold.filterNames[f];
+        EXPECT_EQ(c.filtered, g.filtered) << cold.filterNames[f];
+        EXPECT_EQ(c.wouldMiss, g.wouldMiss) << cold.filterNames[f];
+        EXPECT_EQ(c.filteredWouldMiss, g.filteredWouldMiss)
+            << cold.filterNames[f];
+        EXPECT_EQ(c.snoopAllocs, g.snoopAllocs) << cold.filterNames[f];
+        EXPECT_EQ(c.fillUpdates, g.fillUpdates) << cold.filterNames[f];
+        EXPECT_EQ(c.evictUpdates, g.evictUpdates) << cold.filterNames[f];
+    }
 }
 
 TEST(RunCacheTest, BatchDeduplicatesAndPreservesOrder)
@@ -224,8 +243,8 @@ TEST(SweepRunner, TinyTraceReportsNoRateInsteadOfGarbage)
 {
     // A job shorter than one delivery batch finishes inside the timer's
     // resolution; historically refs/sec then reported inf (elapsed
-    // rounded to 0). It must instead flag refsTooFewForRate and report
-    // a rate of exactly 0.
+    // rounded to 0). It must instead flag refsTooFewForRate, so reports
+    // print no rate.
     const std::string path =
         ::testing::TempDir() + "jetty_tiny_trace.jtt";
     std::vector<trace::TraceRecord> recs;
@@ -243,8 +262,6 @@ TEST(SweepRunner, TinyTraceReportsNoRateInsteadOfGarbage)
     EXPECT_EQ(res.totalRefs, 3u * job.cfg.nprocs);
     EXPECT_LT(res.totalRefs, job.cfg.batchRefs);
     EXPECT_TRUE(res.refsTooFewForRate);
-    EXPECT_EQ(res.refsPerSecond(), 0.0);
-    EXPECT_FALSE(std::isinf(res.refsPerSecond()));
     std::remove(path.c_str());
 }
 
@@ -287,7 +304,7 @@ TEST(SweepRunner, ReportsPerJobThroughput)
     EXPECT_EQ(res.totalRefs, res.stats.aggregate().accesses);
     EXPECT_GT(res.totalRefs, 0u);
     EXPECT_GT(res.elapsedSeconds, 0.0);
-    EXPECT_GT(res.refsPerSecond(), 0.0);
+    EXPECT_FALSE(res.refsTooFewForRate);
 }
 
 TEST(SweepRunner, FileBackedJobMatchesInMemoryReplay)
