@@ -24,7 +24,7 @@ struct BusTransaction
 
     /** Logical snoop bus the transaction was routed to: with an
      *  address-interleaved split interconnect every transaction for one
-     *  unit lands on the same bus (sim/interconnect.hh). 0 on the
+     *  unit lands on the same bus (util/bits.hh interleavedBus). 0 on the
      *  classic single shared bus. */
     unsigned busId = 0;
 };

@@ -138,15 +138,6 @@ ExcludeJetty::applyBatch(SnoopFilter *const *peers,
         [](std::size_t, Addr) {});  // exclude JETTYs ignore evictions
 }
 
-void
-ExcludeJetty::clear()
-{
-    tagValid_.assign(tagValid_.size(), 0);
-    vector_.assign(vector_.size(), 0);
-    lastUse_.assign(lastUse_.size(), 0);
-    useClock_ = 0;
-}
-
 StorageBreakdown
 ExcludeJetty::storage() const
 {

@@ -57,7 +57,6 @@ class ExcludeJetty : public SnoopFilter
     void onSnoopMiss(Addr unitAddr, bool blockPresent) override;
     void onFill(Addr unitAddr) override;
     void onEvict(Addr) override {}
-    void clear() override;
 
     /** Devirtualized event-major replay for the bank's flush:
      *  direct (inlinable) probe/record/fill bodies on block addresses,

@@ -46,13 +46,6 @@ HybridJetty::onEvict(Addr unitAddr)
     exclude_->onEvict(unitAddr);
 }
 
-void
-HybridJetty::clear()
-{
-    include_->clear();
-    exclude_->clear();
-}
-
 StorageBreakdown
 HybridJetty::storage() const
 {

@@ -29,7 +29,6 @@ class HybridJetty : public SnoopFilter
     void onSnoopMiss(Addr unitAddr, bool blockPresent) override;
     void onFill(Addr unitAddr) override;
     void onEvict(Addr unitAddr) override;
-    void clear() override;
 
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts

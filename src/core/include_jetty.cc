@@ -67,15 +67,6 @@ IncludeJetty::onEvict(Addr unitAddr)
 }
 
 void
-IncludeJetty::clear()
-{
-    for (auto &c : counts_)
-        c = 0;
-    for (auto &w : pbits_)
-        w = 0;
-}
-
-void
 IncludeJetty::pbitArrayShape(std::uint64_t &rows, std::uint64_t &cols) const
 {
     // Fold 2^E bits into the widest register-file-like shape with rows <=

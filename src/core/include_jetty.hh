@@ -58,7 +58,6 @@ class IncludeJetty : public SnoopFilter
     void onSnoopMiss(Addr, bool) override {}
     void onFill(Addr unitAddr) override;
     void onEvict(Addr unitAddr) override;
-    void clear() override;
 
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts

@@ -20,7 +20,6 @@ class NullFilter : public SnoopFilter
     void onSnoopMiss(Addr, bool) override {}
     void onFill(Addr) override {}
     void onEvict(Addr) override {}
-    void clear() override {}
 
     StorageBreakdown storage() const override { return StorageBreakdown{}; }
 

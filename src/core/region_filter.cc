@@ -50,13 +50,6 @@ RegionFilter::onEvict(Addr unitAddr)
     --c;
 }
 
-void
-RegionFilter::clear()
-{
-    for (auto &c : counts_)
-        c = 0;
-}
-
 StorageBreakdown
 RegionFilter::storage() const
 {

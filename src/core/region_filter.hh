@@ -43,7 +43,6 @@ class RegionFilter : public SnoopFilter
     void onSnoopMiss(Addr, bool) override {}
     void onFill(Addr unitAddr) override;
     void onEvict(Addr unitAddr) override;
-    void clear() override;
 
     StorageBreakdown storage() const override;
     energy::FilterEnergyCosts

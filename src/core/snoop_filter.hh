@@ -241,9 +241,6 @@ class SnoopFilter
     /** The local L2 lost the valid unit at @p unitAddr. */
     virtual void onEvict(Addr unitAddr) = 0;
 
-    /** Reset all filter contents (e.g., between workload phases). */
-    virtual void clear() = 0;
-
     /** Storage cost breakdown. */
     virtual StorageBreakdown storage() const = 0;
 

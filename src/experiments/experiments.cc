@@ -620,7 +620,6 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
     // order (a std::map), so the batch is deterministic however the
     // requests were interleaved and whatever jobs count runs it.
     if (!pending.empty()) {
-        std::vector<const PendingJob *> order;
         std::vector<sim::SweepJob> sweepJobs;
         for (const auto &[key, job] : pending) {
             (void)key;
@@ -633,23 +632,10 @@ runMany(const std::vector<RunRequest> &requests, unsigned jobs)
                 req.accessScale > 0 ? req.accessScale : 1.0;
             sj.traceFiles = req.traceFiles;
             sweepJobs.push_back(std::move(sj));
-            order.push_back(&job);
         }
 
-        // The default path shares one persistent pool across every
-        // runMany call in the process (SweepRunner's pool is built to be
-        // reused); an explicit jobs override gets a dedicated runner,
-        // capped at the batch size so a small batch doesn't spawn a
-        // large pool it cannot feed.
-        std::vector<sim::SweepResult> results;
-        if (jobs == 0) {
-            static sim::SweepRunner shared;
-            results = shared.run(sweepJobs);
-        } else {
-            sim::SweepRunner runner(static_cast<unsigned>(
-                std::min<std::size_t>(jobs, sweepJobs.size())));
-            results = runner.run(sweepJobs);
-        }
+        std::vector<sim::SweepResult> results =
+            sim::SweepRunner(jobs).run(sweepJobs);
 
         std::lock_guard<std::mutex> lock(cache.mu);
         std::size_t i = 0;

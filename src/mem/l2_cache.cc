@@ -26,7 +26,6 @@ L2Cache::L2Cache(const L2Config &cfg) : cfg_(cfg)
     if (sets == 0)
         fatal("L2Cache: size too small for block/assoc");
 
-    blockMask_ = cfg.blockBytes - 1;
     unitMask_ = cfg.unitBytes() - 1;
     offsetBits_ = floorLog2(cfg.blockBytes);
     indexBits_ = floorLog2(sets);

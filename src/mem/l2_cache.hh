@@ -66,9 +66,6 @@ class L2Cache
     /** Coherence-unit-align an address. */
     Addr unitAlign(Addr a) const { return a & ~unitMask_; }
 
-    /** Block-align an address. */
-    Addr blockAlign(Addr a) const { return a & ~blockMask_; }
-
     /**
      * Locate the unit containing @p addr without changing any state:
      * fills @p res and returns the way holding the block (-1 on a tag
@@ -186,7 +183,6 @@ class L2Cache
     util::AlignedVec<std::uint64_t> tagValid_;  //!< [frame] (tag << 1) | valid
     util::AlignedVec<std::uint64_t> lastUse_;   //!< [frame] LRU clocks
     std::vector<coherence::State> units_;  //!< [frame * subblocks + unit]
-    std::uint64_t blockMask_;
     std::uint64_t unitMask_;
     unsigned offsetBits_;
     unsigned indexBits_;

@@ -92,7 +92,7 @@ struct ExecuteResult
  * Answer a spec already resolved for @p kind through the shared
  * RunCache: expand it to RunRequests and run them, filling @p out
  * except for its report (the distributed worker's whole job).
- * @param jobs SweepRunner worker override (0 = shared default pool).
+ * @param jobs SweepRunner worker override (0 = SweepRunner default).
  * @return "" on success, else the diagnostic (@p out unspecified).
  */
 std::string runResolved(const api::ExperimentSpec &spec,

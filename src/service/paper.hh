@@ -64,7 +64,7 @@ std::string tableSpecs(const std::string &name, double scale,
 /**
  * Execute tableSpecs(@p name, @p scale) through executeResolved() and
  * render table @p name's panels into @p out.
- * @param jobs SweepRunner worker override (0 = shared default pool).
+ * @param jobs SweepRunner worker override (0 = SweepRunner default).
  * @return "" on success, else the diagnostic.
  */
 std::string runTable(const std::string &name, double scale, unsigned jobs,

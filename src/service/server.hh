@@ -5,8 +5,10 @@
  * serve`, which runs one session per unix-socket connection. A forked
  * `jetty_cli worker` is the same session on its stdin/stdout, so the
  * daemon and a distributed-sweep worker answer the same verbs through
- * one shared two-tier RunCache and SweepRunner pool — N clients asking
- * for overlapping sweeps simulate each distinct cell once.
+ * one shared two-tier RunCache — N clients asking for overlapping
+ * sweeps simulate each distinct cell once. Each request's sweep runs on
+ * threads of its own (sim/sweep.hh), so k concurrent requests may run
+ * up to k x jobs sweep threads.
  *
  * Verbs: "run" (execute a spec, stream the report back), "shard" (one
  * distributed-sweep cell, dist/shard.hh), "ping", "stats" (cache
@@ -51,7 +53,7 @@ using SessionFault = std::function<bool(std::uint64_t)>;
  * Answer requests read from @p inFd on @p outFd until EOF, a transport
  * error, the "shutdown" verb (which sets @p stop), or @p stop — checked
  * between requests, so a request already read is always answered.
- * @param jobs SweepRunner override (0 = shared default).
+ * @param jobs SweepRunner override (0 = SweepRunner default).
  * @return 0 on EOF or stop, 1 on a transport error, 2 when @p fault
  *         abandoned a shard.
  */
@@ -61,7 +63,7 @@ int serveSession(int inFd, int outFd, unsigned jobs,
 struct ServerConfig
 {
     std::string socketPath = "jetty.sock";
-    unsigned jobs = 0;  //!< SweepRunner override (0 = shared default)
+    unsigned jobs = 0;  //!< SweepRunner override (0 = SweepRunner default)
 };
 
 class ExperimentServer

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "energy/accountant.hh"
-#include "sim/interconnect.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -65,6 +64,15 @@ struct ProcStats
 
     /** Merge another processor's counters (for aggregate reporting). */
     void merge(const ProcStats &o);
+};
+
+/** Occupancy counters of one logical snoop bus (SimStats::perBus). */
+struct BusStats
+{
+    std::uint64_t transactions = 0;  //!< transactions routed to this bus
+    std::uint64_t reads = 0;         //!< BusRead share
+    std::uint64_t readXs = 0;        //!< BusReadX share
+    std::uint64_t upgrades = 0;      //!< BusUpgrade share
 };
 
 /** Whole-system statistics. */

@@ -176,11 +176,13 @@ SmpConfig::addressMap() const
 
 SmpSystem::SmpSystem(const SmpConfig &cfg)
     : cfg_(cfg),
-      interconnect_(cfg.snoopBuses, floorLog2(cfg.l2.blockBytes)),
+      blockOffsetBits_(floorLog2(cfg.l2.blockBytes)),
       stats_(cfg.nprocs, cfg.snoopBuses)
 {
     if (cfg.nprocs < 2)
         fatal("SmpSystem: an SMP needs at least two processors");
+    if (cfg.snoopBuses < 1)
+        fatal("SmpSystem: need at least one snoop bus");
     if (cfg.l1.blockBytes != cfg.l2.unitBytes())
         fatal("SmpSystem: the L1 line must equal the L2 coherence unit");
 
@@ -398,7 +400,8 @@ SmpSystem::broadcast(ProcId requester, BusOp op, Addr unitAddr)
     ++stats_.snoopTransactions;
 
     // Route to the unit's home bus and count its occupancy.
-    const unsigned bus = interconnect_.busOf(unitAddr);
+    const unsigned bus =
+        interleavedBus(unitAddr, blockOffsetBits_, cfg_.snoopBuses);
     BusStats &bs = stats_.perBus[bus];
     ++bs.transactions;
     switch (op) {

@@ -32,7 +32,6 @@
 #include "mem/l1_cache.hh"
 #include "mem/l2_cache.hh"
 #include "mem/writeback_buffer.hh"
-#include "sim/interconnect.hh"
 #include "sim/observer.hh"
 #include "sim/sim_stats.hh"
 #include "trace/trace_source.hh"
@@ -66,8 +65,10 @@ struct SmpConfig
     unsigned batchRefs = 256;
 
     /**
-     * Logical snoop buses of the address-interleaved split interconnect
-     * (sim/interconnect.hh). 1 is the classic single shared bus and is
+     * Logical snoop buses (>= 1) of the address-interleaved split
+     * interconnect: each unit's transactions go to its L2 block's home
+     * bus (util/bits.hh interleavedBus; DESIGN.md, "Interconnect & snoop
+     * batching"). 1 is the classic single shared bus and is
      * bit-identical to the pre-interconnect simulator in every number.
      * Any value leaves the coherence outcome (caches, write-back
      * buffers, architectural statistics) untouched — all transactions
@@ -163,9 +164,6 @@ class SmpSystem
      */
     void setObserver(SimObserver *obs) { observer_ = obs; }
 
-    /** The snoop interconnect (bus count and routing). */
-    const Interconnect &interconnect() const { return interconnect_; }
-
   private:
     struct Node
     {
@@ -247,7 +245,7 @@ class SmpSystem
 
     SmpConfig cfg_;
     std::vector<std::unique_ptr<Node>> nodes_;
-    Interconnect interconnect_;
+    unsigned blockOffsetBits_;  //!< log2 L2 block: the bus interleave
     std::vector<mem::L2Victim> victimScratch_;  //!< fetchUnit reuse
     SimStats stats_;
     SimObserver *observer_ = nullptr;

@@ -1,7 +1,10 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <thread>
 
 #include "energy/technology.hh"
 #include "trace/file_stream_source.hh"
@@ -26,26 +29,33 @@ SweepRunner::defaultJobs()
 }
 
 SweepRunner::SweepRunner(unsigned jobs)
-    : jobs_(jobs >= 1 ? jobs : defaultJobs()), pool_(jobs_)
+    : jobs_(jobs >= 1 ? jobs : defaultJobs())
 {
-    // The pool spawns jobs_ - 1 workers and the calling thread
-    // participates in every batch, so total parallelism is jobs_;
-    // jobs_ == 1 runs inline, keeping the serial reference path
-    // trivially schedule-free.
 }
-
-SweepRunner::~SweepRunner() = default;
 
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobList)
 {
-    std::vector<SweepResult> results(jobList.size());
+    const std::size_t n = jobList.size();
+    std::vector<SweepResult> results(n);
 
-    // Each task writes its own slot, so the result vector is identical
-    // whatever order the pool executes jobs.
-    pool_.parallelFor(jobList.size(), [&results, &jobList](std::size_t i) {
-        results[i] = runOne(jobList[i]);
-    });
+    // The caller and min(jobs_, n) - 1 helpers take indices from one
+    // counter; each job writes its own slot, so the result vector is
+    // identical whatever order the jobs run in. jobs_ == 1 (or a
+    // one-job batch) spawns nothing, keeping the serial reference path
+    // trivially schedule-free.
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+        for (std::size_t i = next++; i < n; i = next++)
+            results[i] = runOne(jobList[i]);
+    };
+    std::vector<std::thread> helpers(
+        n > 1 ? std::min<std::size_t>(jobs_, n) - 1 : 0);
+    for (auto &t : helpers)
+        t = std::thread(drain);
+    drain();
+    for (auto &t : helpers)
+        t.join();
     return results;
 }
 
@@ -64,10 +74,8 @@ SweepRunner::runOne(const SweepJob &job)
         system.attachSources(
             trace::makeFileSources(job.traceFiles, job.cfg.nprocs));
     } else {
-        trace::AppProfile app = job.app;
-        app.seed += job.seedOffset;
         workload = std::make_unique<trace::Workload>(
-            app, job.cfg.nprocs, job.accessScale, job.pageSpread);
+            job.app, job.cfg.nprocs, job.accessScale);
         res.memoryAllocated = workload->memoryAllocated();
 
         std::vector<trace::TraceSourcePtr> sources;

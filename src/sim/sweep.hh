@@ -5,13 +5,14 @@
  * The paper's evaluation is a cross-product — every JETTY configuration ×
  * every application × every system variant. Each cell of that product is
  * an independent, deterministic simulation: one SmpSystem, one Workload,
- * no shared mutable state. SweepRunner exploits that by owning a worker
- * thread pool and running many (app, variant) jobs concurrently.
+ * no shared mutable state. SweepRunner exploits that by running many
+ * (app, variant) jobs concurrently on threads each run() call spawns and
+ * joins before it returns.
  *
  * Determinism contract (DESIGN.md): a job's result depends only on the
  * job description — the workload is seeded from the profile alone and the
  * result lands at the job's index — so `jobs=1` and `jobs=N` produce
- * bit-identical result vectors. The thread pool changes wall-clock time,
+ * bit-identical result vectors. The thread count changes wall-clock time,
  * never numbers.
  */
 
@@ -26,7 +27,6 @@
 #include "energy/accountant.hh"
 #include "sim/sim_stats.hh"
 #include "sim/smp_system.hh"
-#include "sim/worker_pool.hh"
 #include "trace/app_profile.hh"
 
 namespace jetty::sim
@@ -44,20 +44,13 @@ struct SweepJob
     /** Multiplies app.accessesPerProc (tests use << 1.0). */
     double accessScale = 1.0;
 
-    /** Physical/virtual footprint ratio of the page table. */
-    unsigned pageSpread = 8;
-
-    /** Mixed into the profile seed, so one app definition can run as
-     *  several distinct-trace jobs deterministically. */
-    std::uint64_t seedOffset = 0;
-
     /**
      * When non-empty the job replays these captured trace files through
      * streaming FileStreamSources instead of synthesizing from @ref app
      * (which then only contributes its name to reports): one file per
      * processor, one multi-section file, or one single-section file
      * replayed on every processor (trace::makeFileSources rules).
-     * accessScale/pageSpread/seedOffset do not apply to replays.
+     * accessScale does not apply to replays.
      */
     std::vector<std::string> traceFiles;
 };
@@ -98,31 +91,25 @@ struct SweepResult
 };
 
 /**
- * The engine: a fixed pool of worker threads draining a job queue.
- * run() may be called repeatedly; the pool persists across calls.
- * Concurrent run() calls are safe — each batch tracks its own
- * completion, and the pool drains both queues' jobs interleaved.
+ * The engine: each run() starts min(jobs, batch size) - 1 threads, the
+ * caller works beside them, and all are joined before run() returns, so
+ * no thread outlives a batch. run() may be called repeatedly and
+ * concurrently; batches share nothing.
  */
 class SweepRunner
 {
   public:
     /** @param jobs worker count; 0 selects defaultJobs(). */
     explicit SweepRunner(unsigned jobs = 0);
-    ~SweepRunner();
-
-    SweepRunner(const SweepRunner &) = delete;
-    SweepRunner &operator=(const SweepRunner &) = delete;
-
-    /** Worker count this runner was built with. */
-    unsigned jobs() const { return jobs_; }
 
     /** The JETTY_JOBS environment variable, or the hardware thread
      *  count (at least 1). */
     static unsigned defaultJobs();
 
     /**
-     * Run every job, concurrently when jobs() > 1.
-     * @return one result per job, in job order, independent of jobs().
+     * Run every job, concurrently when the worker count is > 1.
+     * @return one result per job, in job order, independent of the
+     *         worker count.
      */
     std::vector<SweepResult> run(const std::vector<SweepJob> &jobs);
 
@@ -131,7 +118,6 @@ class SweepRunner
 
   private:
     unsigned jobs_;
-    WorkerPool pool_;  //!< shared engine (sim/worker_pool.hh)
 };
 
 } // namespace jetty::sim

@@ -16,6 +16,9 @@ namespace
 constexpr std::uint64_t kRegionAlign = 4096;
 constexpr std::uint64_t KiB_ = 1024;
 
+/** Physical/virtual footprint ratio of the page table. */
+constexpr std::uint64_t kPageSpread = 8;
+
 /** Reuse-ring capacity; a power of two so the cursor wraps by mask. */
 constexpr std::size_t kReuseRing = 32;
 
@@ -469,7 +472,7 @@ SyntheticSource::freshNeighbor(StreamState &st)
 } // namespace
 
 Workload::Workload(const AppProfile &profile, unsigned nprocs,
-                   double accessScale, unsigned pageSpread)
+                   double accessScale)
     : profile_(profile), nprocs_(nprocs)
 {
     if (nprocs == 0)
@@ -513,13 +516,11 @@ Workload::Workload(const AppProfile &profile, unsigned nprocs,
     virtEnd_ = cursor;
 
     // Build the page table: scatter every virtual 4 KiB page over a frame
-    // space pageSpread times larger via a seeded partial Fisher-Yates
+    // space kPageSpread times larger via a seeded partial Fisher-Yates
     // shuffle, imitating OS physical page allocation.
-    if (pageSpread < 1)
-        pageSpread = 1;
     const std::uint64_t pages =
         (virtEnd_ - virtBase_ + kRegionAlign - 1) / kRegionAlign;
-    const std::uint64_t frames = pages * pageSpread;
+    const std::uint64_t frames = pages * kPageSpread;
     std::vector<std::uint32_t> pool(frames);
     for (std::uint64_t i = 0; i < frames; ++i)
         pool[i] = static_cast<std::uint32_t>(i);

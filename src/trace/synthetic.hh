@@ -47,16 +47,15 @@ class Workload
      *
      * Generated addresses are *virtual*: region walks are contiguous. A
      * deterministic page table then scatters 4 KiB pages over a physical
-     * frame space @p pageSpread times larger, imitating OS physical page
+     * frame space eight times larger, imitating OS physical page
      * allocation -- the address distribution the paper's WWT2 traces see.
      * Without it, contiguous regions make the Include-JETTY's coarse
      * index slices unrealistically discriminating.
      *
      * @param accessScale multiplies accessesPerProc (tests use < 1.0).
-     * @param pageSpread  physical/virtual footprint ratio (>= 1).
      */
     Workload(const AppProfile &profile, unsigned nprocs,
-             double accessScale = 1.0, unsigned pageSpread = 8);
+             double accessScale = 1.0);
 
     /** Translate a virtual address to its scattered physical address. */
     Addr translate(Addr vaddr) const;

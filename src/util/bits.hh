@@ -78,7 +78,7 @@ alignDown(Addr a, std::uint64_t unit)
  * split snoop interconnect of @p buses (>= 1) logical buses: the unit's
  * L2 block index modulo the bus count, a mask for power-of-two counts.
  * The one statement of the interleave in the library, shared by
- * sim::Interconnect (transaction routing) and filter::FilterBank (its
+ * sim::SmpSystem (transaction routing) and filter::FilterBank (its
  * per-bus event queues).
  */
 constexpr unsigned

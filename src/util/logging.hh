@@ -19,12 +19,12 @@ namespace jetty
  * exit with status 1. Mirrors gem5's fatal().
  *
  * Exits through std::_Exit after flushing stdio, so no static destructor
- * runs. fatal() may fire while worker pools are live — or in a forked
- * child that inherited a pool object but not its threads — and tearing
- * down a static pool there would join threads that are still running or
- * do not exist. No static object does durable work in its destructor
- * (every publication commits through util/atomic_file.hh before it
- * returns), so skipping them loses nothing.
+ * runs. fatal() may fire while sweep or replay threads are live — or in
+ * a forked child that inherited none of its parent's threads — and a
+ * static destructor there could wait on work that never finishes. No
+ * static object does durable work in its destructor (every publication
+ * commits through util/atomic_file.hh before it returns), so skipping
+ * them loses nothing.
  */
 [[noreturn]] inline void
 fatal(const std::string &msg)

@@ -148,7 +148,7 @@ void
 CheckerSuite::onBusTransaction(ProcId, coherence::BusOp op, Addr unitAddr,
                                unsigned, unsigned busId)
 {
-    // Bus routing, restated independently of sim/interconnect.hh: the
+    // Bus routing, restated independently of util/bits.hh interleavedBus: the
     // home bus of a unit is its L2 block index modulo the bus count
     // (integer division on the configuration, no shifts shared with the
     // code under test).

@@ -21,7 +21,7 @@
  *  - **Bus routing**: on the split snoop interconnect every snoop and
  *    every transaction for unit U must appear on U's home bus — an
  *    independently restated interleave (division/modulo over the
- *    configuration, not the Interconnect's shift) recomputes the
+ *    configuration, not interleavedBus's shift) recomputes the
  *    expected bus for every observed event.
  *  - **Global single-writer / single-owner** (periodic audit): across
  *    all L2s and write-back buffers, a unit has at most one M or E copy

@@ -201,7 +201,6 @@ TEST(L2Cache, UnitAlignment)
 {
     L2Cache l2(smallL2());
     EXPECT_EQ(l2.unitAlign(0x103f), 0x1020u);
-    EXPECT_EQ(l2.blockAlign(0x103f), 0x1000u);
 }
 
 TEST(L2Cache, ConflictEvictionReturnsAllValidUnits)

@@ -488,7 +488,6 @@ class FaultyFilter : public filter::SnoopFilter
     void onSnoopMiss(Addr, bool) override {}
     void onFill(Addr) override {}
     void onEvict(Addr) override {}
-    void clear() override { probes_ = 0; }
     filter::StorageBreakdown storage() const override { return {}; }
 
     energy::FilterEnergyCosts

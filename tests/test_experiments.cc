@@ -131,13 +131,12 @@ TEST(Experiments, StatsForUnknownFilterFatal)
                 "unknown filter");
 }
 
-TEST(Experiments, FatalWithWarmSweepPoolExitsCleanly)
+TEST(Experiments, FatalAfterParallelBatchExitsCleanly)
 {
-    // A multi-request batch on the process-wide sweep pool (jobs = 0:
-    // SweepRunner::defaultJobs() workers, 2 or more on any multi-core
-    // host) leaves its worker threads parked. The death-test child
-    // inherits that pool object but none of its threads, so fatal() must
-    // exit 1 without running static destructors that would join them.
+    // A multi-request batch runs on SweepRunner::defaultJobs() threads
+    // (2 or more on any multi-core host), joined before runMany()
+    // returns. fatal() in the death-test child forked afterwards must
+    // still exit 1 with its message.
     std::vector<RunRequest> requests(2);
     requests[0].app = trace::appByName("lu");
     requests[1].app = trace::appByName("fm");

@@ -94,14 +94,6 @@ TEST(RegionFilter, EnergyCostsSane)
     EXPECT_DOUBLE_EQ(c.snoopAlloc, 0.0);
 }
 
-TEST(RegionFilter, ClearResets)
-{
-    RegionFilter rf({8, 10}, amap());
-    rf.onFill(0x4000);
-    rf.clear();
-    EXPECT_TRUE(rf.probe(0x4000));
-}
-
 TEST(RegionFilterDeathTest, UnderflowPanics)
 {
     RegionFilter rf({8, 10}, amap());

@@ -108,14 +108,6 @@ TEST(ExcludeJetty, LruReplacementWithinSet)
     EXPECT_TRUE(ej.probe(2 * stride));
 }
 
-TEST(ExcludeJetty, ClearEmptiesEverything)
-{
-    ExcludeJetty ej({32, 4}, baseMap());
-    ej.onSnoopMiss(kUnit0, false);
-    ej.clear();
-    EXPECT_FALSE(ej.probe(kUnit0));
-}
-
 TEST(ExcludeJetty, StorageAndName)
 {
     ExcludeJetty ej({32, 4}, baseMap());
@@ -363,14 +355,6 @@ TEST(IncludeJetty, SupersetProperty)
         ij.onFill(a);
     for (Addr a : filled)
         EXPECT_FALSE(ij.probe(a));
-}
-
-TEST(IncludeJetty, ClearResetsCounters)
-{
-    IncludeJetty ij({8, 4, 7}, baseMap());
-    ij.onFill(kUnit0);
-    ij.clear();
-    EXPECT_TRUE(ij.probe(kUnit0));
 }
 
 TEST(IncludeJetty, CounterWidthPessimistic)

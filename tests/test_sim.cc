@@ -825,4 +825,9 @@ TEST(SmpSystemDeathTest, RejectsBadConfigs)
     cfg2.l1.blockBytes = 64;  // mismatch with L2 coherence unit
     EXPECT_EXIT(SmpSystem{cfg2}, ::testing::ExitedWithCode(1),
                 "coherence unit");
+
+    SmpConfig cfg3 = smallConfig();
+    cfg3.snoopBuses = 0;
+    EXPECT_EXIT(SmpSystem{cfg3}, ::testing::ExitedWithCode(1),
+                "at least one snoop bus");
 }

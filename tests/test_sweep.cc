@@ -11,7 +11,10 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <thread>
 
 #include "experiments/experiments.hh"
 #include "sim/sweep.hh"
@@ -62,6 +65,36 @@ sampleJobs()
     return jobs;
 }
 
+/** Entries of /proc/self/task: the threads of this process. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/**
+ * threadCount() once two reads 10 ms apart agree: a joined thread's
+ * entry may linger for a moment after pthread_join returns, while the
+ * kernel finishes reaping it.
+ */
+std::size_t
+settledThreadCount()
+{
+    std::size_t n = threadCount();
+    for (int tries = 0; tries < 100; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        const std::size_t again = threadCount();
+        if (again == n)
+            break;
+        n = again;
+    }
+    return n;
+}
+
 } // namespace
 
 TEST(SweepRunner, DefaultJobsIsPositive)
@@ -101,7 +134,7 @@ TEST(SweepRunner, SerialAndParallelRunsAreBitIdentical)
     }
 }
 
-TEST(SweepRunner, PoolIsReusableAcrossBatches)
+TEST(SweepRunner, RunnerIsReusableAcrossBatches)
 {
     sim::SweepRunner runner(2);
     const auto jobs = sampleJobs();
@@ -112,16 +145,16 @@ TEST(SweepRunner, PoolIsReusableAcrossBatches)
     expectSameStats(first[0].filterStats[0], again[0].filterStats[0]);
 }
 
-TEST(SweepRunner, SeedOffsetChangesTheTrace)
+TEST(SweepRunner, NoThreadOutlivesItsBatch)
 {
-    auto job = sampleJobs()[0];
-    sim::SweepJob bumped = job;
-    bumped.seedOffset = 1;
-    const auto a = sim::SweepRunner::runOne(job);
-    const auto b = sim::SweepRunner::runOne(bumped);
-    // Same workload shape, different reference interleaving.
-    EXPECT_EQ(a.memoryAllocated, b.memoryAllocated);
-    EXPECT_NE(a.stats.aggregate().l1Hits, b.stats.aggregate().l1Hits);
+    // run() joins every thread it started before it returns, so a live
+    // runner between batches holds no threads (nothing stays parked for
+    // a later fork() to inherit).
+    const std::size_t before = settledThreadCount();
+    sim::SweepRunner runner(4);
+    const auto jobs = sampleJobs();
+    ASSERT_EQ(runner.run({jobs[0], jobs[1], jobs[2]}).size(), 3u);
+    EXPECT_EQ(settledThreadCount(), before);
 }
 
 TEST(RunCacheTest, IdenticalPairsSimulateOncePerProcess)
